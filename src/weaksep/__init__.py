@@ -51,7 +51,6 @@ from .ground import (
     is_cyclic_interval,
     is_weakly_separated,
     surrounds,
-    transform,
 )
 from .mutations import (
     BigInstance,
@@ -63,7 +62,6 @@ from .mutations import (
     explore_mutation_graph,
     find_square_moves,
     mutation_distance,
-    node_key,
 )
 from .necklaces import (
     AlignmentLength,

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from math import comb
 from typing import Any
 
 from . import domains, mutations, necklaces, octahedron
-from .cliques import Collection, purity_report
-from .ground import Subset, is_chord_separated, is_weakly_separated
+from .cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
+from .ground import Subset, _k_subset_masks, is_chord_separated, is_weakly_separated
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -29,28 +29,7 @@ def emit_report(result: Any, fmt: str = "json") -> bytes:
     if fmt == "jsonl":
         lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in result]
         return ("\n".join(lines) + "\n").encode() if lines else b""
-    if fmt == "csv":
-        rows = result if isinstance(result, list) else sorted(result.items())
-        out = []
-        for key, value in rows:
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-            out.append(f"{key},{value}")
-        return ("\n".join(out) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _parse_subset(text: str, n: int) -> Subset:
-    return Subset.parse(text, n)
-
-
-def _threads(value: str | None) -> int:
-    if value is None:
-        value = os.environ.get("THREADS", "1")
-    count = int(value)
-    if count < 1:
-        raise ValueError("thread count must be at least 1")
-    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weaksep",
         description="Weakly separated collections: purity, distances, necklaces, moves",
     )
-    parser.add_argument("--threads", help="worker count (engine is sequential; accepted for compatibility)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", help="separation predicates for one pair")
@@ -129,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> tuple[int, bytes]:
-    a = _parse_subset(args.a, args.n)
-    b = _parse_subset(args.b, args.n)
+    a = Subset.parse(args.a, args.n)
+    b = Subset.parse(args.b, args.n)
     report = {
         "weakly_separated": is_weakly_separated(a, b),
         "chord_separated": is_chord_separated(a, b),
@@ -139,8 +117,8 @@ def _cmd_check(args) -> tuple[int, bytes]:
 
 
 def _cmd_domain(args) -> tuple[int, bytes]:
-    i = _parse_subset(args.i, args.n)
-    j = _parse_subset(args.j, args.n)
+    i = Subset.parse(args.i, args.n)
+    j = Subset.parse(args.j, args.n)
     dom = domains.build_domain_AIJ(i, j)
     if args.format == "jsonl":
         return EXIT_OK, emit_report(dom.to_json(), "jsonl")
@@ -149,33 +127,25 @@ def _cmd_domain(args) -> tuple[int, bytes]:
 
 
 def _purity_domain(args) -> Collection:
-    import itertools
-
     chosen = [args.i is not None or args.j is not None, args.k is not None, args.powerset]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --i/--j, --k, or --powerset")
     if args.powerset:
         return Collection.from_masks(range(1 << args.n), args.n)
     if args.k is not None:
-        masks = []
-        for combo in itertools.combinations(range(args.n), args.k):
-            m = 0
-            for bit in combo:
-                m |= 1 << bit
-            masks.append(m)
-        return Collection.from_masks(masks, args.n)
+        return Collection.from_masks(_k_subset_masks(args.n, args.k), args.n)
     if args.i is None or args.j is None:
         raise ValueError("--i and --j must be given together")
     return domains.build_domain_AIJ(
-        _parse_subset(args.i, args.n), _parse_subset(args.j, args.n)
+        Subset.parse(args.i, args.n), Subset.parse(args.j, args.n)
     )
 
 
 def _cmd_purity(args) -> tuple[int, bytes]:
     domain = _purity_domain(args)
     if args.format == "jsonl":
-        from .cliques import build_compat_graph, enumerate_maximal_cliques
-
+        if len(domain) == 0:
+            return EXIT_OK, emit_report([], "jsonl")
         cliques = enumerate_maximal_cliques(build_compat_graph(domain, args.relation))
         return EXIT_OK, emit_report([c.to_json() for c in cliques], "jsonl")
     report = purity_report(domain, args.relation, stream=args.stream)
@@ -183,8 +153,8 @@ def _cmd_purity(args) -> tuple[int, bytes]:
 
 
 def _cmd_distance(args) -> tuple[int, bytes]:
-    i = _parse_subset(args.i, args.n)
-    j = _parse_subset(args.j, args.n)
+    i = Subset.parse(args.i, args.n)
+    j = Subset.parse(args.j, args.n)
     result = domains.cluster_distance(i, j, args.method)
     report: dict[str, Any] = {"d": result.value}
     if not result.exact:
@@ -193,8 +163,8 @@ def _cmd_distance(args) -> tuple[int, bytes]:
 
 
 def _cmd_mutdist(args) -> tuple[int, bytes]:
-    i = _parse_subset(args.i, args.n)
-    j = _parse_subset(args.j, args.n)
+    i = Subset.parse(args.i, args.n)
+    j = Subset.parse(args.j, args.n)
     result = mutations.mutation_distance(i, j, budget=args.budget, big=args.big)
     code = EXIT_BUDGET if result.budget_exhausted else EXIT_OK
     return code, emit_report(result.to_json())
@@ -216,7 +186,7 @@ def _cmd_necklace(args) -> tuple[int, bytes]:
     elif args.a is not None:
         if args.n is None:
             raise ValueError("--a needs --n")
-        a = _parse_subset(args.a, args.n)
+        a = Subset.parse(args.a, args.n)
         part = domains.circle_partition(a)
         perm = necklaces.canonical_permutation(a)
         k = part.k
@@ -241,8 +211,6 @@ def _cmd_lr(args) -> tuple[int, bytes]:
     dom = domains.lr_domain(args.n)
     report = purity_report(dom, "weak").to_json()
     if args.chains:
-        from .cliques import build_compat_graph, enumerate_maximal_cliques
-
         cliques = enumerate_maximal_cliques(build_compat_graph(dom, "weak"))
         report["chains"] = [
             [list(s) for s in domains.lr_chain(w, args.n).sets] for w in cliques
@@ -251,18 +219,14 @@ def _cmd_lr(args) -> tuple[int, bytes]:
 
 
 def _cmd_chord(args) -> tuple[int, bytes]:
-    from math import comb
-
+    if (args.u is None) != (args.v is None):
+        raise ValueError("--u and --v must be given together")
     dom = Collection.from_masks(range(1 << args.n), args.n)
     report = purity_report(dom, "chord", stream=args.stream).to_json()
     report["expected_size"] = sum(comb(args.n, t) for t in range(4))
-    if (args.u is None) != (args.v is None):
-        raise ValueError("--u and --v must be given together")
     if args.u is not None:
-        u = _parse_subset(args.u, args.n)
-        v = _parse_subset(args.v, args.n)
-        from .cliques import build_compat_graph, enumerate_maximal_cliques
-
+        u = Subset.parse(args.u, args.n)
+        v = Subset.parse(args.v, args.n)
         lo, hi = 1 << 0, 1 << (args.n - 1)
         needed = []
         for base in (u.mask, v.mask):
@@ -283,7 +247,7 @@ def _cmd_octahedron(args) -> tuple[int, bytes]:
     if args.a is not None:
         if args.n is None:
             raise ValueError("--a needs --n")
-        a = _parse_subset(args.a, args.n)
+        a = Subset.parse(args.a, args.n)
     elif args.p is not None:
         p = tuple(int(x) for x in args.p.split(","))
         if len(p) != 4:
@@ -312,31 +276,13 @@ def _cmd_explore(args) -> tuple[int, bytes]:
     graph = mutations.explore_mutation_graph(seed, budget=args.budget)
     if args.format == "jsonl":
         rows = [
-            [Subset(m, args.n).to_json() for m in node] for node in (graph.nodes or ())
+            [Subset(m, args.n).to_json() for m in node] for node in graph.nodes
         ]
         return EXIT_OK, emit_report(rows, "jsonl")
     report = graph.to_json()
     if args.split:
         split = tuple(int(x) for x in args.split.split(","))
-        checked = 0
-        consistent = True
-        for node in graph.node_collections():
-            if not octahedron.check_no_interior(node, split).ok:
-                consistent = False
-            for move in mutations.find_square_moves(node):
-                checked += 1
-                effect = octahedron.move_projection_effect(node, move, split)
-                before = {v.coords for v in octahedron.phi(node, split)}
-                child = mutations.apply_square_move(node, move)
-                after = {v.coords for v in octahedron.phi(child, split)}
-                if effect.kind == "unchanged":
-                    consistent = consistent and before == after
-                else:
-                    src = octahedron.phi_subset(move.removed, split).coords
-                    dst = octahedron.phi_subset(move.added, split).coords
-                    consistent = consistent and effect.vector == tuple(
-                        dst[t] - src[t] for t in range(4)
-                    )
+        checked, consistent = octahedron.check_projection_laws(graph.node_collections(), split)
         report["projection_laws"] = {"moves_checked": checked, "consistent": consistent}
     return EXIT_OK, emit_report(report)
 
@@ -363,7 +309,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
-        _threads(args.threads)
         code, payload = _COMMANDS[args.verb](args)
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ground import (
     GroundSetMismatch,
@@ -85,10 +85,34 @@ class Collection:
 
 def _relation_predicate(relation: str, n: int) -> Callable[[int, int], bool]:
     if relation == "weak":
-        return lambda a, b: _weakly_separated_masks(a, b)
+        return _weakly_separated_masks
     if relation == "chord":
         return lambda a, b: _chord_separated_masks(a, b, n)
     raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
+
+
+def _first_unrelated_pair(
+    masks: Sequence[int], n: int, relation: str = "weak"
+) -> tuple[int, int] | None:
+    """The first pair (a, b), a before b in ``masks``, that the relation rejects."""
+    pred = _relation_predicate(relation, n)
+    for idx, a in enumerate(masks):
+        for b in masks[idx + 1:]:
+            if not pred(a, b):
+                return a, b
+    return None
+
+
+def _first_addable(
+    candidates: Iterable[int], masks: Sequence[int], n: int, relation: str = "weak"
+) -> int | None:
+    """The first candidate outside ``masks`` that is related to every member."""
+    pred = _relation_predicate(relation, n)
+    member = frozenset(masks)
+    for m in candidates:
+        if m not in member and all(pred(m, x) for x in masks):
+            return m
+    return None
 
 
 @dataclass(frozen=True)
@@ -281,14 +305,14 @@ def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:
     for m in partial.masks:
         if m not in domain_set:
             raise ValueError(f"partial collection member {Subset(m, partial.n)} not in domain")
+    bad = _first_unrelated_pair(partial.masks, partial.n)
+    if bad is not None:
+        a, b = bad
+        raise ValueError(
+            f"partial collection is not weakly separated: "
+            f"{Subset(a, partial.n)} vs {Subset(b, partial.n)}"
+        )
     chosen = list(partial.masks)
-    for a_idx, a in enumerate(chosen):
-        for b in chosen[a_idx + 1:]:
-            if not _weakly_separated_masks(a, b):
-                raise ValueError(
-                    f"partial collection is not weakly separated: "
-                    f"{Subset(a, partial.n)} vs {Subset(b, partial.n)}"
-                )
     have = set(chosen)
     for m in domain.masks:
         if m in have:

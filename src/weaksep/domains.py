@@ -14,11 +14,17 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .cliques import Collection, build_compat_graph, max_clique_size
+from .cliques import (
+    Collection,
+    _first_addable,
+    _first_unrelated_pair,
+    build_compat_graph,
+    max_clique_size,
+)
 from .ground import (
     GroundSetMismatch,
     Subset,
-    _chord_separated_masks,
+    _k_subset_masks,
     _weakly_separated_masks,
     cyclic_interval,
     is_weakly_separated,
@@ -153,13 +159,11 @@ def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
     if len(i) != len(j):
         raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
     n, m = i.n, len(i)
-    out = []
-    for combo in itertools.combinations(range(n), m):
-        mask = 0
-        for b in combo:
-            mask |= 1 << b
-        if _weakly_separated_masks(mask, i.mask) and _weakly_separated_masks(mask, j.mask):
-            out.append(mask)
+    out = [
+        mask
+        for mask in _k_subset_masks(n, m)
+        if _weakly_separated_masks(mask, i.mask) and _weakly_separated_masks(mask, j.mask)
+    ]
     return Collection.from_masks(out, n)
 
 
@@ -197,11 +201,11 @@ def cluster_distance(i: Subset, j: Subset, method: str = "exact") -> ClusterDist
         raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
     if is_weakly_separated(i, j):
         return ClusterDistance(0, True)
-    m, n = len(i), i.n
-    ctx = reduce_pair(i, j)
     if method == "exact":
+        m, n = len(i), i.n
         g = build_compat_graph(build_domain_AIJ(i, j), "weak")
         return ClusterDistance(m * (n - m) + 1 - max_clique_size(g), True)
+    ctx = reduce_pair(i, j)
     assert ctx.partition is not None
     k = ctx.k
     value = 1 + k * k - 2 * k - sum(comb(p, 2) for p in ctx.partition.lengths)
@@ -256,14 +260,10 @@ def lr_chain(w: Collection, n: int) -> LRChain:
     members = set(w.masks)
     if not members <= domain:
         raise ValueError("collection has members outside the left/right domain")
-    masks = w.masks
-    for a in range(len(masks)):
-        for b in range(a + 1, len(masks)):
-            if not _weakly_separated_masks(masks[a], masks[b]):
-                raise ValueError("collection is not weakly separated")
-    for m in domain - members:
-        if all(_weakly_separated_masks(m, x) for x in masks):
-            raise ValueError("collection is not maximal in the left/right domain")
+    if _first_unrelated_pair(w.masks, w.n) is not None:
+        raise ValueError("collection is not weakly separated")
+    if _first_addable(domain, w.masks, w.n) is not None:
+        raise ValueError("collection is not maximal in the left/right domain")
     lo = 1 << 0
     hi = 1 << n
     chain: list[tuple[int, ...]] = []
@@ -521,15 +521,11 @@ def chord_chain(w: Collection, u: Subset, v: Subset, validate: bool = True) -> l
     for mask in (u.mask, v.mask):
         if not decorated_ok(mask):
             raise ValueError("an endpoint is missing one of its four decorated variants")
-    masks = w.masks
     if validate:
-        for a in range(len(masks)):
-            for b in range(a + 1, len(masks)):
-                if not _chord_separated_masks(masks[a], masks[b], n):
-                    raise ValueError("collection is not chord separated")
-        for m in range(1 << n):
-            if m not in members and all(_chord_separated_masks(m, x, n) for x in masks):
-                raise ValueError("collection is not maximal chord separated")
+        if _first_unrelated_pair(w.masks, n, "chord") is not None:
+            raise ValueError("collection is not chord separated")
+        if _first_addable(range(1 << n), w.masks, n, "chord") is not None:
+            raise ValueError("collection is not maximal chord separated")
 
     target = v.mask
     dead: set[int] = set()

@@ -8,8 +8,9 @@ Gale order.  All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 MAX_GROUND = 64
 
@@ -103,6 +104,11 @@ class Subset:
     def issubset(self, other: "Subset") -> bool:
         _check_same_ground(self, other)
         return self.mask & ~other.mask == 0
+
+
+def _k_subset_masks(n: int, k: int) -> Iterator[int]:
+    """Masks of the k-subsets of [n], in the lexicographic order of their elements."""
+    return (sum(c) for c in itertools.combinations([1 << i for i in range(n)], k))
 
 
 def _check_same_ground(a: Subset, b: Subset) -> None:
@@ -240,15 +246,6 @@ def gale_leq(a: Subset, b: Subset, order: CyclicOrder) -> bool:
     ka = sorted(order.key(x) for x in a.elements())
     kb = sorted(order.key(x) for x in b.elements())
     return all(x <= y for x, y in zip(ka, kb))
-
-
-def transform(s: Subset, kind: str, r: int = 0) -> Subset:
-    """Apply a named transform: "complement" or "rotate" (by r positions)."""
-    if kind == "complement":
-        return s.complement()
-    if kind == "rotate":
-        return s.rotate(r)
-    raise ValueError(f"unknown transform kind {kind!r}")
 
 
 def cyclically_ordered(a: int, b: int, c: int, d: int, n: int) -> bool:

@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from struct import pack
 
-from .cliques import Collection, build_compat_graph, complete_to_maximal, enumerate_maximal_cliques
+from .cliques import (
+    Collection,
+    _first_addable,
+    _first_unrelated_pair,
+    build_compat_graph,
+    complete_to_maximal,
+    enumerate_maximal_cliques,
+)
 from .ground import (
     GroundSetMismatch,
     Subset,
+    _k_subset_masks,
     _weakly_separated_masks,
     is_weakly_separated,
 )
@@ -59,20 +66,6 @@ class SquareMove:
 
     def to_json(self) -> dict:
         return {"remove": self.removed.to_json(), "add": self.added.to_json()}
-
-
-def node_key(masks: tuple[int, ...]) -> int:
-    """Stable 64-bit FNV-1a hash of the canonical byte encoding of a node.
-
-    Used for dump files and resume checks; in-process dedup keys on the full
-    mask tuple, so hash collisions can never merge distinct nodes.
-    """
-    h = 0xCBF29CE484222325
-    for m in masks:
-        for byte in pack("<Q", m):
-            h ^= byte
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 def _moves_of(masks: tuple[int, ...], member: frozenset[int], n: int) -> list[tuple]:
@@ -129,18 +122,11 @@ def _require_grid_collection(c: Collection) -> tuple[int, int]:
 
 def _check_maximal(c: Collection) -> None:
     n, k = _require_grid_collection(c)
-    masks = c.masks
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if not _weakly_separated_masks(masks[i], masks[j]):
-                raise NotMaximal("collection is not weakly separated")
-    member = frozenset(masks)
-    for combo in itertools.combinations(range(n), k):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        if m not in member and all(_weakly_separated_masks(m, x) for x in masks):
-            raise NotMaximal(f"collection is not maximal: {Subset(m, n)} is addable")
+    if _first_unrelated_pair(c.masks, n) is not None:
+        raise NotMaximal("collection is not weakly separated")
+    addable = _first_addable(_k_subset_masks(n, k), c.masks, n)
+    if addable is not None:
+        raise NotMaximal(f"collection is not maximal: {Subset(addable, n)} is addable")
 
 
 def find_square_moves(c: Collection) -> list[SquareMove]:
@@ -186,11 +172,9 @@ class MutationGraph:
     node_count: int
     edge_count: int
     complete: bool
-    nodes: tuple[tuple[int, ...], ...] | None
+    nodes: tuple[tuple[int, ...], ...]
 
     def node_collections(self) -> list[Collection]:
-        if self.nodes is None:
-            raise ValueError("exploration did not retain its node set")
         return [Collection.from_masks(t, self.n) for t in self.nodes]
 
     def to_json(self) -> dict:
@@ -201,9 +185,7 @@ class MutationGraph:
         }
 
 
-def explore_mutation_graph(
-    seed: Collection, budget: int = DEFAULT_BUDGET, keep_nodes: bool = True
-) -> MutationGraph:
+def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> MutationGraph:
     """Breadth-first closure of a maximal collection under square moves.
 
     Budget exhaustion is an ordinary outcome reported via ``complete=False``.
@@ -243,7 +225,7 @@ def explore_mutation_graph(
         len(visited),
         edges // 2,
         not truncated,
-        tuple(sorted(visited)) if keep_nodes else None,
+        tuple(sorted(visited)),
     )
 
 
@@ -286,13 +268,7 @@ def _maximal_collections_containing(s: Subset) -> list[tuple[int, ...]]:
     every one of them contains it.
     """
     n, k = s.n, len(s)
-    dom = []
-    for combo in itertools.combinations(range(n), k):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        if _weakly_separated_masks(m, s.mask):
-            dom.append(m)
+    dom = [m for m in _k_subset_masks(n, k) if _weakly_separated_masks(m, s.mask)]
     g = build_compat_graph(Collection.from_masks(dom, n), "weak")
     return [c.masks for c in enumerate_maximal_cliques(g)]
 
@@ -396,12 +372,7 @@ def _walk_back(node: tuple[int, ...], side: dict) -> tuple[list[tuple], tuple[in
 
 def _grid_completion(i: Subset, j: Subset) -> Collection:
     n, k = i.n, len(i)
-    dom = []
-    for combo in itertools.combinations(range(n), k):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        dom.append(m)
     return complete_to_maximal(
-        Collection.from_masks({i.mask, j.mask}, n), Collection.from_masks(dom, n)
+        Collection.from_masks({i.mask, j.mask}, n),
+        Collection.from_masks(_k_subset_masks(n, k), n),
     )

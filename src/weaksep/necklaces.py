@@ -12,12 +12,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cliques import Collection
+from .cliques import Collection, _first_unrelated_pair
 from .domains import circle_partition
 from .ground import (
     CyclicOrder,
     GroundSetMismatch,
     Subset,
+    _k_subset_masks,
     _weakly_separated_masks,
     cyclically_ordered,
     gale_leq,
@@ -236,15 +237,12 @@ def domain_in_for_necklace(nk: GrassmannNecklace) -> Collection:
     """All k-subsets weakly separated from every necklace set and inside the positroid."""
     n, k = nk.n, nk.k
     neck = [s.mask for s in nk.sets]
-    out = []
-    for combo in itertools.combinations(range(n), k):
-        mask = 0
-        for b in combo:
-            mask |= 1 << b
-        if all(_weakly_separated_masks(mask, m) for m in neck) and positroid_contains(
-            nk, Subset(mask, n)
-        ):
-            out.append(mask)
+    out = [
+        mask
+        for mask in _k_subset_masks(n, k)
+        if all(_weakly_separated_masks(mask, m) for m in neck)
+        and positroid_contains(nk, Subset(mask, n))
+    ]
     return Collection.from_masks(out, n)
 
 
@@ -269,9 +267,8 @@ class SimpleCyclicPattern:
             b = (a + 1) % len(masks)
             if (masks[a] ^ masks[b]).bit_count() != 1:
                 raise ValueError(f"step {a}: symmetric difference must have one element")
-            for c in range(a + 1, len(masks)):
-                if not _weakly_separated_masks(masks[a], masks[c]):
-                    raise ValueError("pattern is not weakly separated")
+        if _first_unrelated_pair(masks, n) is not None:
+            raise ValueError("pattern is not weakly separated")
 
     @classmethod
     def make(cls, sets: Iterable[Subset]) -> "SimpleCyclicPattern":
@@ -309,10 +306,7 @@ def is_generalized_cyclic_pattern(sets: Sequence[Subset]) -> bool:
     for a in range(len(masks)):
         if (masks[a] ^ masks[(a + 1) % len(masks)]).bit_count() != 2:
             return False
-        for b in range(a + 1, len(masks)):
-            if not _weakly_separated_masks(masks[a], masks[b]):
-                return False
-    return True
+    return _first_unrelated_pair(masks, n) is None
 
 
 def simple_pattern_split(p: SimpleCyclicPattern) -> tuple[Collection, Collection]:

@@ -10,14 +10,14 @@ four-interval complementary pair reproduces the closed-form distance values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable
 
 from .cliques import Collection
 from .domains import circle_partition
 from .ground import Subset
-from .mutations import SquareMove, _moves_of
+from .mutations import SquareMove, _moves_of, apply_square_move, find_square_moves
 
 ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
 SHIFT = (-1, 1, -1, 1)
@@ -268,3 +268,36 @@ def move_projection_effect(
         return MoveProjection("unchanged", None)
     sign = 1 if {cells[0], cells[2]} == {1, 3} else -1
     return MoveProjection("shift", sign)
+
+
+def check_projection_laws(
+    nodes: Iterable[Collection], split: tuple[int, int, int, int]
+) -> tuple[int, bool]:
+    """Check the no-interior rule on each node and the projection effect of its moves.
+
+    Returns ``(moves_checked, consistent)``; every move of every node is counted.
+    """
+    images: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+
+    def image(c: Collection) -> set[tuple[int, ...]]:
+        if c.masks not in images:
+            images[c.masks] = {v.coords for v in phi(c, split)}
+        return images[c.masks]
+
+    checked = 0
+    consistent = True
+    for node in nodes:
+        if not check_no_interior(node, split).ok:
+            consistent = False
+        for move in find_square_moves(node):
+            checked += 1
+            effect = move_projection_effect(node, move, split)
+            if effect.kind == "unchanged":
+                consistent = consistent and image(node) == image(apply_square_move(node, move))
+            else:
+                src = phi_subset(move.removed, split).coords
+                dst = phi_subset(move.added, split).coords
+                consistent = consistent and effect.vector == tuple(
+                    dst[t] - src[t] for t in range(4)
+                )
+    return checked, consistent

@@ -28,11 +28,8 @@ from weaksep import (
     cluster_distance,
     complete_to_maximal,
     canonical_permutation,
-    check_no_interior,
-    apply_square_move,
     enumerate_maximal_cliques,
     explore_mutation_graph,
-    find_square_moves,
     is_balanced,
     is_chord_separated,
     is_weakly_separated,
@@ -40,13 +37,10 @@ from weaksep import (
     lr_chain,
     lr_domain,
     max_clique_size,
-    move_projection_effect,
     mutation_distance,
     necklace_from_perm,
     p4_counts,
     perm_from_necklace,
-    phi,
-    phi_subset,
     purity_report,
     rank_formula,
     reduce_pair,
@@ -54,6 +48,7 @@ from weaksep import (
     unbalanced_witness,
 )
 from weaksep.necklaces import DecoratedPermutation
+from weaksep.octahedron import check_projection_laws
 
 LONG = os.environ.get("WEAKSEP_LONG") == "1"
 
@@ -363,22 +358,12 @@ def test_criterion_12_lattice_counts_and_projection_laws():
         seed = complete_to_maximal(Collection.from_masks([], 6), grid(6, 3))
         graph = explore_mutation_graph(seed)
         assert graph.complete
-        for node in graph.node_collections():
-            moves = find_square_moves(node)
-            for split in splits:
-                assert check_no_interior(node, split).ok, (node, split)
-                for move in moves:
-                    effect = move_projection_effect(node, move, split)
-                    before = {v.coords for v in phi(node, split)}
-                    after = {
-                        v.coords for v in phi(apply_square_move(node, move), split)
-                    }
-                    if effect.kind == "unchanged":
-                        assert before == after, (move, split)
-                    else:
-                        src = phi_subset(move.removed, split).coords
-                        dst = phi_subset(move.added, split).coords
-                        assert tuple(dst[t] - src[t] for t in range(4)) == effect.vector
+        nodes = graph.node_collections()
+        for split in splits:
+            checked, consistent = check_projection_laws(nodes, split)
+            assert consistent, split
+            # every move of every node is checked: each edge once from either end
+            assert checked == 2 * graph.edge_count == 120, split
 
 
 def test_criterion_13_golden_files():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from weaksep import cli
 from weaksep.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, emit_report, run
 
 
@@ -99,6 +100,12 @@ class TestPurity:
         assert code == EXIT_OK and len(lines) == 2
         assert all(len(c) == 5 for c in lines)
 
+    def test_empty_domain_in_both_formats(self):
+        code, report = invoke_json(["purity", "--n", "4", "--k", "5"])
+        assert code == EXIT_OK and report["clique_count"] == 0
+        code, payload = invoke(["purity", "--n", "4", "--k", "5", "--format", "jsonl"])
+        assert code == EXIT_OK and payload == b""
+
 
 class TestMutdist:
     def test_distance_with_path(self):
@@ -157,6 +164,15 @@ class TestLrChordOcta:
         code, report = invoke_json(["chord", "--n", "4", "--u", "", "--v", "2,3"])
         assert report["chain"][0] == [] and report["chain"][-1] == [2, 3]
 
+    def test_chord_lone_endpoint_rejected_before_census(self, monkeypatch, capsys):
+        def census(*args, **kwargs):
+            raise AssertionError("census ran before the --u/--v check")
+
+        monkeypatch.setattr(cli, "purity_report", census)
+        code, payload = invoke(["chord", "--n", "4", "--u", "2"])
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == "error: --u and --v must be given together\n"
+
     def test_octahedron_by_lengths(self):
         code, report = invoke_json(["octahedron", "--p", "2,1,1,2"])
         assert report == {
@@ -209,14 +225,6 @@ class TestDeterminism:
         argv = ["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6"]
         assert invoke(argv) == invoke(argv)
 
-    def test_threads_flag_accepted(self):
-        code, report = invoke_json(["--threads", "4", "check", "--n", "4", "--a", "1", "--b", "2"])
-        assert code == EXIT_OK and report["weakly_separated"] is True
-
-    def test_bad_thread_count(self):
-        code, _ = invoke(["--threads", "0", "check", "--n", "4", "--a", "1", "--b", "2"])
-        assert code == EXIT_BAD_INPUT
-
 
 class TestEmitReport:
     def test_json_sorted_keys(self):
@@ -228,9 +236,6 @@ class TestEmitReport:
     def test_jsonl(self):
         assert emit_report([{"x": 1}, {"y": 2}], "jsonl") == b'{"x":1}\n{"y":2}\n'
         assert emit_report([], "jsonl") == b""
-
-    def test_csv(self):
-        assert emit_report({"b": [1, 2], "a": 3}, "csv") == b"a,3\nb,[1,2]\n"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -13,8 +14,8 @@ from weaksep import (
     is_cyclic_interval,
     is_weakly_separated,
     surrounds,
-    transform,
 )
+from weaksep.ground import _k_subset_masks
 
 from _oracles import naive_chord_separated, naive_weakly_separated
 
@@ -225,13 +226,24 @@ class TestGaleOrder:
 
 class TestTransform:
     def test_complement(self):
-        assert transform(sub([1, 2, 4], 6), "complement") == sub([3, 5, 6], 6)
+        assert sub([1, 2, 4], 6).complement() == sub([3, 5, 6], 6)
 
     def test_rotate(self):
-        assert transform(sub([5, 6], 6), "rotate", 2) == sub([1, 2], 6)
+        assert sub([5, 6], 6).rotate(2) == sub([1, 2], 6)
         s = sub([2, 5], 7)
-        assert transform(s, "rotate", 0) == s
+        assert s.rotate(0) == s
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            transform(sub([1], 3), "reverse")
+
+class TestKSubsetMasks:
+    def test_matches_combinations(self):
+        for n in range(1, 9):
+            for k in range(n + 1):
+                expected = [sum(1 << b for b in c) for c in itertools.combinations(range(n), k)]
+                got = list(_k_subset_masks(n, k))
+                assert got == expected, (n, k)
+                assert len(got) == comb(n, k)
+
+    def test_extreme_sizes(self):
+        assert list(_k_subset_masks(5, 0)) == [0]
+        assert list(_k_subset_masks(5, 5)) == [0b11111]
+        assert list(_k_subset_masks(4, 5)) == []

@@ -18,7 +18,6 @@ from weaksep import (
     find_square_moves,
     is_weakly_separated,
     mutation_distance,
-    node_key,
 )
 
 
@@ -214,10 +213,3 @@ class TestBigGrid:
         expected = {c.masks for c in enumerate_maximal_cliques(build_compat_graph(grid(8, 4)))}
         assert set(g.nodes) == expected
 
-
-class TestNodeKey:
-    def test_stable_and_distinct(self):
-        k1 = node_key((1, 2, 3))
-        assert k1 == node_key((1, 2, 3))
-        assert k1 != node_key((1, 2, 4))
-        assert 0 <= k1 < 1 << 64
