@@ -3,7 +3,9 @@
 A domain plus a pairwise predicate becomes a graph; maximal weakly separated
 collections are its maximal cliques.  Enumeration (Bron-Kerbosch with
 pivoting) and maximum-clique size (branch and bound with greedy-coloring
-bounds) are coded independently so the two routes can cross-validate.
+bounds) are coded independently so the two routes can cross-validate.  The
+branch and bound runs on the vertices relabelled once by non-increasing
+degree, ties by index; enumeration keeps the domain's own order.
 """
 
 from __future__ import annotations
@@ -193,10 +195,23 @@ def max_clique_size(g: CompatGraph) -> int:
     Independent of the enumerator on purpose: the two answers cross-check each
     other in the test suite.
     """
-    adj = g.adj
-    m = len(adj)
+    m = len(g.adj)
     if m == 0:
         return 0
+    # relabel so vertex 0 has the highest degree (ties by index): the greedy
+    # colouring then meets high-degree vertices first, which tightens its
+    # bound, as in Tomita et al. (WALCOM 2010) and San Segundo et al. (2011)
+    by_degree = sorted(range(m), key=lambda v: (-g.adj[v].bit_count(), v))
+    label = [0] * m
+    for i, v in enumerate(by_degree):
+        label[v] = i
+    adj = []
+    for v in by_degree:
+        row, q = 0, g.adj[v]
+        while q:
+            row |= 1 << label[(q & -q).bit_length() - 1]
+            q &= q - 1
+        adj.append(row)
     best = 0
 
     def coloring(p: int) -> tuple[list[int], list[int]]:

@@ -103,6 +103,23 @@ def _moves_of(masks: tuple[int, ...], member: frozenset[int], n: int) -> list[tu
     return moves
 
 
+def _is_move_of(member: frozenset[int], n: int, s: int, a: int, b: int, c: int, d: int) -> bool:
+    """Whether ``_moves_of`` lists the move (s, a, b, c, d), tested without listing them.
+
+    Same conditions: a < c, b strictly inside the arc (a, c), d strictly inside
+    the arc (c, a), S disjoint from {a, b, c, d}, and the removed set and the
+    four side sets all members.
+    """
+    if not (1 <= a < b < c <= n and 1 <= d <= n and (d > c or d < a)):
+        return False
+    ba, bb, bc, bd = 1 << (a - 1), 1 << (b - 1), 1 << (c - 1), 1 << (d - 1)
+    if s & (ba | bb | bc | bd):
+        return False
+    return all(
+        (s | x | y) in member for x, y in ((ba, bc), (ba, bb), (bb, bc), (bc, bd), (bd, ba))
+    )
+
+
 def _neighbors(node: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], tuple]]:
     member = frozenset(node)
     out = []

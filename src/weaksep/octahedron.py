@@ -17,7 +17,7 @@ from typing import Iterable
 from .cliques import Collection
 from .domains import circle_partition
 from .ground import Subset
-from .mutations import SquareMove, _moves_of, apply_square_move, find_square_moves
+from .mutations import SquareMove, _is_move_of, apply_square_move, find_square_moves
 
 ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
 SHIFT = (-1, 1, -1, 1)
@@ -63,20 +63,24 @@ def _split_bounds(split: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-def phi_subset(s: Subset, split: tuple[int, int, int, int]) -> LatticeVec4:
-    """Interval-intersection counts of one subset under the 4-way split of [n]."""
-    bounds = _split_bounds(split, s.n)
+def _counts(mask: int, bounds: tuple[int, ...]) -> tuple[int, int, int, int]:
     counts = []
     for t in range(4):
         lo, hi = bounds[t], bounds[t + 1]
         window = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-        counts.append((s.mask & window).bit_count())
-    return LatticeVec4(tuple(counts))
+        counts.append((mask & window).bit_count())
+    return tuple(counts)
+
+
+def phi_subset(s: Subset, split: tuple[int, int, int, int]) -> LatticeVec4:
+    """Interval-intersection counts of one subset under the 4-way split of [n]."""
+    return LatticeVec4(_counts(s.mask, _split_bounds(split, s.n)))
 
 
 def phi(c: Collection, split: tuple[int, int, int, int]) -> list[LatticeVec4]:
     """Projections of every member, in the collection's canonical order."""
-    return [phi_subset(s, split) for s in c]
+    bounds = _split_bounds(split, c.n)
+    return [LatticeVec4(_counts(m, bounds)) for m in c.masks]
 
 
 def _position(apex: tuple[int, ...], orientation: int, v: tuple[int, ...]) -> str:
@@ -210,14 +214,21 @@ class NoInteriorVerdict:
 
 
 def check_no_interior(c: Collection, split: tuple[int, int, int, int]) -> NoInteriorVerdict:
-    """Verify no member projects strictly inside another member's two pyramids."""
+    """Verify no member projects strictly inside another member's two pyramids.
+
+    v is interior to the +1 pyramid at a exactly when a is interior to the -1
+    pyramid at v, so each unordered pair is tested once, in both orientations;
+    the first violation reported has the earlier member as its apex.
+    """
     subsets = c.subsets()
-    points = [phi_subset(s, split).coords for s in subsets]
+    points = [v.coords for v in phi(c, split)]
     for idx, apex in enumerate(points):
-        for jdx, v in enumerate(points):
-            if idx == jdx:
-                continue
-            if _position(apex, 1, v) == "interior" or _position(apex, -1, v) == "interior":
+        for jdx in range(idx + 1, len(points)):
+            v = points[jdx]
+            d = tuple(v[t] - apex[t] for t in range(4))
+            if (d[0] < 0 and d[1] > 0 and d[2] < 0 and d[3] > 0) or (
+                d[0] > 0 and d[1] < 0 and d[2] > 0 and d[3] < 0
+            ):
                 return NoInteriorVerdict(False, subsets[idx], subsets[jdx])
     return NoInteriorVerdict(True)
 
@@ -248,12 +259,7 @@ def move_projection_effect(
     removed member shares its projection with a member that stays, and the
     added member lands on a projection already present.
     """
-    member = frozenset(c.masks)
-    applicable = any(
-        (s, a, b, cc, d) == (m.s.mask, m.a, m.b, m.c, m.d)
-        for s, a, b, cc, d, _ in _moves_of(c.masks, member, c.n)
-    )
-    if not applicable:
+    if not _is_move_of(frozenset(c.masks), c.n, m.s.mask, m.a, m.b, m.c, m.d):
         raise ValueError("move is not applicable to this collection")
     bounds = _split_bounds(split, c.n)
 

@@ -50,3 +50,25 @@ def naive_maximal_cliques(adj: list[int]) -> set[frozenset]:
         if not any(other != bits and other & bits == bits for other in cliques):
             out.add(frozenset(v for v in range(m) if bits >> v & 1))
     return out
+
+
+def naive_no_interior(sets: list[set], split: tuple) -> tuple[int, int] | None:
+    """First ordered pair (apex, inside) of indices whose projections violate the pyramid rule.
+
+    Every ordered pair is scanned in both orientations: ``inside`` lies
+    strictly within the +1 or the -1 pyramid at ``apex``.  ``None`` when no
+    pair does.
+    """
+    bounds = [sum(split[:t]) for t in range(5)]
+    points = [
+        [len([x for x in s if bounds[t] < x <= bounds[t + 1]]) for t in range(4)] for s in sets
+    ]
+    for idx, apex in enumerate(points):
+        for jdx, v in enumerate(points):
+            if idx == jdx:
+                continue
+            for orientation in (1, -1):
+                d = [orientation * (v[t] - apex[t]) for t in range(4)]
+                if d[0] < 0 and d[1] > 0 and d[2] < 0 and d[3] > 0:
+                    return idx, jdx
+    return None

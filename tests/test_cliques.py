@@ -14,7 +14,9 @@ from weaksep import (
     enumerate_maximal_cliques,
     max_clique_size,
     purity_report,
+    unbalanced_witness,
 )
+from weaksep.cliques import CompatGraph, _bron_kerbosch
 
 from _oracles import naive_maximal_cliques
 
@@ -147,6 +149,41 @@ class TestMaxCliqueSize:
 
     def test_single_vertex(self):
         assert max_clique_size(build_compat_graph(coll([[1]], 3), "weak")) == 1
+
+    def test_random_graphs_agree_with_bk_and_relabelling(self):
+        # graphs past the naive oracle's 12 vertices, so that a wrong
+        # relabelling shows; density 0.9 stops at 40 vertices, where BK still
+        # lists few enough maximal cliques
+        rng = random.Random(3)
+        for density, top in ((0.1, 60), (0.3, 60), (0.5, 60), (0.7, 60), (0.9, 40)):
+            for m in (1, 5, 9, 12, rng.randint(13, top), top):
+                adj = [0] * m
+                for i in range(m):
+                    for j in range(i + 1, m):
+                        if rng.random() < density:
+                            adj[i] |= 1 << j
+                            adj[j] |= 1 << i
+                vertices = Collection.from_masks(range(1, m + 1), 6)
+                best = max_clique_size(CompatGraph(vertices, tuple(adj)))
+                sizes = []
+                _bron_kerbosch(tuple(adj), lambda r: sizes.append(len(r)))
+                assert best == max(sizes), (density, m)
+                perm = rng.sample(range(m), m)
+                moved = [0] * m
+                for u in range(m):
+                    for v in range(m):
+                        if adj[u] >> v & 1:
+                            moved[perm[u]] |= 1 << perm[v]
+                assert max_clique_size(CompatGraph(vertices, tuple(moved))) == best, (density, m)
+                if m <= 12:
+                    assert best == max(len(c) for c in naive_maximal_cliques(adj)), (density, m)
+
+    def test_unbalanced_pair_ten(self):
+        # runs (4,1,1,4), 114 vertices: the slowest pair of the n=10 census
+        i = sub([1, 2, 3, 5, 10], 10)
+        dom = build_domain_AIJ(i, i.complement())
+        best = max_clique_size(build_compat_graph(dom, "weak"))
+        assert best == purity_report(dom).max_size == unbalanced_witness(i).bound == 22
 
     def test_agrees_with_enumeration_on_domains(self):
         pairs = [([1, 2, 4], [3, 5, 6], 6), ([1, 3, 5], [2, 4, 6], 6), ([1, 2], [3, 4], 4)]

@@ -22,7 +22,10 @@ from weaksep import (
     phi_subset,
     pyramid_position,
 )
+from weaksep.mutations import _is_move_of, _moves_of
 from weaksep.octahedron import ALPHA
+
+from _oracles import naive_no_interior
 
 
 def sub(elems, n):
@@ -173,6 +176,37 @@ class TestCheckNoInterior:
     def test_singleton_passes(self):
         assert check_no_interior(Collection([sub([2, 3], 5)]), (1, 1, 1, 2)).ok
 
+    @staticmethod
+    def assert_matches_oracle(c, split):
+        subsets = c.subsets()
+        expected = naive_no_interior([set(s.elements()) for s in subsets], split)
+        verdict = check_no_interior(c, split)
+        if expected is None:
+            assert verdict.ok, (c, split)
+        else:
+            assert not verdict.ok, (c, split)
+            assert (verdict.apex, verdict.inside) == (subsets[expected[0]], subsets[expected[1]])
+        return expected is not None
+
+    def test_matches_oracle_on_three_of_six_graph(self):
+        seed = complete_to_maximal(Collection.from_masks([], 6), grid(6, 3))
+        for node in explore_mutation_graph(seed).node_collections():
+            for split in splits_of(6):
+                assert not self.assert_matches_oracle(node, split)
+
+    def test_matches_oracle_on_seeded_non_separated_collections(self):
+        rng = random.Random(17)
+        violations = 0
+        for n in (6, 7, 8):
+            splits = splits_of(n)
+            for _ in range(40):
+                k = rng.randint(2, n - 2)
+                cells = list(itertools.combinations(range(1, n + 1), k))
+                c = Collection(sub(e, n) for e in rng.sample(cells, rng.randint(2, 12)))
+                for split in rng.sample(splits, 3):
+                    violations += self.assert_matches_oracle(c, split)
+        assert violations > 50
+
 
 class TestMoveProjection:
     def test_four_distinct_intervals_shift(self):
@@ -199,8 +233,25 @@ class TestMoveProjection:
 
         c = complete_to_maximal(Collection([sub([1, 3], 4)]), grid(4, 2))
         bogus = SquareMove(Subset(0, 4), 1, 2, 4, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="move is not applicable to this collection"):
             move_projection_effect(c, bogus, (1, 1, 1, 1))
+
+    def test_applicability_matches_move_list(self):
+        # every tuple with |s| = k - 2 and a, b, c, d distinct outside s, in
+        # every order: only the normalised listed moves are applicable
+        n, k = 6, 3
+        seed = complete_to_maximal(Collection.from_masks([], n), grid(n, k))
+        for node in explore_mutation_graph(seed).nodes:
+            member = frozenset(node)
+            listed = {move[:5] for move in _moves_of(node, member, n)}
+            accepted = set()
+            for s in itertools.combinations(range(1, n + 1), k - 2):
+                s_mask = sub(s, n).mask
+                rest = [x for x in range(1, n + 1) if x not in s]
+                for a, b, c, d in itertools.permutations(rest, 4):
+                    if _is_move_of(member, n, s_mask, a, b, c, d):
+                        accepted.add((s_mask, a, b, c, d))
+            assert accepted == listed
 
     def test_shift_really_shifts(self):
         c = complete_to_maximal(Collection([sub([1, 3], 4)]), grid(4, 2))
