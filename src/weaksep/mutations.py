@@ -7,6 +7,7 @@ frontiers, so node streams, distances, and witness paths are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -68,56 +69,59 @@ class SquareMove:
         return {"remove": self.removed.to_json(), "add": self.added.to_json()}
 
 
+@functools.cache
+def _squares(x: int, n: int) -> tuple[tuple[tuple, frozenset[int]], ...]:
+    """Every square move that removes the set x, as ((s, a, b, c, d, added), sides) rows.
+
+    The one definition of a square: x = S+{a,c} with a < c, b strictly inside
+    the arc (a, c) and d strictly inside the arc (c, a), S disjoint from
+    {a, b, c, d}; the move adds S+{b,d} and needs the four side sets
+    S+{a,b}, S+{b,c}, S+{c,d}, S+{d,a}.  Rows run by (a, c), then d, then b.
+    Built per removed set on first use, never over a whole grid.
+    """
+    rows = []
+    for a, c in itertools.combinations([i + 1 for i in range(n) if x >> i & 1], 2):
+        ba, bc = 1 << (a - 1), 1 << (c - 1)
+        s = x & ~ba & ~bc
+        inside = [b for b in range(a + 1, c) if not x >> (b - 1) & 1]
+        for d in (*range(c + 1, n + 1), *range(1, a)):
+            bd = 1 << (d - 1)
+            if s & bd:
+                continue
+            for b in inside:
+                bb = 1 << (b - 1)
+                rows.append((
+                    (s, a, b, c, d, s | bb | bd),
+                    frozenset((s | ba | bb, s | bb | bc, s | bc | bd, s | bd | ba)),
+                ))
+    return tuple(rows)
+
+
 def _moves_of(masks: tuple[int, ...], member: frozenset[int], n: int) -> list[tuple]:
     """All applicable square moves of a collection, as (s, a, b, c, d, to) tuples.
 
-    No maximality contract here; callers guarantee it.  The diagonal pair is
-    normalized with a < c, so each move appears exactly once, and iteration
-    order is fixed by the canonical order of the collection.
+    No maximality contract here; callers guarantee it.  Each move appears once,
+    normalised as in ``_squares``, in the canonical order of the collection.
     """
-    moves = []
-    for x in masks:
-        elems = [i + 1 for i in range(n) if x >> i & 1]
-        for a, c in itertools.combinations(elems, 2):
-            s = x & ~(1 << (a - 1)) & ~(1 << (c - 1))
-            good_b = []
-            b = a % n + 1
-            while b != c:
-                bit = 1 << (b - 1)
-                if not s & bit and (s | (1 << (a - 1)) | bit) in member and (
-                    s | bit | (1 << (c - 1))
-                ) in member:
-                    good_b.append(b)
-                b = b % n + 1
-            if not good_b:
-                continue
-            d = c % n + 1
-            while d != a:
-                bit = 1 << (d - 1)
-                if not s & bit and (s | (1 << (c - 1)) | bit) in member and (
-                    s | bit | (1 << (a - 1))
-                ) in member:
-                    for b in good_b:
-                        moves.append((s, a, b, c, d, s | (1 << (b - 1)) | bit))
-                d = d % n + 1
-    return moves
+    return [move for x in masks for move, sides in _squares(x, n) if sides <= member]
+
+
+def _square_row(member: frozenset[int], n: int, removed: int, added: int) -> tuple | None:
+    """The move of ``_squares(removed, n)`` that adds ``added``, if all its sets are members."""
+    if removed in member:
+        for move, sides in _squares(removed, n):
+            if move[5] == added and sides <= member:
+                return move
+    return None
 
 
 def _is_move_of(member: frozenset[int], n: int, s: int, a: int, b: int, c: int, d: int) -> bool:
-    """Whether ``_moves_of`` lists the move (s, a, b, c, d), tested without listing them.
-
-    Same conditions: a < c, b strictly inside the arc (a, c), d strictly inside
-    the arc (c, a), S disjoint from {a, b, c, d}, and the removed set and the
-    four side sets all members.
-    """
-    if not (1 <= a < b < c <= n and 1 <= d <= n and (d > c or d < a)):
+    """Whether ``_moves_of`` lists the move (s, a, b, c, d), tested without listing them."""
+    if not all(1 <= v <= n for v in (a, b, c, d)):
         return False
-    ba, bb, bc, bd = 1 << (a - 1), 1 << (b - 1), 1 << (c - 1), 1 << (d - 1)
-    if s & (ba | bb | bc | bd):
-        return False
-    return all(
-        (s | x | y) in member for x, y in ((ba, bc), (ba, bb), (bb, bc), (bc, bd), (bd, ba))
-    )
+    removed = s | 1 << (a - 1) | 1 << (c - 1)
+    move = _square_row(member, n, removed, s | 1 << (b - 1) | 1 << (d - 1))
+    return move is not None and move[:5] == (s, a, b, c, d)
 
 
 def _neighbors(node: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], tuple]]:
@@ -137,19 +141,19 @@ def _require_grid_collection(c: Collection) -> tuple[int, int]:
     return c.n, sizes.pop()
 
 
-def _check_maximal(c: Collection) -> None:
+def _check_maximal(c: Collection) -> tuple[int, int]:
     n, k = _require_grid_collection(c)
     if _first_unrelated_pair(c.masks, n) is not None:
         raise NotMaximal("collection is not weakly separated")
     addable = _first_addable(_k_subset_masks(n, k), c.masks, n)
     if addable is not None:
         raise NotMaximal(f"collection is not maximal: {Subset(addable, n)} is addable")
+    return n, k
 
 
 def find_square_moves(c: Collection) -> list[SquareMove]:
     """All applicable square moves of a maximal collection, in deterministic order."""
-    n, _ = _require_grid_collection(c)
-    _check_maximal(c)
+    n, _ = _check_maximal(c)
     member = frozenset(c.masks)
     return [
         SquareMove(Subset(s, n), a, b, cc, d)
@@ -159,18 +163,12 @@ def find_square_moves(c: Collection) -> list[SquareMove]:
 
 def apply_square_move(c: Collection, m: SquareMove) -> Collection:
     """Exchange the move's diagonal; the result is again maximal weakly separated."""
-    member = frozenset(c.masks)
-    removed = m.removed.mask
-    required = [
-        m.s.mask | 1 << (m.a - 1) | 1 << (m.b - 1),
-        m.s.mask | 1 << (m.b - 1) | 1 << (m.c - 1),
-        m.s.mask | 1 << (m.c - 1) | 1 << (m.d - 1),
-        m.s.mask | 1 << (m.d - 1) | 1 << (m.a - 1),
-        removed,
-    ]
-    if m.s.n != c.n or any(r not in member for r in required):
+    removed, added = m.removed.mask, m.added.mask
+    # a row with the same removed, added and s fixes {a, c} and {b, d}, so
+    # exactly the four labellings of the square are accepted
+    move = _square_row(frozenset(c.masks), c.n, removed, added) if m.s.n == c.n else None
+    if move is None or move[0] != m.s.mask:
         raise ValueError("move is not applicable to this collection")
-    added = m.added.mask
     if __debug__:
         assert all(
             _weakly_separated_masks(added, x) for x in c.masks if x != removed
@@ -208,18 +206,23 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
     Budget exhaustion is an ordinary outcome reported via ``complete=False``.
     The edge count is over explored endpoints only.
     """
-    n, k = _require_grid_collection(seed)
-    _check_maximal(seed)
+    n, k = _check_maximal(seed)
     root = seed.masks
     visited: set[tuple[int, ...]] = {root}
+    # every visited node is expanded once; an edge is counted at its later end
+    done: set[tuple[int, ...]] = set()
+    edges = 0
     frontier = [root]
     truncated = False
     while frontier:
         layer: set[tuple[int, ...]] = set()
         for node in frontier:
             for child, _ in _neighbors(node, n):
-                if child not in visited:
+                if child in done:
+                    edges += 1
+                elif child not in visited:
                     layer.add(child)
+            done.add(node)
         room = budget - len(visited)
         if room <= 0:
             truncated = bool(layer)
@@ -230,20 +233,7 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
             truncated = True
         visited.update(ordered)
         frontier = ordered
-    edges = sum(
-        1
-        for node in visited
-        for child, _ in _neighbors(node, n)
-        if child in visited
-    )
-    return MutationGraph(
-        n,
-        k,
-        len(visited),
-        edges // 2,
-        not truncated,
-        tuple(sorted(visited)),
-    )
+    return MutationGraph(n, k, len(visited), edges, not truncated, tuple(sorted(visited)))
 
 
 @dataclass(frozen=True)

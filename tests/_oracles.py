@@ -72,3 +72,24 @@ def naive_no_interior(sets: list[set], split: tuple) -> tuple[int, int] | None:
                 if d[0] < 0 and d[1] > 0 and d[2] < 0 and d[3] > 0:
                     return idx, jdx
     return None
+
+
+def naive_square_moves(sets: list[set], n: int) -> set[tuple]:
+    """Every square move of a collection of k-sets, as (S, a, b, c, d, added) with sets.
+
+    Definition-level scan: every (k-2)-set S and every cyclically ordered
+    p1 < p2 < p3 < p4 outside it.  Either diagonal may be the removed member,
+    S+{p1,p3} or S+{p2,p4}; it is a move when that member and the four side
+    sets are all in the collection.  Labels are normalised with a < c.
+    """
+    have = {frozenset(x) for x in sets}
+    k = len(next(iter(have)))
+    out = set()
+    for s in itertools.combinations(range(1, n + 1), k - 2):
+        rest = [x for x in range(1, n + 1) if x not in s]
+        for p1, p2, p3, p4 in itertools.combinations(rest, 4):
+            for a, b, c, d in ((p1, p2, p3, p4), (p2, p3, p4, p1)):
+                needed = [{a, c}, {a, b}, {b, c}, {c, d}, {d, a}]
+                if all(frozenset(s) | pair in have for pair in needed):
+                    out.add((frozenset(s), a, b, c, d, frozenset(s) | {b, d}))
+    return out

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from _oracles import naive_square_moves
 
 from weaksep import (
     BigInstance,
@@ -19,6 +20,8 @@ from weaksep import (
     is_weakly_separated,
     mutation_distance,
 )
+from weaksep import mutations
+from weaksep.mutations import _moves_of
 
 
 def sub(elems, n):
@@ -31,6 +34,15 @@ def coll(sets, n):
 
 def grid(n, k):
     return Collection(Subset.of(c, n) for c in itertools.combinations(range(1, n + 1), k))
+
+
+def explored(n, k, budget=mutations.DEFAULT_BUDGET):
+    seed = complete_to_maximal(Collection.from_masks([], n), grid(n, k))
+    return explore_mutation_graph(seed, budget=budget)
+
+
+def elements(mask, n):
+    return frozenset(i + 1 for i in range(n) if mask >> i & 1)
 
 
 SMALL = coll([[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]], 4)
@@ -62,6 +74,24 @@ class TestFindSquareMoves:
         with pytest.raises(NotMaximal):
             find_square_moves(coll([[1, 3], [2, 4], [1, 2], [2, 3], [3, 4], [1, 4]], 4))
 
+    def test_grid_checked_once(self, monkeypatch):
+        calls = []
+        real = mutations._require_grid_collection
+        monkeypatch.setattr(
+            mutations, "_require_grid_collection", lambda c: calls.append(c) or real(c)
+        )
+        find_square_moves(SMALL)
+        assert len(calls) == 1
+
+    def test_moves_match_naive_oracle(self):
+        for n, k in ((5, 2), (6, 3), (7, 3)):
+            for node in explored(n, k).nodes:
+                listed = {
+                    (elements(s, n), a, b, c, d, elements(to, n))
+                    for s, a, b, c, d, to in _moves_of(node, frozenset(node), n)
+                }
+                assert listed == naive_square_moves([elements(x, n) for x in node], n)
+
 
 class TestApplySquareMove:
     def test_exchange(self):
@@ -82,6 +112,24 @@ class TestApplySquareMove:
         broken = coll([[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]], 4)
         with pytest.raises(ValueError):
             apply_square_move(broken, m)
+
+    def test_non_cyclic_labelling_rejected(self):
+        # 1, 3, 2, 4 are not cyclically ordered, though every set the
+        # labelling names is present
+        m = SquareMove(Subset(0, 4), 1, 3, 2, 4)
+        c = coll([[1, 2], [1, 3], [2, 3], [2, 4], [1, 4]], 4)
+        with pytest.raises(ValueError, match="move is not applicable to this collection"):
+            apply_square_move(c, m)
+
+    def test_four_labellings_apply_alike(self):
+        for node in explored(6, 3).node_collections():
+            for m in find_square_moves(node):
+                a, b, c, d = m.a, m.b, m.c, m.d
+                out = {
+                    apply_square_move(node, SquareMove(m.s, *labels))
+                    for labels in ((a, b, c, d), (c, d, a, b), (a, d, c, b), (c, b, a, d))
+                }
+                assert out == {apply_square_move(node, m)}
 
 
 class TestExplore:
@@ -104,6 +152,27 @@ class TestExplore:
         seed = complete_to_maximal(coll([[1, 3]], 4), grid(4, 2))
         g = explore_mutation_graph(seed, budget=1)
         assert g.node_count == 1 and not g.complete
+
+    def test_edge_count_matches_brute_force(self):
+        # truncated graphs too: an edge joins two nodes that differ in one set
+        for n, k in ((6, 3), (7, 3)):
+            total = explored(n, k).node_count
+            budgets = [1, 2]
+            while budgets[-1] < total:
+                budgets.append(budgets[-1] + budgets[-2])
+            for budget in budgets:
+                g = explored(n, k, budget)
+                sets = [set(node) for node in g.nodes]
+                expected = sum(len(u ^ v) == 2 for u, v in itertools.combinations(sets, 2))
+                assert g.edge_count == expected, (n, k, budget)
+                assert g.complete == (budget >= total)
+
+    def test_each_node_expanded_once(self, monkeypatch):
+        calls = []
+        real = mutations._neighbors
+        monkeypatch.setattr(mutations, "_neighbors", lambda node, n: calls.append(node) or real(node, n))
+        g = explored(6, 3)
+        assert len(calls) == len(set(calls)) == g.node_count
 
     def test_connectivity_matches_clique_enumeration(self):
         # the 2-row grids carry the Catalan counts 2, 5, 14
