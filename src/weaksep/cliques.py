@@ -111,8 +111,13 @@ def _first_addable(
     """The first candidate outside ``masks`` that is related to every member."""
     pred = _relation_predicate(relation, n)
     member = frozenset(masks)
+    # near candidates tend to clash with the same member, so it is tried first
+    last = None
     for m in candidates:
-        if m not in member and all(pred(m, x) for x in masks):
+        if m in member or (last is not None and not pred(m, last)):
+            continue
+        last = next((x for x in masks if not pred(m, x)), None)
+        if last is None:
             return m
     return None
 
@@ -329,10 +334,13 @@ def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:
         )
     chosen = list(partial.masks)
     have = set(chosen)
+    # near candidates tend to clash with the same chosen set, so it is tried first
+    last = None
     for m in domain.masks:
-        if m in have:
+        if m in have or (last is not None and not _weakly_separated_masks(m, last)):
             continue
-        if all(_weakly_separated_masks(m, c) for c in chosen):
+        last = next((c for c in chosen if not _weakly_separated_masks(m, c)), None)
+        if last is None:
             chosen.append(m)
             have.add(m)
     return Collection.from_masks(chosen, domain.n)

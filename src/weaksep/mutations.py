@@ -1,8 +1,11 @@
 """Square-move dynamics on maximal weakly separated collections.
 
 The mutation graph is implicit: nodes are canonical collections, edges are
-single square moves.  Exploration is breadth-first with canonical-order
-frontiers, so node streams, distances, and witness paths are deterministic.
+single square moves.  Inside the engine a collection of the C(n,k) grid is
+one int with a bit per grid set (``_Grid``), decoded to sorted mask tuples
+only at the public boundary.  Exploration is breadth-first with
+canonical-order frontiers, so node streams, distances, and witness paths are
+deterministic.
 """
 
 from __future__ import annotations
@@ -10,14 +13,16 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
+from typing import Iterable
 
 from .cliques import (
     Collection,
+    _bron_kerbosch,
     _first_addable,
     _first_unrelated_pair,
     build_compat_graph,
     complete_to_maximal,
-    enumerate_maximal_cliques,
 )
 from .ground import (
     GroundSetMismatch,
@@ -31,6 +36,9 @@ DEFAULT_BUDGET = 10**6
 
 # instances with more ambient-grid cells than this need the explicit big flag
 BIG_GATE = 12
+
+# distinct (n, k) grids whose set bits and square rows stay cached
+_GRIDS = 8
 
 
 class NotMaximal(ValueError):
@@ -69,69 +77,141 @@ class SquareMove:
         return {"remove": self.removed.to_json(), "add": self.added.to_json()}
 
 
-@functools.cache
-def _squares(x: int, n: int) -> tuple[tuple[tuple, frozenset[int]], ...]:
-    """Every square move that removes the set x, as ((s, a, b, c, d, added), sides) rows.
+class _Grid(dict):
+    """One C(n,k) grid as bits: ``grid[x]`` is the bit of the k-subset mask x.
 
-    The one definition of a square: x = S+{a,c} with a < c, b strictly inside
-    the arc (a, c) and d strictly inside the arc (c, a), S disjoint from
-    {a, b, c, d}; the move adds S+{b,d} and needs the four side sets
-    S+{a,b}, S+{b,c}, S+{c,d}, S+{d,a}.  Rows run by (a, c), then d, then b.
-    Built per removed set on first use, never over a whole grid.
+    The set of rank r in ascending mask order is bit N-1-r, N = C(n,k).  A
+    collection is the sum of its members' bits, and among collections of one
+    size int order is the reverse of sorted-tuple order.  Bits and square
+    rows are filled per set on first use, never over the whole grid.
     """
-    rows = []
-    for a, c in itertools.combinations([i + 1 for i in range(n) if x >> i & 1], 2):
-        ba, bc = 1 << (a - 1), 1 << (c - 1)
-        s = x & ~ba & ~bc
-        inside = [b for b in range(a + 1, c) if not x >> (b - 1) & 1]
-        for d in (*range(c + 1, n + 1), *range(1, a)):
-            bd = 1 << (d - 1)
-            if s & bd:
-                continue
-            for b in inside:
+
+    def __init__(self, n: int, k: int) -> None:
+        super().__init__()
+        self.n, self.k = n, k
+        self.top = comb(n, k) - 1
+        self.at: dict[int, int] = {}  # bit position -> set
+        self.rows: dict[int, tuple] = {}
+
+    def __missing__(self, x: int) -> int:
+        if x.bit_count() != self.k or x >> self.n:
+            raise ValueError(f"mask {x:#x} is not a {self.k}-subset of [{self.n}]")
+        # ascending mask order of k-subsets is colex order: rank = sum C(p_i, i)
+        rank, i, rest = 0, 0, x
+        while rest:
+            low = rest & -rest
+            i += 1
+            rank += comb(low.bit_length() - 1, i)
+            rest ^= low
+        pos = self.top - rank
+        self.at[pos] = x
+        bit = self[x] = 1 << pos
+        return bit
+
+    def node(self, masks: Iterable[int]) -> int:
+        return sum(map(self.__getitem__, masks))
+
+    def masks(self, node: int) -> tuple[int, ...]:
+        """The members of a node in ascending mask order."""
+        out = []
+        while node:
+            pos = node.bit_length() - 1
+            out.append(self.at[pos])
+            node ^= 1 << pos
+        return tuple(out)
+
+    def squares(self, x: int) -> tuple[tuple[int, tuple[tuple[tuple, int], ...]], ...]:
+        """Every square move that removes the set x, in rows (around, ((move, beside), ...)).
+
+        The one definition of a square: x = S+{a,c} with a < c, b strictly
+        inside the arc (a, c) and d strictly inside the arc (c, a), S disjoint
+        from {a, b, c, d}.  The move (s, a, b, c, d, added) adds S+{b,d} and
+        needs the four side sets.  A row holds the moves of one (a, c, d):
+        ``around`` is the bits of S+{c,d} and S+{d,a}, which they share, and
+        ``beside`` the bits of S+{a,b} and S+{b,c}.  Moves run by (a, c), then
+        d, then b.
+        """
+        rows = self.rows.get(x)
+        if rows is not None:
+            return rows
+        n, out = self.n, []
+        for a, c in itertools.combinations([i + 1 for i in range(n) if x >> i & 1], 2):
+            ba, bc = 1 << (a - 1), 1 << (c - 1)
+            s = x & ~ba & ~bc
+            inside = []
+            for b in range(a + 1, c):
                 bb = 1 << (b - 1)
-                rows.append((
-                    (s, a, b, c, d, s | bb | bd),
-                    frozenset((s | ba | bb, s | bb | bc, s | bc | bd, s | bd | ba)),
-                ))
-    return tuple(rows)
+                if not s & bb:
+                    inside.append((b, bb, self[s | ba | bb] | self[s | bb | bc]))
+            if not inside:
+                continue
+            for d in (*range(c + 1, n + 1), *range(1, a)):
+                bd = 1 << (d - 1)
+                if not s & bd:
+                    around = self[s | bc | bd] | self[s | bd | ba]
+                    out.append((around, tuple(
+                        ((s, a, b, c, d, s | bb | bd), beside) for b, bb, beside in inside
+                    )))
+        rows = self.rows[x] = tuple(out)
+        return rows
 
 
-def _moves_of(masks: tuple[int, ...], member: frozenset[int], n: int) -> list[tuple]:
-    """All applicable square moves of a collection, as (s, a, b, c, d, to) tuples.
+@functools.lru_cache(maxsize=_GRIDS)
+def _grid(n: int, k: int) -> _Grid:
+    return _Grid(n, k)
 
-    No maximality contract here; callers guarantee it.  Each move appears once,
-    normalised as in ``_squares``, in the canonical order of the collection.
+
+def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
+    """Every applicable square move of a node, as (child, move) pairs.
+
+    No maximality contract here; callers guarantee it.  A move applies when
+    the node has all its side bits, and the child flips the bits of the
+    removed and the added set.  Members are walked from the high bit down,
+    that is in ascending mask order, each with its moves in ``squares`` order.
     """
-    return [move for x in masks for move, sides in _squares(x, n) if sides <= member]
+    out = []
+    at, rows = grid.at, grid.rows
+    rest = node
+    while rest:
+        pos = rest.bit_length() - 1
+        bx = 1 << pos
+        rest ^= bx
+        x = at[pos]
+        for around, moves in rows[x] if x in rows else grid.squares(x):
+            if node & around == around:
+                for move, beside in moves:
+                    if node & beside == beside:
+                        out.append((node ^ bx ^ grid[move[5]], move))
+    return out
 
 
-def _square_row(member: frozenset[int], n: int, removed: int, added: int) -> tuple | None:
-    """The move of ``_squares(removed, n)`` that adds ``added``, if all its sets are members."""
-    if removed in member:
-        for move, sides in _squares(removed, n):
-            if move[5] == added and sides <= member:
-                return move
+def _square_moves(c: Collection) -> list[SquareMove]:
+    """The applicable square moves of a one-grid collection; callers guarantee maximality."""
+    grid = _grid(c.n, c.masks[0].bit_count())
+    return [
+        SquareMove(Subset(s, c.n), a, b, cc, d)
+        for _, (s, a, b, cc, d, _) in _neighbors(grid, grid.node(c.masks))
+    ]
+
+
+def _square_row(c: Collection, removed: int, added: int) -> tuple | None:
+    """The move of ``_Grid.squares(removed)`` that adds ``added``, if c holds all its sets."""
+    grid = _grid(c.n, removed.bit_count())
+    for around, moves in grid.squares(removed):
+        for move, beside in moves:
+            if move[5] == added:
+                held = frozenset(c.masks).issuperset((removed, *grid.masks(around | beside)))
+                return move if held else None
     return None
 
 
-def _is_move_of(member: frozenset[int], n: int, s: int, a: int, b: int, c: int, d: int) -> bool:
-    """Whether ``_moves_of`` lists the move (s, a, b, c, d), tested without listing them."""
-    if not all(1 <= v <= n for v in (a, b, c, d)):
+def _is_move_of(c: Collection, m: SquareMove) -> bool:
+    """Whether ``find_square_moves`` lists m for c, tested without listing the moves."""
+    if m.s.n != c.n or not all(1 <= v <= c.n for v in (m.a, m.b, m.c, m.d)):
         return False
-    removed = s | 1 << (a - 1) | 1 << (c - 1)
-    move = _square_row(member, n, removed, s | 1 << (b - 1) | 1 << (d - 1))
-    return move is not None and move[:5] == (s, a, b, c, d)
-
-
-def _neighbors(node: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], tuple]]:
-    member = frozenset(node)
-    out = []
-    for s, a, b, c, d, to in _moves_of(node, member, n):
-        removed = s | 1 << (a - 1) | 1 << (c - 1)
-        child = tuple(sorted((set(node) - {removed}) | {to}))
-        out.append((child, (s, a, b, c, d)))
-    return out
+    s = m.s.mask
+    move = _square_row(c, s | 1 << (m.a - 1) | 1 << (m.c - 1), s | 1 << (m.b - 1) | 1 << (m.d - 1))
+    return move is not None and move[:5] == (s, m.a, m.b, m.c, m.d)
 
 
 def _require_grid_collection(c: Collection) -> tuple[int, int]:
@@ -153,12 +233,8 @@ def _check_maximal(c: Collection) -> tuple[int, int]:
 
 def find_square_moves(c: Collection) -> list[SquareMove]:
     """All applicable square moves of a maximal collection, in deterministic order."""
-    n, _ = _check_maximal(c)
-    member = frozenset(c.masks)
-    return [
-        SquareMove(Subset(s, n), a, b, cc, d)
-        for s, a, b, cc, d, _ in _moves_of(c.masks, member, n)
-    ]
+    _check_maximal(c)
+    return _square_moves(c)
 
 
 def apply_square_move(c: Collection, m: SquareMove) -> Collection:
@@ -166,7 +242,7 @@ def apply_square_move(c: Collection, m: SquareMove) -> Collection:
     removed, added = m.removed.mask, m.added.mask
     # a row with the same removed, added and s fixes {a, c} and {b, d}, so
     # exactly the four labellings of the square are accepted
-    move = _square_row(frozenset(c.masks), c.n, removed, added) if m.s.n == c.n else None
+    move = _square_row(c, removed, added) if m.s.n == c.n else None
     if move is None or move[0] != m.s.mask:
         raise ValueError("move is not applicable to this collection")
     if __debug__:
@@ -207,17 +283,18 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
     The edge count is over explored endpoints only.
     """
     n, k = _check_maximal(seed)
-    root = seed.masks
-    visited: set[tuple[int, ...]] = {root}
+    grid = _grid(n, k)
+    root = grid.node(seed.masks)
+    visited = {root}
     # every visited node is expanded once; an edge is counted at its later end
-    done: set[tuple[int, ...]] = set()
+    done = set()
     edges = 0
     frontier = [root]
     truncated = False
     while frontier:
-        layer: set[tuple[int, ...]] = set()
+        layer = set()
         for node in frontier:
-            for child, _ in _neighbors(node, n):
+            for child, _ in _neighbors(grid, node):
                 if child in done:
                     edges += 1
                 elif child not in visited:
@@ -227,13 +304,15 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
         if room <= 0:
             truncated = bool(layer)
             break
-        ordered = sorted(layer)
+        # descending ints are ascending tuples, so the smallest tuples are kept
+        ordered = sorted(layer, reverse=True)
         if len(ordered) > room:
             ordered = ordered[:room]
             truncated = True
         visited.update(ordered)
         frontier = ordered
-    return MutationGraph(n, k, len(visited), edges, not truncated, tuple(sorted(visited)))
+    nodes = tuple(map(grid.masks, sorted(visited, reverse=True)))
+    return MutationGraph(n, k, len(visited), edges, not truncated, nodes)
 
 
 @dataclass(frozen=True)
@@ -267,17 +346,20 @@ class DistanceResult:
         return out
 
 
-def _maximal_collections_containing(s: Subset) -> list[tuple[int, ...]]:
-    """Every maximal weakly separated collection of the grid that contains s.
+def _maximal_collections_containing(s: Subset, grid: _Grid) -> list[int]:
+    """Every maximal weakly separated collection of the grid that contains s, as nodes.
 
     These are exactly the maximal cliques of the graph on all same-size
     subsets compatible with s: a maximal clique missing s could absorb it, so
-    every one of them contains it.
+    every one of them contains it.  They come in Bron-Kerbosch visit order.
     """
     n, k = s.n, len(s)
     dom = [m for m in _k_subset_masks(n, k) if _weakly_separated_masks(m, s.mask)]
     g = build_compat_graph(Collection.from_masks(dom, n), "weak")
-    return [c.masks for c in enumerate_maximal_cliques(g)]
+    bits = list(map(grid.__getitem__, g.vertices.masks))
+    found: list[int] = []
+    _bron_kerbosch(g.adj, lambda r: found.append(sum(map(bits.__getitem__, r))))
+    return found
 
 
 def mutation_distance(
@@ -303,23 +385,26 @@ def mutation_distance(
         both = _grid_completion(i, j)
         return DistanceResult(0, (), both, both, 0)
 
+    grid = _grid(n, k)
     # side maps: node -> (parent, move, depth); roots have parent None
-    fwd: dict[tuple[int, ...], tuple] = {m: (None, None, 0) for m in _maximal_collections_containing(i)}
-    bwd: dict[tuple[int, ...], tuple] = {m: (None, None, 0) for m in _maximal_collections_containing(j)}
-    fwd_frontier, bwd_frontier = sorted(fwd), sorted(bwd)
+    root = (None, None, 0)
+    fwd: dict[int, tuple] = dict.fromkeys(_maximal_collections_containing(i, grid), root)
+    bwd: dict[int, tuple] = dict.fromkeys(_maximal_collections_containing(j, grid), root)
+    fwd_frontier, bwd_frontier = list(fwd), list(bwd)
     fwd_depth = bwd_depth = 0
     best: int | None = None
-    meet: tuple[int, ...] | None = None
+    meet: int | None = None
 
-    def scan(fresh: list[tuple[int, ...]]) -> None:
+    def scan(fresh: Iterable[int]) -> None:
+        # the meeting node is the smallest tuple, so the largest int, of least sum
         nonlocal best, meet
         for node in fresh:
             if node in fwd and node in bwd:
                 total = fwd[node][2] + bwd[node][2]
-                if best is None or total < best or (total == best and (meet is None or node < meet)):
+                if best is None or total < best or (total == best and node > meet):
                     best, meet = total, node
 
-    scan(sorted(set(fwd) & set(bwd)))
+    scan(fwd.keys() & bwd.keys())
     while best is None or fwd_depth + bwd_depth < best:
         candidates = [
             (len(fwd_frontier), True),
@@ -334,18 +419,18 @@ def mutation_distance(
         )
         if len(fwd) + len(bwd) >= budget:
             return DistanceResult(None, (), None, None, len(fwd) + len(bwd), best)
-        layer: dict[tuple[int, ...], tuple] = {}
-        for node in frontier:
-            for child, move in _neighbors(node, n):
+        layer: dict[int, tuple] = {}
+        # descending ints are ascending tuples, the canonical expansion order
+        for node in sorted(frontier, reverse=True):
+            for child, move in _neighbors(grid, node):
                 if child not in side and child not in layer:
                     layer[child] = (node, move, depth)
-        for child in sorted(layer):
-            side[child] = layer[child]
+        side.update(layer)
         if grow_fwd:
-            fwd_frontier, fwd_depth = sorted(layer), depth
+            fwd_frontier, fwd_depth = layer, depth
         else:
-            bwd_frontier, bwd_depth = sorted(layer), depth
-        scan(sorted(layer))
+            bwd_frontier, bwd_depth = layer, depth
+        scan(layer)
     if meet is None:
         raise RuntimeError(
             "both frontiers exhausted without meeting; the mutation graph "
@@ -356,18 +441,18 @@ def mutation_distance(
     bwd_moves, dst = _walk_back(meet, bwd)
     path = tuple(
         SquareMove(Subset(s, n), a, b, c, d)
-        for s, a, b, c, d in reversed(fwd_moves)
-    ) + tuple(SquareMove(Subset(s, n), a, b, c, d).inverse() for s, a, b, c, d in bwd_moves)
+        for s, a, b, c, d, _ in reversed(fwd_moves)
+    ) + tuple(SquareMove(Subset(s, n), a, b, c, d).inverse() for s, a, b, c, d, _ in bwd_moves)
     return DistanceResult(
         best,
         path,
-        Collection.from_masks(src, n),
-        Collection.from_masks(dst, n),
+        Collection.from_masks(grid.masks(src), n),
+        Collection.from_masks(grid.masks(dst), n),
         len(fwd) + len(bwd),
     )
 
 
-def _walk_back(node: tuple[int, ...], side: dict) -> tuple[list[tuple], tuple[int, ...]]:
+def _walk_back(node: int, side: dict) -> tuple[list[tuple], int]:
     moves = []
     cur = node
     while side[cur][0] is not None:

@@ -17,7 +17,7 @@ from typing import Iterable
 from .cliques import Collection
 from .domains import circle_partition
 from .ground import Subset
-from .mutations import SquareMove, _is_move_of, apply_square_move, find_square_moves
+from .mutations import SquareMove, _is_move_of, _square_moves, apply_square_move
 
 ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
 SHIFT = (-1, 1, -1, 1)
@@ -259,7 +259,7 @@ def move_projection_effect(
     removed member shares its projection with a member that stays, and the
     added member lands on a projection already present.
     """
-    if not _is_move_of(frozenset(c.masks), c.n, m.s.mask, m.a, m.b, m.c, m.d):
+    if not _is_move_of(c, m):
         raise ValueError("move is not applicable to this collection")
     bounds = _split_bounds(split, c.n)
 
@@ -281,6 +281,8 @@ def check_projection_laws(
 ) -> tuple[int, bool]:
     """Check the no-interior rule on each node and the projection effect of its moves.
 
+    The nodes must be maximal collections of one grid, such as the nodes of
+    ``explore_mutation_graph``; their maximality is not checked again.
     Returns ``(moves_checked, consistent)``; every move of every node is counted.
     """
     images: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
@@ -295,7 +297,7 @@ def check_projection_laws(
     for node in nodes:
         if not check_no_interior(node, split).ok:
             consistent = False
-        for move in find_square_moves(node):
+        for move in _square_moves(node):
             checked += 1
             effect = move_projection_effect(node, move, split)
             if effect.kind == "unchanged":

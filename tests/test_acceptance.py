@@ -261,7 +261,7 @@ def test_criterion_09_necklaces():
                 assert perm_from_necklace(necklace_from_perm(p, k)) == p
                 lengths = circle_partition(a).lengths
                 assert length_of(p, k).length == k * k - sum(comb(x, 2) for x in lengths)
-        from weaksep.mutations import _moves_of
+        from weaksep.mutations import _grid, _neighbors
         from weaksep.necklaces import domain_in_for_necklace
 
         checked = 0
@@ -283,16 +283,14 @@ def test_criterion_09_necklaces():
                 cliques = enumerate_maximal_cliques(build_compat_graph(dom, "weak"))
                 target = length_of(p, k).length + 1
                 assert all(len(c) == target for c in cliques), (images, k)
-                nodes = {c.masks for c in cliques}
-                seen = {cliques[0].masks}
-                frontier = [cliques[0].masks]
+                grid = _grid(n, k)
+                nodes = {grid.node(c.masks) for c in cliques}
+                seen = {grid.node(cliques[0].masks)}
+                frontier = list(seen)
                 while frontier:
                     nxt = []
                     for node in frontier:
-                        member = frozenset(node)
-                        for s, a, b, c_, d, to in _moves_of(node, member, n):
-                            removed = s | 1 << (a - 1) | 1 << (c_ - 1)
-                            child = tuple(sorted((set(node) - {removed}) | {to}))
+                        for child, _ in _neighbors(grid, node):
                             if child in nodes and child not in seen:
                                 seen.add(child)
                                 nxt.append(child)

@@ -16,7 +16,8 @@ from weaksep import (
     purity_report,
     unbalanced_witness,
 )
-from weaksep.cliques import CompatGraph, _bron_kerbosch
+from weaksep.cliques import CompatGraph, _bron_kerbosch, _first_addable
+from weaksep.ground import _weakly_separated_masks
 
 from _oracles import naive_maximal_cliques
 
@@ -261,3 +262,27 @@ class TestCompleteToMaximal:
     def test_partial_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             complete_to_maximal(coll([[1, 2]], 6), self.grid(6, 3))
+
+    def test_clash_first_order_keeps_results(self):
+        # trying the last clashing set first changes the test order only:
+        # the greedy completion and the first addable set are as by definition
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(3, 7)
+            dom = Collection.from_masks(rng.sample(range(1 << n), rng.randint(1, min(40, 1 << n))), n)
+            chosen = []
+            for m in dom.masks:
+                if all(_weakly_separated_masks(m, c) for c in chosen):
+                    chosen.append(m)
+            out = complete_to_maximal(Collection.from_masks([], n), dom)
+            assert out.masks == tuple(sorted(chosen))
+            members = chosen[: rng.randint(0, len(chosen))]
+            candidates = rng.sample(range(1 << n), min(30, 1 << n))
+            expected = next(
+                (
+                    m for m in candidates
+                    if m not in members and all(_weakly_separated_masks(m, x) for x in members)
+                ),
+                None,
+            )
+            assert _first_addable(candidates, members, n) == expected

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import os
 
 import pytest
 from _oracles import naive_square_moves
@@ -21,7 +23,7 @@ from weaksep import (
     mutation_distance,
 )
 from weaksep import mutations
-from weaksep.mutations import _moves_of
+from weaksep.mutations import _grid, _neighbors
 
 
 def sub(elems, n):
@@ -85,12 +87,21 @@ class TestFindSquareMoves:
 
     def test_moves_match_naive_oracle(self):
         for n, k in ((5, 2), (6, 3), (7, 3)):
+            grid = _grid(n, k)
             for node in explored(n, k).nodes:
                 listed = {
                     (elements(s, n), a, b, c, d, elements(to, n))
-                    for s, a, b, c, d, to in _moves_of(node, frozenset(node), n)
+                    for _, (s, a, b, c, d, to) in _neighbors(grid, grid.node(node))
                 }
                 assert listed == naive_square_moves([elements(x, n) for x in node], n)
+
+    def test_children_exchange_the_move_diagonal(self):
+        for n, k in ((6, 3), (7, 3)):
+            grid = _grid(n, k)
+            for node in explored(n, k).nodes:
+                for child, (s, a, b, c, d, to) in _neighbors(grid, grid.node(node)):
+                    removed = s | 1 << (a - 1) | 1 << (c - 1)
+                    assert set(grid.masks(child)) == set(node) - {removed} | {to}
 
 
 class TestApplySquareMove:
@@ -170,7 +181,9 @@ class TestExplore:
     def test_each_node_expanded_once(self, monkeypatch):
         calls = []
         real = mutations._neighbors
-        monkeypatch.setattr(mutations, "_neighbors", lambda node, n: calls.append(node) or real(node, n))
+        monkeypatch.setattr(
+            mutations, "_neighbors", lambda grid, node: calls.append(node) or real(grid, node)
+        )
         g = explored(6, 3)
         assert len(calls) == len(set(calls)) == g.node_count
 
@@ -232,29 +245,31 @@ class TestMutationDistance:
         assert a.to_json() == b.to_json()
 
     def test_matches_full_graph_oracle(self):
-        # unidirectional BFS over the fully explored graph versus the
-        # bidirectional engine, for every same-size pair of two small grids
-        import collections
-
-        from weaksep.mutations import _neighbors
-
+        # unidirectional BFS over the whole graph versus the bidirectional
+        # engine, for every same-size pair of two small grids; the graph is
+        # built from the clique census and the plain-set move oracle alone
         for n, k in ((6, 2), (6, 3)):
-            seed = complete_to_maximal(Collection.from_masks([], n), grid(n, k))
-            g = explore_mutation_graph(seed)
-            nodes = list(g.nodes)
+            cliques = enumerate_maximal_cliques(build_compat_graph(grid(n, k)))
+            nodes = [frozenset(elements(x, n) for x in c.masks) for c in cliques]
             index = {node: t for t, node in enumerate(nodes)}
-            adj = [[index[child] for child, _ in _neighbors(node, n)] for node in nodes]
+            adj = [
+                [
+                    index[node - {s | {a, c}} | {to}]
+                    for s, a, b, c, d, to in naive_square_moves(list(node), n)
+                ]
+                for node in nodes
+            ]
 
-            def oracle(i_mask, j_mask):
+            def oracle(i_set, j_set):
                 dist = {}
                 queue = collections.deque()
                 for t, node in enumerate(nodes):
-                    if i_mask in node:
+                    if i_set in node:
                         dist[t] = 0
                         queue.append(t)
                 while queue:
                     t = queue.popleft()
-                    if j_mask in nodes[t]:
+                    if j_set in nodes[t]:
                         return dist[t]
                     for s in adj[t]:
                         if s not in dist:
@@ -265,10 +280,48 @@ class TestMutationDistance:
             for i_combo in itertools.combinations(range(1, n + 1), k):
                 for j_combo in itertools.combinations(range(1, n + 1), k):
                     i, j = sub(i_combo, n), sub(j_combo, n)
-                    assert mutation_distance(i, j).distance == oracle(i.mask, j.mask)
+                    assert mutation_distance(i, j).distance == oracle(
+                        frozenset(i_combo), frozenset(j_combo)
+                    )
 
 
-import os
+class TestGrid:
+    def test_encoding_round_trips_and_reverses_order(self):
+        for n, k in ((6, 3), (7, 3)):
+            grid = _grid(n, k)
+            nodes = explored(n, k).nodes
+            ints = [grid.node(node) for node in nodes]
+            assert [grid.masks(v) for v in ints] == list(nodes)
+            for (s, u), (t, v) in itertools.combinations(zip(nodes, ints), 2):
+                assert (s < t) == (u > v)
+
+    def test_bits_follow_ascending_mask_rank(self):
+        for n, k in ((5, 2), (7, 3), (8, 4)):
+            masks = sorted(sub(c, n).mask for c in itertools.combinations(range(1, n + 1), k))
+            grid = mutations._Grid(n, k)
+            top = len(masks) - 1
+            assert [grid[m] for m in masks] == [1 << (top - r) for r in range(len(masks))]
+
+    def test_foreign_mask_rejected(self):
+        grid = mutations._Grid(6, 3)
+        for bad in (0b11, 0b1111, 1 << 6 | 0b11):
+            with pytest.raises(ValueError):
+                grid[bad]
+
+    def test_grid_table_is_bounded(self):
+        info = _grid.cache_info()
+        for n in range(3, info.maxsize + 5):
+            explored(n, 2, budget=3)
+        assert _grid.cache_info().currsize == info.maxsize == mutations._GRIDS
+
+    def test_wide_grid_builds_rows_per_set(self):
+        _grid.cache_clear()
+        seed = mutations._grid_completion(sub(range(1, 9), 16), sub(range(1, 9), 16))
+        g = explore_mutation_graph(seed, budget=10)
+        grid = _grid(16, 8)
+        assert g.node_count == 10 and not g.complete
+        # rows only for members of the explored nodes, a sliver of the 12,870 sets
+        assert len(grid.rows) == len(set().union(*g.nodes)) < 100
 
 
 @pytest.mark.skipif(os.environ.get("WEAKSEP_LONG") != "1", reason="runs under WEAKSEP_LONG=1")

@@ -291,7 +291,7 @@ def connected_necklaces(n):
 
 class TestNecklacePurity:
     def test_inside_domain_rank_and_connectivity_small(self):
-        from weaksep.mutations import _moves_of
+        from weaksep.mutations import _grid, _neighbors
 
         for n in range(2, 6):
             for p, k, nk in connected_necklaces(n):
@@ -299,16 +299,14 @@ class TestNecklacePurity:
                 cliques = enumerate_maximal_cliques(build_compat_graph(dom))
                 length = length_of(p, k).length
                 assert all(len(c) == length + 1 for c in cliques), (n, p.images)
-                node_set = {c.masks for c in cliques}
-                seen = {cliques[0].masks}
-                frontier = [cliques[0].masks]
+                grid = _grid(n, k)
+                node_set = {grid.node(c.masks) for c in cliques}
+                seen = {grid.node(cliques[0].masks)}
+                frontier = list(seen)
                 while frontier:
                     nxt = []
                     for node in frontier:
-                        member = frozenset(node)
-                        for s, a, b, c_, d, to in _moves_of(node, member, n):
-                            removed = s | 1 << (a - 1) | 1 << (c_ - 1)
-                            child = tuple(sorted((set(node) - {removed}) | {to}))
+                        for child, _ in _neighbors(grid, node):
                             if child in node_set and child not in seen:
                                 seen.add(child)
                                 nxt.append(child)

@@ -8,6 +8,7 @@ from weaksep import (
     Collection,
     LatticeVec4,
     PyramidFrame,
+    SquareMove,
     Subset,
     apply_square_move,
     check_no_interior,
@@ -22,7 +23,7 @@ from weaksep import (
     phi_subset,
     pyramid_position,
 )
-from weaksep.mutations import _is_move_of, _moves_of
+from weaksep.mutations import _is_move_of
 from weaksep.octahedron import ALPHA
 
 from _oracles import naive_no_interior
@@ -241,15 +242,14 @@ class TestMoveProjection:
         # every order: only the normalised listed moves are applicable
         n, k = 6, 3
         seed = complete_to_maximal(Collection.from_masks([], n), grid(n, k))
-        for node in explore_mutation_graph(seed).nodes:
-            member = frozenset(node)
-            listed = {move[:5] for move in _moves_of(node, member, n)}
+        for node in explore_mutation_graph(seed).node_collections():
+            listed = {(m.s.mask, m.a, m.b, m.c, m.d) for m in find_square_moves(node)}
             accepted = set()
             for s in itertools.combinations(range(1, n + 1), k - 2):
                 s_mask = sub(s, n).mask
                 rest = [x for x in range(1, n + 1) if x not in s]
                 for a, b, c, d in itertools.permutations(rest, 4):
-                    if _is_move_of(member, n, s_mask, a, b, c, d):
+                    if _is_move_of(node, SquareMove(Subset(s_mask, n), a, b, c, d)):
                         accepted.add((s_mask, a, b, c, d))
             assert accepted == listed
 
