@@ -9,7 +9,6 @@ lattice projection.
 from .cliques import (
     Collection,
     CompatGraph,
-    PurityReport,
     build_compat_graph,
     complete_to_maximal,
     enumerate_maximal_cliques,
@@ -18,13 +17,7 @@ from .cliques import (
 )
 from .domains import (
     ChainNotFound,
-    CirclePartition,
-    ClusterDistance,
-    ElementProfile,
-    LRChain,
-    PairContext,
     ProfileNotFound,
-    UnbalancedBound,
     boundary_intervals,
     build_domain_AIJ,
     characterize_element,
@@ -54,8 +47,6 @@ from .ground import (
 )
 from .mutations import (
     BigInstance,
-    DistanceResult,
-    MutationGraph,
     NotMaximal,
     SquareMove,
     apply_square_move,
@@ -64,7 +55,6 @@ from .mutations import (
     mutation_distance,
 )
 from .necklaces import (
-    AlignmentLength,
     DecoratedPermutation,
     GrassmannNecklace,
     SimpleCyclicPattern,
@@ -81,18 +71,12 @@ from .necklaces import (
 )
 from .octahedron import (
     LatticeVec4,
-    MoveProjection,
-    NoInteriorVerdict,
-    P4Counts,
-    PyramidFrame,
     check_no_interior,
-    decompose_in_pyramid,
     move_projection_effect,
     normalize_p4,
     p4_counts,
     phi,
     phi_subset,
-    pyramid_position,
 )
 
 __version__ = "0.1.0"

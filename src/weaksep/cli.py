@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j")
     p.add_argument("--k", type=int)
     p.add_argument("--powerset", action="store_true")
-    p.add_argument("--relation", default="weak", choices=["weak", "chord"])
-    p.add_argument("--stream", action="store_true")
     p.add_argument("--format", default="json", choices=["json", "jsonl"])
 
     p = sub.add_parser("distance", help="cluster distance of a pair")
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--u")
     p.add_argument("--v")
-    p.add_argument("--stream", action="store_true")
 
     p = sub.add_parser("octahedron", help="lattice counts of a four-run pair")
     p.add_argument("--n", type=int)
@@ -146,10 +143,9 @@ def _cmd_purity(args) -> tuple[int, bytes]:
     if args.format == "jsonl":
         if len(domain) == 0:
             return EXIT_OK, emit_report([], "jsonl")
-        cliques = enumerate_maximal_cliques(build_compat_graph(domain, args.relation))
+        cliques = enumerate_maximal_cliques(build_compat_graph(domain, "weak"))
         return EXIT_OK, emit_report([c.to_json() for c in cliques], "jsonl")
-    report = purity_report(domain, args.relation, stream=args.stream)
-    return EXIT_OK, emit_report(report.to_json())
+    return EXIT_OK, emit_report(purity_report(domain, "weak").to_json())
 
 
 def _cmd_distance(args) -> tuple[int, bytes]:
@@ -222,7 +218,7 @@ def _cmd_chord(args) -> tuple[int, bytes]:
     if (args.u is None) != (args.v is None):
         raise ValueError("--u and --v must be given together")
     dom = Collection.from_masks(range(1 << args.n), args.n)
-    report = purity_report(dom, "chord", stream=args.stream).to_json()
+    report = purity_report(dom, "chord").to_json()
     report["expected_size"] = sum(comb(args.n, t) for t in range(4))
     if args.u is not None:
         u = Subset.parse(args.u, args.n)
@@ -267,6 +263,11 @@ def _cmd_octahedron(args) -> tuple[int, bytes]:
 
 
 def _cmd_explore(args) -> tuple[int, bytes]:
+    if args.split:
+        if args.format == "jsonl":
+            raise ValueError("--split cannot be combined with --format jsonl")
+        split = tuple(int(x) for x in args.split.split(","))
+        octahedron._split_bounds(split, args.n)
     if args.seed:
         seed = Collection(Subset.parse(part, args.n) for part in args.seed.split(";"))
     else:
@@ -281,7 +282,6 @@ def _cmd_explore(args) -> tuple[int, bytes]:
         return EXIT_OK, emit_report(rows, "jsonl")
     report = graph.to_json()
     if args.split:
-        split = tuple(int(x) for x in args.split.split(","))
         checked, consistent = octahedron.check_projection_laws(graph.node_collections(), split)
         report["projection_laws"] = {"moves_checked": checked, "consistent": consistent}
     return EXIT_OK, emit_report(report)

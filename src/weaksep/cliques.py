@@ -259,50 +259,28 @@ class PurityReport:
     """Aggregate of the maximal-clique sizes of a domain under one relation."""
 
     domain_size: int
-    clique_sizes: dict[int, int] | None
+    clique_sizes: dict[int, int]
     min_size: int
     max_size: int
     is_pure: bool
     rank: int | None
-    clique_count: int | None
+    clique_count: int
 
     def to_json(self) -> dict:
-        if self.clique_sizes is None:
-            sizes: dict | str = {"min": self.min_size, "max": self.max_size}
-            count: int | str = "not tracked"
-        else:
-            sizes = {str(k): v for k, v in sorted(self.clique_sizes.items())}
-            count = self.clique_count if self.clique_count is not None else 0
         return {
             "domain_size": self.domain_size,
             "pure": self.is_pure,
             "rank": self.rank,
-            "clique_sizes": sizes,
-            "clique_count": count,
+            "clique_sizes": {str(k): v for k, v in sorted(self.clique_sizes.items())},
+            "clique_count": self.clique_count,
         }
 
 
-def purity_report(domain: Collection, relation: str = "weak", stream: bool = False) -> PurityReport:
-    """Enumerate all maximal cliques of the domain and decide purity.
-
-    With ``stream=True`` only the min and max clique sizes are kept, for
-    domains whose maximal-clique count is too large to tabulate.
-    """
+def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
+    """Enumerate all maximal cliques of the domain and decide purity."""
     if len(domain) == 0:
         return PurityReport(0, {}, 0, 0, True, None, 0)
     g = build_compat_graph(domain, relation)
-    if stream:
-        lo = hi = -1
-
-        def visit(r: list[int]) -> None:
-            nonlocal lo, hi
-            s = len(r)
-            lo = s if lo < 0 else min(lo, s)
-            hi = max(hi, s)
-
-        _bron_kerbosch(g.adj, visit)
-        pure = lo == hi
-        return PurityReport(len(domain), None, lo, hi, pure, hi if pure else None, None)
     sizes: Counter[int] = Counter()
     _bron_kerbosch(g.adj, lambda r: sizes.update((len(r),)))
     lo, hi = min(sizes), max(sizes)
@@ -333,14 +311,8 @@ def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:
             f"{Subset(a, partial.n)} vs {Subset(b, partial.n)}"
         )
     chosen = list(partial.masks)
-    have = set(chosen)
-    # near candidates tend to clash with the same chosen set, so it is tried first
-    last = None
-    for m in domain.masks:
-        if m in have or (last is not None and not _weakly_separated_masks(m, last)):
-            continue
-        last = next((c for c in chosen if not _weakly_separated_masks(m, c)), None)
-        if last is None:
-            chosen.append(m)
-            have.add(m)
+    # one shared iterator: a candidate passed over stays unaddable as chosen grows
+    candidates = iter(domain.masks)
+    while (m := _first_addable(candidates, chosen, domain.n)) is not None:
+        chosen.append(m)
     return Collection.from_masks(chosen, domain.n)

@@ -24,6 +24,8 @@ from .cliques import (
 from .ground import (
     GroundSetMismatch,
     Subset,
+    _check_pair,
+    _check_same_ground,
     _k_subset_masks,
     _weakly_separated_masks,
     cyclic_interval,
@@ -121,19 +123,9 @@ class PairContext:
     def degenerate(self) -> bool:
         return self.k == 0
 
-    def project(self, s: Subset) -> Subset:
-        """Image of s restricted to the symmetric difference, inside [2k]."""
-        if self.k == 0:
-            raise ValueError("degenerate context has no reduction")
-        positions = [p + 1 for p, x in enumerate(self.sym_diff) if x in s]
-        return Subset.of(positions, 2 * self.k)
-
 
 def reduce_pair(i: Subset, j: Subset) -> PairContext:
-    if i.n != j.n:
-        raise GroundSetMismatch(f"ground sets differ: [{i.n}] vs [{j.n}]")
-    if len(i) != len(j):
-        raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
+    _check_pair(i, j)
     m = len(i)
     diff = Subset(i.mask ^ j.mask, i.n)
     sym = diff.elements()
@@ -154,10 +146,7 @@ def boundary_intervals(k: int, n: int) -> Collection:
 
 def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
     """All m-subsets of [n] weakly separated from both I and J, in canonical order."""
-    if i.n != j.n:
-        raise GroundSetMismatch(f"ground sets differ: [{i.n}] vs [{j.n}]")
-    if len(i) != len(j):
-        raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
+    _check_pair(i, j)
     n, m = i.n, len(i)
     out = [
         mask
@@ -195,10 +184,7 @@ def cluster_distance(i: Subset, j: Subset, method: str = "exact") -> ClusterDist
     """
     if method not in ("exact", "formula"):
         raise ValueError(f"unknown method {method!r}")
-    if i.n != j.n:
-        raise GroundSetMismatch(f"ground sets differ: [{i.n}] vs [{j.n}]")
-    if len(i) != len(j):
-        raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
+    _check_pair(i, j)
     if is_weakly_separated(i, j):
         return ClusterDistance(0, True)
     if method == "exact":
@@ -426,8 +412,7 @@ def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
     """
     if not ctx.balanced:
         raise ValueError("element profiles are defined for balanced pairs only")
-    if r.n != ctx.i.n:
-        raise GroundSetMismatch(f"ground sets differ: [{r.n}] vs [{ctx.i.n}]")
+    _check_same_ground(r, ctx.i)
     if len(r) != ctx.m or not (is_weakly_separated(r, ctx.i) and is_weakly_separated(r, ctx.j)):
         raise ValueError("element is not a member of the pair domain")
     n = r.n
@@ -494,16 +479,14 @@ def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
 
 # --- chains inside maximal chord separated collections ------------------------
 
-def chord_chain(w: Collection, u: Subset, v: Subset, validate: bool = True) -> list[Subset]:
+def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
     """Nested chain U = S_u c ... c S_v = V with all four decorated variants present.
 
     Each chain member S must have S, S+{1}, S+{n}, S+{1,n} in the collection.
     The collection must be maximal chord separated over the full power set and
     already contain the eight decorated variants of U and V.  Returns the
     lexicographically least chain; raises ChainNotFound if none exists, which
-    would contradict the guarantee this search certifies.  ``validate=False``
-    skips the quadratic collection checks when the caller already knows the
-    collection is maximal chord separated.
+    would contradict the guarantee this search certifies.
     """
     n = w.n
     if u.n != n or v.n != n:
@@ -521,11 +504,10 @@ def chord_chain(w: Collection, u: Subset, v: Subset, validate: bool = True) -> l
     for mask in (u.mask, v.mask):
         if not decorated_ok(mask):
             raise ValueError("an endpoint is missing one of its four decorated variants")
-    if validate:
-        if _first_unrelated_pair(w.masks, n, "chord") is not None:
-            raise ValueError("collection is not chord separated")
-        if _first_addable(range(1 << n), w.masks, n, "chord") is not None:
-            raise ValueError("collection is not maximal chord separated")
+    if _first_unrelated_pair(w.masks, n, "chord") is not None:
+        raise ValueError("collection is not chord separated")
+    if _first_addable(range(1 << n), w.masks, n, "chord") is not None:
+        raise ValueError("collection is not maximal chord separated")
 
     target = v.mask
     dead: set[int] = set()

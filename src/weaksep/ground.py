@@ -89,18 +89,6 @@ class Subset:
         full = (1 << n) - 1
         return Subset(((self.mask << r) | (self.mask >> (n - r))) & full, n)
 
-    def union(self, other: "Subset") -> "Subset":
-        _check_same_ground(self, other)
-        return Subset(self.mask | other.mask, self.n)
-
-    def intersection(self, other: "Subset") -> "Subset":
-        _check_same_ground(self, other)
-        return Subset(self.mask & other.mask, self.n)
-
-    def minus(self, other: "Subset") -> "Subset":
-        _check_same_ground(self, other)
-        return Subset(self.mask & ~other.mask, self.n)
-
     def issubset(self, other: "Subset") -> bool:
         _check_same_ground(self, other)
         return self.mask & ~other.mask == 0
@@ -114,6 +102,13 @@ def _k_subset_masks(n: int, k: int) -> Iterator[int]:
 def _check_same_ground(a: Subset, b: Subset) -> None:
     if a.n != b.n:
         raise GroundSetMismatch(f"ground sets differ: [{a.n}] vs [{b.n}]")
+
+
+def _check_pair(i: Subset, j: Subset) -> None:
+    """A pair of sets of one size over one ground set, as every pair verb needs."""
+    _check_same_ground(i, j)
+    if len(i) != len(j):
+        raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
 
 
 @dataclass(frozen=True)
@@ -130,9 +125,6 @@ class CyclicOrder:
 
     def key(self, x: int) -> int:
         return (x - self.base) % self.n
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.key(x) <= self.key(y)
 
 
 def cyclic_interval(a: int, b: int, n: int) -> Subset:

@@ -25,8 +25,8 @@ from .cliques import (
     complete_to_maximal,
 )
 from .ground import (
-    GroundSetMismatch,
     Subset,
+    _check_pair,
     _k_subset_masks,
     _weakly_separated_masks,
     is_weakly_separated,
@@ -200,8 +200,12 @@ def _square_row(c: Collection, removed: int, added: int) -> tuple | None:
     for around, moves in grid.squares(removed):
         for move, beside in moves:
             if move[5] == added:
-                held = frozenset(c.masks).issuperset((removed, *grid.masks(around | beside)))
-                return move if held else None
+                need = grid[removed] | around | beside
+                try:
+                    node = grid.node(c.masks)
+                except ValueError:  # c mixes set sizes, so it is on no grid
+                    return None
+                return move if node & need == need else None
     return None
 
 
@@ -372,10 +376,7 @@ def mutation_distance(
     whole (smaller frontier first) and the search only stops once the explored
     radii cover the best meeting sum, which makes the distance exact.
     """
-    if i.n != j.n:
-        raise GroundSetMismatch(f"ground sets differ: [{i.n}] vs [{j.n}]")
-    if len(i) != len(j):
-        raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
+    _check_pair(i, j)
     n, k = i.n, len(i)
     if k * (n - k) > BIG_GATE and not big:
         raise BigInstance(

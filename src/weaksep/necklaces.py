@@ -55,9 +55,6 @@ class DecoratedPermutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def color(self, i: int) -> int:
-        return dict(self.colors)[i]
-
     def inverse_images(self) -> tuple[int, ...]:
         inv = [0] * self.n
         for i, img in enumerate(self.images, start=1):

@@ -37,21 +37,6 @@ class LatticeVec4:
         return list(self.coords)
 
 
-@dataclass(frozen=True)
-class PyramidFrame:
-    """An infinite square pyramid: apex plus nonnegative spans of the four edges.
-
-    ``orientation`` +1 uses the edge vectors as given, -1 negates them.
-    """
-
-    apex: LatticeVec4
-    orientation: int
-
-    def __post_init__(self) -> None:
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-
-
 def _split_bounds(split: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
     if len(split) != 4 or any(x < 1 for x in split):
         raise ValueError(f"split must be four positive integers, got {split}")
@@ -84,6 +69,11 @@ def phi(c: Collection, split: tuple[int, int, int, int]) -> list[LatticeVec4]:
 
 
 def _position(apex: tuple[int, ...], orientation: int, v: tuple[int, ...]) -> str:
+    """Where a level-matched v lies against the pyramid at apex: interior, boundary or outside.
+
+    The pyramid is the apex plus nonnegative spans of the four ``ALPHA``
+    edges; orientation -1 negates the edges.
+    """
     # facet form of membership: the four functionals vanish pairwise on
     # adjacent edge vectors, so sign tests replace span decompositions
     d = tuple(orientation * (v[t] - apex[t]) for t in range(4))
@@ -92,31 +82,6 @@ def _position(apex: tuple[int, ...], orientation: int, v: tuple[int, ...]) -> st
     if d[0] < 0 and d[1] > 0 and d[2] < 0 and d[3] > 0:
         return "interior"
     return "boundary"
-
-
-def pyramid_position(frame: PyramidFrame, v: LatticeVec4) -> str:
-    """Classify a level-matched point as interior, boundary, or outside the pyramid."""
-    if v.level != frame.apex.level:
-        raise ValueError(f"level mismatch: {v.level} vs {frame.apex.level}")
-    return _position(frame.apex.coords, frame.orientation, v.coords)
-
-
-def decompose_in_pyramid(frame: PyramidFrame, v: LatticeVec4) -> tuple[int, int, int, int] | None:
-    """A nonnegative integer edge-span combination reaching v from the apex, if any.
-
-    Cross-validates the facet-sign membership test: a decomposition exists
-    exactly when the four sign conditions hold.
-    """
-    if v.level != frame.apex.level:
-        raise ValueError(f"level mismatch: {v.level} vs {frame.apex.level}")
-    d = tuple(frame.orientation * (v.coords[t] - frame.apex.coords[t]) for t in range(4))
-    # t2 is the free parameter: t3 = d2 - t2, t1 = -d3 - t2, t4 = d4 + d3 + t2
-    lo = max(0, -d[3] - d[2])
-    hi = min(d[1], -d[2])
-    if lo > hi:
-        return None
-    t2 = lo
-    return (-d[2] - t2, t2, d[1] - t2, d[3] + d[2] + t2)
 
 
 @dataclass(frozen=True)

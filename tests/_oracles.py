@@ -93,3 +93,19 @@ def naive_square_moves(sets: list[set], n: int) -> set[tuple]:
                 if all(frozenset(s) | pair in have for pair in needed):
                     out.add((frozenset(s), a, b, c, d, frozenset(s) | {b, d}))
     return out
+
+
+def pyramid_decomposition(apex: tuple, orientation: int, v: tuple) -> tuple | None:
+    """Nonnegative integers (t1, t2, t3, t4) with v = apex + orientation * sum t_e * edge_e, if any.
+
+    The edges are (0,0,-1,1), (0,1,-1,0), (-1,1,0,0), (-1,0,0,1), and v must
+    have the apex's coordinate sum.  Solves the linear system directly, with
+    t2 as the free parameter set to its least feasible value.
+    """
+    d = [orientation * (v[t] - apex[t]) for t in range(4)]
+    # t3 = d[1] - t2, t1 = -d[2] - t2, t4 = d[3] + d[2] + t2, all nonnegative
+    lo = max(0, -d[3] - d[2])
+    hi = min(d[1], -d[2])
+    if lo > hi:
+        return None
+    return (-d[2] - lo, lo, d[1] - lo, d[3] + d[2] + lo)

@@ -162,7 +162,7 @@ def test_criterion_05_long_fourteen_element_distance():
         assert cluster_distance(i, i.complement(), "exact").value == 18
         dom = build_domain_AIJ(i, i.complement())
         assert max_clique_size(build_compat_graph(dom, "weak")) == 32 == unbalanced_witness(i).bound
-        assert purity_report(dom, stream=True).max_size == 32
+        assert purity_report(dom).max_size == 32
 
 
 def test_criterion_06_general_pair_rank():
@@ -231,9 +231,7 @@ def test_criterion_08_chord_census_and_chains():
                         umask = sum(1 << (x - 1) for x in uc)
                         if not decorated(umask):
                             continue
-                        chain = chord_chain(
-                            w, Subset(umask, n), Subset(vmask, n), validate=False
-                        )
+                        chain = chord_chain(w, Subset(umask, n), Subset(vmask, n))
                         assert chain[0].mask == umask and chain[-1].mask == vmask
                         for a, b in zip(chain, chain[1:]):
                             assert a.issubset(b) and len(b) == len(a) + 1

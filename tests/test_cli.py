@@ -1,6 +1,8 @@
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,9 +88,10 @@ class TestPurity:
         )
         assert report["rank"] == 12 and report["clique_count"] == 4
 
-    def test_powerset_stream(self):
-        code, report = invoke_json(["purity", "--n", "4", "--powerset", "--stream"])
-        assert report["rank"] == 11 and report["clique_count"] == "not tracked"
+    def test_powerset_rank_and_count(self):
+        code, report = invoke_json(["purity", "--n", "4", "--powerset"])
+        assert code == EXIT_OK
+        assert report["rank"] == 11 and report["clique_count"] == 10
 
     def test_conflicting_domain_flags(self):
         code, _ = invoke(["purity", "--n", "4", "--k", "2", "--powerset"])
@@ -105,6 +108,24 @@ class TestPurity:
         assert code == EXIT_OK and report["clique_count"] == 0
         code, payload = invoke(["purity", "--n", "4", "--k", "5", "--format", "jsonl"])
         assert code == EXIT_OK and payload == b""
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["purity", "--n", "4", "--powerset"], "stream", []),
+        (["purity", "--n", "4", "--k", "2"], "relation", ["chord"]),
+        (["chord", "--n", "4"], "stream", []),
+    ],
+)
+def test_removed_options_rejected(argv, option, value, capsys):
+    # the deleted options are named without their dashes
+    code, payload = invoke([*argv, "--" + option, *value])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT and payload == b""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--" + option in errors[0]
 
 
 class TestMutdist:
@@ -217,6 +238,23 @@ class TestExplore:
         assert report["projection_laws"]["consistent"] is True
         assert report["projection_laws"]["moves_checked"] == 2
 
+    def test_bad_split_rejected_before_exploring(self, monkeypatch, capsys):
+        def explore(*args, **kwargs):
+            raise AssertionError("explored before the --split check")
+
+        monkeypatch.setattr(cli.mutations, "explore_mutation_graph", explore)
+        code, payload = invoke(["explore", "--n", "5", "--k", "2", "--split", "9,9,9,9"])
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == (
+            "error: split (9, 9, 9, 9) does not sum to the ground size 5\n"
+        )
+
+    def test_split_rejected_with_jsonl(self, capsys):
+        argv = ["explore", "--n", "5", "--k", "2", "--format", "jsonl", "--split", "2,1,1,1"]
+        code, payload = invoke(argv)
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == "error: --split cannot be combined with --format jsonl\n"
+
 
 class TestDeterminism:
     def test_byte_identical_repeats(self):
@@ -240,3 +278,27 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report({}, "yaml")
+
+
+def test_readme_cli_block_runs():
+    """Every ``weaksep`` line of the README's CLI block exits 0; complete JSON comments match."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    ran, matched = 0, set()
+    for line, after in zip(lines, lines[1:] + [""]):
+        if not line.startswith("weaksep "):
+            continue
+        argv = shlex.split(line, comments=True)[1:]
+        code, payload = invoke(argv)
+        assert code == EXIT_OK, line
+        ran += 1
+        expected = after.removeprefix("# ")
+        if after.startswith("# {"):
+            try:
+                json.loads(expected)
+            except ValueError:
+                continue  # an elided report such as "path":[...]
+            assert payload == (expected + "\n").encode(), line
+            matched.add(argv[0])
+    assert ran >= 10 and {"check", "distance", "purity"} <= matched

@@ -210,13 +210,6 @@ class TestPurityReport:
         rep = purity_report(build_domain_AIJ(sub([1, 2, 4, 6, 8], 10), sub([3, 5, 7, 9, 10], 10)))
         assert rep.is_pure and rep.rank == 12 and rep.clique_count == 4
 
-    def test_streaming_mode(self):
-        dom = Collection.from_masks(range(1 << 4), 4)
-        rep = purity_report(dom, "weak", stream=True)
-        assert rep.clique_sizes is None and rep.clique_count is None
-        assert rep.is_pure and rep.rank == 11
-        assert rep.to_json()["clique_count"] == "not tracked"
-
     def test_empty_domain(self):
         rep = purity_report(Collection.from_masks([], 4))
         assert rep.domain_size == 0 and rep.rank is None

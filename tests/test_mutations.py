@@ -132,6 +132,13 @@ class TestApplySquareMove:
         with pytest.raises(ValueError, match="move is not applicable to this collection"):
             apply_square_move(c, m)
 
+    def test_mixed_sizes_rejected(self):
+        # every set the move names is present, but {1} puts the collection on no grid
+        m = find_square_moves(SMALL)[0]
+        mixed = Collection([*SMALL, Subset.of([1], 4)])
+        with pytest.raises(ValueError, match="move is not applicable to this collection"):
+            apply_square_move(mixed, m)
+
     def test_four_labellings_apply_alike(self):
         for node in explored(6, 3).node_collections():
             for m in find_square_moves(node):

@@ -6,14 +6,11 @@ import pytest
 
 from weaksep import (
     Collection,
-    LatticeVec4,
-    PyramidFrame,
     SquareMove,
     Subset,
     apply_square_move,
     check_no_interior,
     complete_to_maximal,
-    decompose_in_pyramid,
     explore_mutation_graph,
     find_square_moves,
     move_projection_effect,
@@ -21,12 +18,11 @@ from weaksep import (
     p4_counts,
     phi,
     phi_subset,
-    pyramid_position,
 )
 from weaksep.mutations import _is_move_of
-from weaksep.octahedron import ALPHA
+from weaksep.octahedron import ALPHA, _position
 
-from _oracles import naive_no_interior
+from _oracles import naive_no_interior, pyramid_decomposition
 
 
 def sub(elems, n):
@@ -71,34 +67,25 @@ class TestPhi:
 
 class TestPyramidPosition:
     def test_interior_example(self):
-        frame = PyramidFrame(LatticeVec4((2, 0, 1, 0)), 1)
-        assert pyramid_position(frame, LatticeVec4((0, 1, 0, 2))) == "interior"
+        assert _position((2, 0, 1, 0), 1, (0, 1, 0, 2)) == "interior"
 
     def test_apex_is_boundary(self):
-        frame = PyramidFrame(LatticeVec4((2, 0, 1, 0)), 1)
-        assert pyramid_position(frame, LatticeVec4((2, 0, 1, 0))) == "boundary"
+        assert _position((2, 0, 1, 0), 1, (2, 0, 1, 0)) == "boundary"
 
     def test_edge_point_is_boundary(self):
-        frame = PyramidFrame(LatticeVec4((2, 0, 1, 0)), 1)
-        assert pyramid_position(frame, LatticeVec4((2, 0, 0, 1))) == "boundary"
-
-    def test_level_mismatch(self):
-        frame = PyramidFrame(LatticeVec4((2, 0, 1, 0)), 1)
-        with pytest.raises(ValueError):
-            pyramid_position(frame, LatticeVec4((1, 0, 1, 0)))
+        assert _position((2, 0, 1, 0), 1, (2, 0, 0, 1)) == "boundary"
 
     def test_facets_match_span_decomposition(self):
         rng = random.Random(11)
-        apex = LatticeVec4((3, 1, 2, 2))
+        apex = (3, 1, 2, 2)
         for orientation in (1, -1):
-            frame = PyramidFrame(apex, orientation)
             for _ in range(10_000):
                 ts = [rng.randint(0, 6) for _ in range(4)]
                 v = tuple(
-                    apex.coords[t] + orientation * sum(ts[e] * ALPHA[e][t] for e in range(4))
+                    apex[t] + orientation * sum(ts[e] * ALPHA[e][t] for e in range(4))
                     for t in range(4)
                 )
-                assert pyramid_position(frame, LatticeVec4(v)) != "outside"
+                assert _position(apex, orientation, v) != "outside"
             # converse: every sign-satisfying integral offset decomposes
             for d1 in range(-8, 1):
                 for d2 in range(0, 9):
@@ -107,25 +94,22 @@ class TestPyramidPosition:
                         if d4 < 0 or d4 > 8:
                             continue
                         off = (d1, d2, d3, d4)
-                        v = tuple(apex.coords[t] + orientation * off[t] for t in range(4))
-                        ts = decompose_in_pyramid(frame, LatticeVec4(v))
+                        v = tuple(apex[t] + orientation * off[t] for t in range(4))
+                        ts = pyramid_decomposition(apex, orientation, v)
                         assert ts is not None and all(t >= 0 for t in ts)
                         rebuilt = tuple(
-                            apex.coords[t]
-                            + orientation * sum(ts[e] * ALPHA[e][t] for e in range(4))
+                            apex[t] + orientation * sum(ts[e] * ALPHA[e][t] for e in range(4))
                             for t in range(4)
                         )
                         assert rebuilt == v
 
     def test_outside_never_decomposes(self):
-        frame = PyramidFrame(LatticeVec4((2, 0, 1, 0)), 1)
         rng = random.Random(5)
         for _ in range(2000):
             v = [rng.randint(-4, 4) for _ in range(3)]
             v.append(3 - sum(v))
-            vec = LatticeVec4(tuple(v))
-            outside = pyramid_position(frame, vec) == "outside"
-            assert outside == (decompose_in_pyramid(frame, vec) is None)
+            outside = _position((2, 0, 1, 0), 1, tuple(v)) == "outside"
+            assert outside == (pyramid_decomposition((2, 0, 1, 0), 1, tuple(v)) is None)
 
 
 class TestP4Counts:
