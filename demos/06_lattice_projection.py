@@ -24,5 +24,5 @@ print("  ... (all shapes through k = 8 verified)")
 
 a = Subset.of([1, 2, 4], 6)
 print(f"\nprojections under split (2,1,1,2): "
-      f"A={a} -> {phi_subset(a, (2, 1, 1, 2)).coords}, "
-      f"complement -> {phi_subset(a.complement(), (2, 1, 1, 2)).coords}")
+      f"A={a} -> {phi_subset(a, (2, 1, 1, 2))}, "
+      f"complement -> {phi_subset(a.complement(), (2, 1, 1, 2))}")

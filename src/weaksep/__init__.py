@@ -70,7 +70,6 @@ from .necklaces import (
     tau_kn,
 )
 from .octahedron import (
-    LatticeVec4,
     check_no_interior,
     move_projection_effect,
     normalize_p4,

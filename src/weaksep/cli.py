@@ -32,6 +32,20 @@ def emit_report(result: Any, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _int_from(low: int):
+    """An argparse type for integers no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaksep",
@@ -54,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i")
     p.add_argument("--j")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_int_from(0))
     p.add_argument("--powerset", action="store_true")
     p.add_argument("--format", default="json", choices=["json", "jsonl"])
 
@@ -68,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", required=True)
     p.add_argument("--j", required=True)
-    p.add_argument("--budget", type=int, default=mutations.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_from(1), default=mutations.DEFAULT_BUDGET)
     p.add_argument("--big", action="store_true")
 
     p = sub.add_parser("necklace", help="necklace of a permutation or of a half-size set")
@@ -94,9 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="breadth-first closure under square moves")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_from(0), required=True)
     p.add_argument("--seed")
-    p.add_argument("--budget", type=int, default=mutations.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_from(1), default=mutations.DEFAULT_BUDGET)
     p.add_argument("--format", default="json", choices=["json", "jsonl"])
     p.add_argument("--split", help="verify the projection laws under this 4-way split")
 
@@ -263,6 +277,8 @@ def _cmd_octahedron(args) -> tuple[int, bytes]:
 
 
 def _cmd_explore(args) -> tuple[int, bytes]:
+    if args.k > args.n:
+        raise ValueError(f"--k {args.k} exceeds --n {args.n}")
     if args.split:
         if args.format == "jsonl":
             raise ValueError("--split cannot be combined with --format jsonl")
@@ -270,6 +286,8 @@ def _cmd_explore(args) -> tuple[int, bytes]:
         octahedron._split_bounds(split, args.n)
     if args.seed:
         seed = Collection(Subset.parse(part, args.n) for part in args.seed.split(";"))
+        if any(m.bit_count() != args.k for m in seed.masks):
+            raise ValueError(f"every seed set must have --k {args.k} elements")
     else:
         seed = mutations._grid_completion(
             Subset.of(range(1, args.k + 1), args.n), Subset.of(range(1, args.k + 1), args.n)
@@ -282,7 +300,7 @@ def _cmd_explore(args) -> tuple[int, bytes]:
         return EXIT_OK, emit_report(rows, "jsonl")
     report = graph.to_json()
     if args.split:
-        checked, consistent = octahedron.check_projection_laws(graph.node_collections(), split)
+        checked, consistent = octahedron.check_projection_laws(graph, split)
         report["projection_laws"] = {"moves_checked": checked, "consistent": consistent}
     return EXIT_OK, emit_report(report)
 

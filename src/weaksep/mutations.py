@@ -185,48 +185,34 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     return out
 
 
-def _square_moves(c: Collection) -> list[SquareMove]:
-    """The applicable square moves of a one-grid collection; callers guarantee maximality."""
-    grid = _grid(c.n, c.masks[0].bit_count())
-    return [
-        SquareMove(Subset(s, c.n), a, b, cc, d)
-        for _, (s, a, b, cc, d, _) in _neighbors(grid, grid.node(c.masks))
-    ]
+def _check_applicable(c: Collection, m: SquareMove) -> None:
+    """Raise ValueError unless m labels a move of ``_Grid.squares`` whose sets c all holds.
 
-
-def _square_row(c: Collection, removed: int, added: int) -> tuple | None:
-    """The move of ``_Grid.squares(removed)`` that adds ``added``, if c holds all its sets."""
-    grid = _grid(c.n, removed.bit_count())
-    for around, moves in grid.squares(removed):
-        for move, beside in moves:
-            if move[5] == added:
+    The one applicability rule: a listed move with the same s, removed and
+    added set fixes {a, c} and {b, d}, so exactly the four labellings of a
+    listed square are accepted.
+    """
+    n, s = c.n, m.s.mask
+    if m.s.n == n and all(1 <= v <= n for v in (m.a, m.b, m.c, m.d)):
+        removed = s | 1 << (m.a - 1) | 1 << (m.c - 1)
+        added = s | 1 << (m.b - 1) | 1 << (m.d - 1)
+        k = removed.bit_count()
+        grid = _grid(n, k)
+        # a collection off the grid of m's sets holds none of them
+        node = grid.node(c.masks) if {x.bit_count() for x in c.masks} == {k} else 0
+        for around, moves in grid.squares(removed):
+            for move, beside in moves:
                 need = grid[removed] | around | beside
-                try:
-                    node = grid.node(c.masks)
-                except ValueError:  # c mixes set sizes, so it is on no grid
-                    return None
-                return move if node & need == need else None
-    return None
-
-
-def _is_move_of(c: Collection, m: SquareMove) -> bool:
-    """Whether ``find_square_moves`` lists m for c, tested without listing the moves."""
-    if m.s.n != c.n or not all(1 <= v <= c.n for v in (m.a, m.b, m.c, m.d)):
-        return False
-    s = m.s.mask
-    move = _square_row(c, s | 1 << (m.a - 1) | 1 << (m.c - 1), s | 1 << (m.b - 1) | 1 << (m.d - 1))
-    return move is not None and move[:5] == (s, m.a, m.b, m.c, m.d)
-
-
-def _require_grid_collection(c: Collection) -> tuple[int, int]:
-    sizes = {m.bit_count() for m in c.masks}
-    if len(sizes) != 1:
-        raise ValueError("collection mixes cardinalities; square moves need one grid")
-    return c.n, sizes.pop()
+                if move[0] == s and move[5] == added and node & need == need:
+                    return
+    raise ValueError("move is not applicable to this collection")
 
 
 def _check_maximal(c: Collection) -> tuple[int, int]:
-    n, k = _require_grid_collection(c)
+    sizes = {m.bit_count() for m in c.masks}
+    if len(sizes) != 1:
+        raise ValueError("collection mixes cardinalities; square moves need one grid")
+    n, k = c.n, sizes.pop()
     if _first_unrelated_pair(c.masks, n) is not None:
         raise NotMaximal("collection is not weakly separated")
     addable = _first_addable(_k_subset_masks(n, k), c.masks, n)
@@ -237,18 +223,18 @@ def _check_maximal(c: Collection) -> tuple[int, int]:
 
 def find_square_moves(c: Collection) -> list[SquareMove]:
     """All applicable square moves of a maximal collection, in deterministic order."""
-    _check_maximal(c)
-    return _square_moves(c)
+    n, k = _check_maximal(c)
+    grid = _grid(n, k)
+    return [
+        SquareMove(Subset(s, n), a, b, cc, d)
+        for _, (s, a, b, cc, d, _) in _neighbors(grid, grid.node(c.masks))
+    ]
 
 
 def apply_square_move(c: Collection, m: SquareMove) -> Collection:
     """Exchange the move's diagonal; the result is again maximal weakly separated."""
+    _check_applicable(c, m)
     removed, added = m.removed.mask, m.added.mask
-    # a row with the same removed, added and s fixes {a, c} and {b, d}, so
-    # exactly the four labellings of the square are accepted
-    move = _square_row(c, removed, added) if m.s.n == c.n else None
-    if move is None or move[0] != m.s.mask:
-        raise ValueError("move is not applicable to this collection")
     if __debug__:
         assert all(
             _weakly_separated_masks(added, x) for x in c.masks if x != removed

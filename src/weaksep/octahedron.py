@@ -10,31 +10,18 @@ four-interval complementary pair reproduces the closed-form distance values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
-from typing import Iterable
 
 from .cliques import Collection
 from .domains import circle_partition
 from .ground import Subset
-from .mutations import SquareMove, _is_move_of, _square_moves, apply_square_move
+from .mutations import MutationGraph, SquareMove, _check_applicable, _grid, _neighbors
 
 ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
 SHIFT = (-1, 1, -1, 1)
-
-
-@dataclass(frozen=True)
-class LatticeVec4:
-    """An integer 4-vector; its level is the coordinate sum."""
-
-    coords: tuple[int, int, int, int]
-
-    @property
-    def level(self) -> int:
-        return sum(self.coords)
-
-    def to_json(self) -> list[int]:
-        return list(self.coords)
 
 
 def _split_bounds(split: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
@@ -42,10 +29,7 @@ def _split_bounds(split: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
         raise ValueError(f"split must be four positive integers, got {split}")
     if sum(split) != n:
         raise ValueError(f"split {split} does not sum to the ground size {n}")
-    bounds = [0]
-    for x in split:
-        bounds.append(bounds[-1] + x)
-    return tuple(bounds)
+    return (0, *accumulate(split))
 
 
 def _counts(mask: int, bounds: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -57,15 +41,15 @@ def _counts(mask: int, bounds: tuple[int, ...]) -> tuple[int, int, int, int]:
     return tuple(counts)
 
 
-def phi_subset(s: Subset, split: tuple[int, int, int, int]) -> LatticeVec4:
+def phi_subset(s: Subset, split: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Interval-intersection counts of one subset under the 4-way split of [n]."""
-    return LatticeVec4(_counts(s.mask, _split_bounds(split, s.n)))
+    return _counts(s.mask, _split_bounds(split, s.n))
 
 
-def phi(c: Collection, split: tuple[int, int, int, int]) -> list[LatticeVec4]:
+def phi(c: Collection, split: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
     """Projections of every member, in the collection's canonical order."""
     bounds = _split_bounds(split, c.n)
-    return [LatticeVec4(_counts(m, bounds)) for m in c.masks]
+    return [_counts(m, bounds) for m in c.masks]
 
 
 def _position(apex: tuple[int, ...], orientation: int, v: tuple[int, ...]) -> str:
@@ -170,23 +154,13 @@ class NoInteriorVerdict:
     apex: Subset | None = None
     inside: Subset | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"pass": self.ok}
-        if not self.ok:
-            assert self.apex is not None and self.inside is not None
-            out["violation"] = {"apex": self.apex.to_json(), "inside": self.inside.to_json()}
-        return out
 
-
-def check_no_interior(c: Collection, split: tuple[int, int, int, int]) -> NoInteriorVerdict:
-    """Verify no member projects strictly inside another member's two pyramids.
+def _interior_pair(points: list[tuple[int, ...]]) -> tuple[int, int] | None:
+    """The first (i, j), i < j, with either point strictly inside the other's pyramids.
 
     v is interior to the +1 pyramid at a exactly when a is interior to the -1
-    pyramid at v, so each unordered pair is tested once, in both orientations;
-    the first violation reported has the earlier member as its apex.
+    pyramid at v, so each unordered pair is tested once, in both orientations.
     """
-    subsets = c.subsets()
-    points = [v.coords for v in phi(c, split)]
     for idx, apex in enumerate(points):
         for jdx in range(idx + 1, len(points)):
             v = points[jdx]
@@ -194,8 +168,16 @@ def check_no_interior(c: Collection, split: tuple[int, int, int, int]) -> NoInte
             if (d[0] < 0 and d[1] > 0 and d[2] < 0 and d[3] > 0) or (
                 d[0] > 0 and d[1] < 0 and d[2] > 0 and d[3] < 0
             ):
-                return NoInteriorVerdict(False, subsets[idx], subsets[jdx])
-    return NoInteriorVerdict(True)
+                return idx, jdx
+    return None
+
+
+def check_no_interior(c: Collection, split: tuple[int, int, int, int]) -> NoInteriorVerdict:
+    """Verify no member projects inside another's pyramids; the earlier member is the apex."""
+    pair = _interior_pair(phi(c, split))
+    if pair is None:
+        return NoInteriorVerdict(True)
+    return NoInteriorVerdict(False, Subset(c.masks[pair[0]], c.n), Subset(c.masks[pair[1]], c.n))
 
 
 @dataclass(frozen=True)
@@ -207,12 +189,19 @@ class MoveProjection:
 
     @property
     def vector(self) -> tuple[int, int, int, int] | None:
-        if self.sign is None:
-            return None
-        return tuple(self.sign * x for x in SHIFT)
+        return None if self.sign is None else tuple(self.sign * x for x in SHIFT)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "vector": None if self.sign is None else list(self.vector)}
+
+def _shift_sign(a: int, b: int, c: int, d: int, bounds: tuple[int, ...]) -> int | None:
+    """The sign of the shift when a, b, c, d sit in four distinct intervals, else None.
+
+    The sign reads {interval(a), interval(c)} as a set, so all four labellings
+    of one square agree.
+    """
+    cells = [bisect_left(bounds, x) for x in (a, b, c, d)]
+    if len(set(cells)) != 4:
+        return None
+    return 1 if {cells[0], cells[2]} == {1, 3} else -1
 
 
 def move_projection_effect(
@@ -224,53 +213,40 @@ def move_projection_effect(
     removed member shares its projection with a member that stays, and the
     added member lands on a projection already present.
     """
-    if not _is_move_of(c, m):
-        raise ValueError("move is not applicable to this collection")
-    bounds = _split_bounds(split, c.n)
-
-    def interval_of(x: int) -> int:
-        for t in range(4):
-            if bounds[t] < x <= bounds[t + 1]:
-                return t + 1
-        raise AssertionError(f"element {x} outside all intervals")
-
-    cells = [interval_of(x) for x in (m.a, m.b, m.c, m.d)]
-    if len(set(cells)) != 4:
-        return MoveProjection("unchanged", None)
-    sign = 1 if {cells[0], cells[2]} == {1, 3} else -1
-    return MoveProjection("shift", sign)
+    _check_applicable(c, m)
+    sign = _shift_sign(m.a, m.b, m.c, m.d, _split_bounds(split, c.n))
+    return MoveProjection("unchanged", None) if sign is None else MoveProjection("shift", sign)
 
 
 def check_projection_laws(
-    nodes: Iterable[Collection], split: tuple[int, int, int, int]
+    graph: MutationGraph, split: tuple[int, int, int, int]
 ) -> tuple[int, bool]:
     """Check the no-interior rule on each node and the projection effect of its moves.
 
-    The nodes must be maximal collections of one grid, such as the nodes of
-    ``explore_mutation_graph``; their maximality is not checked again.
-    Returns ``(moves_checked, consistent)``; every move of every node is counted.
+    Moves and children come from the square table that built the graph, and
+    its nodes are maximal, so nothing is checked again.  Returns
+    ``(moves_checked, consistent)``; every move of every node is counted.
     """
-    images: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    bounds = _split_bounds(split, graph.n)
+    grid = _grid(graph.n, graph.k)
+    points: dict[int, list[tuple[int, ...]]] = {}
 
-    def image(c: Collection) -> set[tuple[int, ...]]:
-        if c.masks not in images:
-            images[c.masks] = {v.coords for v in phi(c, split)}
-        return images[c.masks]
+    def project(node: int) -> list[tuple[int, ...]]:
+        if node not in points:
+            points[node] = [_counts(m, bounds) for m in grid.masks(node)]
+        return points[node]
 
     checked = 0
     consistent = True
-    for node in nodes:
-        if not check_no_interior(node, split).ok:
-            consistent = False
-        for move in _square_moves(node):
+    for node in map(grid.node, graph.nodes):
+        consistent &= _interior_pair(project(node)) is None
+        for child, (s, a, b, c, d, added) in _neighbors(grid, node):
             checked += 1
-            effect = move_projection_effect(node, move, split)
-            if effect.kind == "unchanged":
-                consistent = consistent and image(node) == image(apply_square_move(node, move))
+            sign = _shift_sign(a, b, c, d, bounds)
+            if sign is None:
+                consistent &= set(project(node)) == set(project(child))
             else:
-                src = phi_subset(move.removed, split).coords
-                dst = phi_subset(move.added, split).coords
-                consistent = consistent and effect.vector == tuple(
-                    dst[t] - src[t] for t in range(4)
-                )
+                src = _counts(s | 1 << (a - 1) | 1 << (c - 1), bounds)
+                dst = _counts(added, bounds)
+                consistent &= all(dst[t] - src[t] == sign * SHIFT[t] for t in range(4))
     return checked, consistent

@@ -365,9 +365,8 @@ def test_criterion_12_lattice_counts_and_projection_laws():
         seed = complete_to_maximal(Collection.from_masks([], 6), grid(6, 3))
         graph = explore_mutation_graph(seed)
         assert graph.complete
-        nodes = graph.node_collections()
         for split in splits:
-            checked, consistent = check_projection_laws(nodes, split)
+            checked, consistent = check_projection_laws(graph, split)
             assert consistent, split
             # every move of every node is checked: each edge once from either end
             assert checked == 2 * graph.edge_count == 120, split

@@ -128,6 +128,33 @@ def test_removed_options_rejected(argv, option, value, capsys):
     assert len(errors) == 1 and "--" + option in errors[0]
 
 
+@pytest.mark.parametrize("verb", ["purity", "explore"])
+def test_negative_k_rejected(verb, capsys):
+    code, payload = invoke([verb, "--n", "4", "--k", "-1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT and payload == b""
+    expected = f"weaksep {verb}: error: argument --k: expected an integer >= 0, got '-1'"
+    assert err.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--n", "6", "--k", "3", "--budget", "-3"],
+        ["explore", "--n", "6", "--k", "3", "--budget", "0"],
+        ["mutdist", "--n", "4", "--i", "1,2", "--j", "3,4", "--budget", "-5"],
+        ["mutdist", "--n", "4", "--i", "1,2", "--j", "3,4", "--budget", "0"],
+    ],
+)
+def test_budget_below_one_rejected(argv, capsys):
+    code, payload = invoke(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT and payload == b""
+    assert "Traceback" not in err
+    expected = f"argument --budget: expected an integer >= 1, got '{argv[-1]}'"
+    assert err.splitlines()[-1].endswith(expected)
+
+
 class TestMutdist:
     def test_distance_with_path(self):
         code, report = invoke_json(["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6"])
@@ -229,6 +256,26 @@ class TestExplore:
         seed = "1,2;2,3;3,4;1,4;1,3"
         code, report = invoke_json(["explore", "--n", "4", "--k", "2", "--seed", seed])
         assert report["nodes"] == 2
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--k", "5"], "--k 5 exceeds --n 4"),
+            (["--k", "5", "--seed", "1,2;2,3;3,4;1,4;1,3"], "--k 5 exceeds --n 4"),
+            (
+                ["--k", "1", "--seed", "1,2;2,3;3,4;1,4;1,3"],
+                "every seed set must have --k 1 elements",
+            ),
+            (
+                ["--k", "2", "--seed", "1,2;2,3;3,4;1,4;1,3;1,2,3"],
+                "every seed set must have --k 2 elements",
+            ),
+        ],
+    )
+    def test_k_must_fit_n_and_seed(self, argv, error, capsys):
+        code, payload = invoke(["explore", "--n", "4", *argv])
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_split_verifies_projection_laws(self):
         code, report = invoke_json(

@@ -78,10 +78,8 @@ class TestFindSquareMoves:
 
     def test_grid_checked_once(self, monkeypatch):
         calls = []
-        real = mutations._require_grid_collection
-        monkeypatch.setattr(
-            mutations, "_require_grid_collection", lambda c: calls.append(c) or real(c)
-        )
+        real = mutations._check_maximal
+        monkeypatch.setattr(mutations, "_check_maximal", lambda c: calls.append(c) or real(c))
         find_square_moves(SMALL)
         assert len(calls) == 1
 

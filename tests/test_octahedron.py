@@ -19,8 +19,9 @@ from weaksep import (
     phi,
     phi_subset,
 )
-from weaksep.mutations import _is_move_of
-from weaksep.octahedron import ALPHA, _position
+from weaksep import octahedron
+from weaksep.mutations import MutationGraph
+from weaksep.octahedron import ALPHA, _position, check_projection_laws
 
 from _oracles import naive_no_interior, pyramid_decomposition
 
@@ -31,6 +32,16 @@ def sub(elems, n):
 
 def grid(n, k):
     return Collection(Subset.of(c, n) for c in itertools.combinations(range(1, n + 1), k))
+
+
+def accepts(fn, *args):
+    """Whether fn takes the move in args, or rejects it as not applicable."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        assert str(exc) == "move is not applicable to this collection"
+        return False
+    return True
 
 
 def splits_of(n):
@@ -44,19 +55,19 @@ def splits_of(n):
 
 class TestPhi:
     def test_examples(self):
-        assert phi_subset(sub([1, 2, 4], 6), (2, 1, 1, 2)).coords == (2, 0, 1, 0)
-        assert phi_subset(sub([3, 5, 6], 6), (2, 1, 1, 2)).coords == (0, 1, 0, 2)
-        assert phi_subset(Subset(0, 6), (2, 1, 1, 2)).coords == (0, 0, 0, 0)
+        assert phi_subset(sub([1, 2, 4], 6), (2, 1, 1, 2)) == (2, 0, 1, 0)
+        assert phi_subset(sub([3, 5, 6], 6), (2, 1, 1, 2)) == (0, 1, 0, 2)
+        assert phi_subset(Subset(0, 6), (2, 1, 1, 2)) == (0, 0, 0, 0)
 
     def test_level_is_cardinality(self):
         for split in splits_of(7):
             for m in range(1 << 7):
                 s = Subset(m, 7)
-                assert phi_subset(s, split).level == len(s)
+                assert sum(phi_subset(s, split)) == len(s)
 
     def test_collection_order(self):
         c = Collection([sub([3, 5, 6], 6), sub([1, 2, 4], 6)])
-        assert [v.coords for v in phi(c, (2, 1, 1, 2))] == [(2, 0, 1, 0), (0, 1, 0, 2)]
+        assert phi(c, (2, 1, 1, 2)) == [(2, 0, 1, 0), (0, 1, 0, 2)]
 
     def test_bad_split(self):
         with pytest.raises(ValueError):
@@ -208,46 +219,75 @@ class TestMoveProjection:
             effect = move_projection_effect(seed, move, split)
             if effect.kind == "unchanged":
                 found = True
-                before = {v.coords for v in phi(seed, split)}
-                after = {v.coords for v in phi(apply_square_move(seed, move), split)}
+                before = set(phi(seed, split))
+                after = set(phi(apply_square_move(seed, move), split))
                 assert before == after
         assert found
 
     def test_inapplicable_move_rejected(self):
-        from weaksep import SquareMove
-
         c = complete_to_maximal(Collection([sub([1, 3], 4)]), grid(4, 2))
-        bogus = SquareMove(Subset(0, 4), 1, 2, 4, 3)
-        with pytest.raises(ValueError, match="move is not applicable to this collection"):
-            move_projection_effect(c, bogus, (1, 1, 1, 1))
+        # a crossed labelling, then labels outside [1, 4]
+        for labels in ((1, 2, 4, 3), (0, 2, 3, 4), (1, 2, 3, 5)):
+            bogus = SquareMove(Subset(0, 4), *labels)
+            assert not accepts(move_projection_effect, c, bogus, (1, 1, 1, 1))
+            assert not accepts(apply_square_move, c, bogus)
 
     def test_applicability_matches_move_list(self):
         # every tuple with |s| = k - 2 and a, b, c, d distinct outside s, in
-        # every order: only the normalised listed moves are applicable
+        # every order: both move functions accept exactly the four labellings
+        # of each listed move, and the four give one child and one effect
         n, k = 6, 3
         seed = complete_to_maximal(Collection.from_masks([], n), grid(n, k))
         for node in explore_mutation_graph(seed).node_collections():
-            listed = {(m.s.mask, m.a, m.b, m.c, m.d) for m in find_square_moves(node)}
+            labellings = {}
+            for m in find_square_moves(node):
+                for a, b, c, d in (
+                    (m.a, m.b, m.c, m.d),
+                    (m.c, m.d, m.a, m.b),
+                    (m.a, m.d, m.c, m.b),
+                    (m.c, m.b, m.a, m.d),
+                ):
+                    labellings[SquareMove(m.s, a, b, c, d)] = m
             accepted = set()
             for s in itertools.combinations(range(1, n + 1), k - 2):
-                s_mask = sub(s, n).mask
                 rest = [x for x in range(1, n + 1) if x not in s]
                 for a, b, c, d in itertools.permutations(rest, 4):
-                    if _is_move_of(node, SquareMove(Subset(s_mask, n), a, b, c, d)):
-                        accepted.add((s_mask, a, b, c, d))
-            assert accepted == listed
+                    move = SquareMove(sub(s, n), a, b, c, d)
+                    applied = accepts(apply_square_move, node, move)
+                    assert accepts(move_projection_effect, node, move, (1, 2, 1, 2)) == applied
+                    if applied:
+                        accepted.add(move)
+            assert accepted == labellings.keys()
+            for move, listed in labellings.items():
+                assert apply_square_move(node, move) == apply_square_move(node, listed)
+                for split in splits_of(n):
+                    effect = move_projection_effect(node, move, split)
+                    assert effect == move_projection_effect(node, listed, split)
 
     def test_shift_really_shifts(self):
         c = complete_to_maximal(Collection([sub([1, 3], 4)]), grid(4, 2))
         move = find_square_moves(c)[0]
         split = (1, 1, 1, 1)
         effect = move_projection_effect(c, move, split)
-        src = phi_subset(move.removed, split).coords
-        dst = phi_subset(move.added, split).coords
+        src = phi_subset(move.removed, split)
+        dst = phi_subset(move.added, split)
         assert tuple(dst[t] - src[t] for t in range(4)) == effect.vector
 
 
 class TestExplorationConsistency:
+    def test_interior_pair_breaks_the_laws(self):
+        # {1,2,4} projects strictly inside a pyramid of {3,5,6} under (2,1,1,2)
+        node = (sub([1, 2, 4], 6).mask, sub([3, 5, 6], 6).mask)
+        graph = MutationGraph(6, 3, 1, 0, True, (node,))
+        assert check_projection_laws(graph, (2, 1, 1, 2)) == (0, False)
+
+    def test_wrong_shift_breaks_the_laws(self, monkeypatch):
+        seed = complete_to_maximal(Collection.from_masks([], 4), grid(4, 2))
+        graph = explore_mutation_graph(seed)
+        assert check_projection_laws(graph, (1, 1, 1, 1)) == (2, True)
+        monkeypatch.setattr(octahedron, "SHIFT", tuple(-x for x in octahedron.SHIFT))
+        assert check_projection_laws(graph, (1, 1, 1, 1)) == (2, False)
+
     def test_projection_laws_on_small_grids(self):
         for n in (4, 5, 6):
             seed = complete_to_maximal(Collection.from_masks([], n), grid(n, 2))
@@ -258,15 +298,13 @@ class TestExplorationConsistency:
                     assert check_no_interior(node, split).ok
                     for move in find_square_moves(node):
                         effect = move_projection_effect(node, move, split)
-                        before = {v.coords for v in phi(node, split)}
-                        after = {
-                            v.coords for v in phi(apply_square_move(node, move), split)
-                        }
+                        before = set(phi(node, split))
+                        after = set(phi(apply_square_move(node, move), split))
                         if effect.kind == "unchanged":
                             assert before == after
                         else:
-                            src = phi_subset(move.removed, split).coords
-                            dst = phi_subset(move.added, split).coords
+                            src = phi_subset(move.removed, split)
+                            dst = phi_subset(move.added, split)
                             assert tuple(dst[t] - src[t] for t in range(4)) == effect.vector
 
     def test_distance_consistency_with_counts(self):
