@@ -156,13 +156,18 @@ def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
     return Collection.from_masks(out, n)
 
 
+def _distance_form(k: int, lengths: tuple[int, ...]) -> int:
+    """The closed-form distance 1 + k^2 - 2k - sum C(p_i, 2) over the run lengths p_i."""
+    return 1 + k * k - 2 * k - sum(comb(p, 2) for p in lengths)
+
+
 def rank_formula(ctx: PairContext) -> int:
     """Closed-form rank of the pair domain; defined for balanced pairs only."""
     if not ctx.balanced:
         raise ValueError("rank formula requires a balanced pair")
     assert ctx.partition is not None
-    m, n, k = ctx.m, ctx.i.n, ctx.k
-    return m * (n - m) - k * k + 2 * k + sum(comb(p, 2) for p in ctx.partition.lengths)
+    m, n = ctx.m, ctx.i.n
+    return m * (n - m) + 1 - _distance_form(ctx.k, ctx.partition.lengths)
 
 
 @dataclass(frozen=True)
@@ -193,9 +198,7 @@ def cluster_distance(i: Subset, j: Subset, method: str = "exact") -> ClusterDist
         return ClusterDistance(m * (n - m) + 1 - max_clique_size(g), True)
     ctx = reduce_pair(i, j)
     assert ctx.partition is not None
-    k = ctx.k
-    value = 1 + k * k - 2 * k - sum(comb(p, 2) for p in ctx.partition.lengths)
-    return ClusterDistance(value, ctx.balanced)
+    return ClusterDistance(_distance_form(ctx.k, ctx.partition.lengths), ctx.balanced)
 
 
 # --- the left/right domain over [0, n] ---------------------------------------

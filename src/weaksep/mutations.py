@@ -19,11 +19,11 @@ from typing import Iterable
 from .cliques import (
     Collection,
     _bron_kerbosch,
-    _first_addable,
     _first_unrelated_pair,
     build_compat_graph,
     complete_to_maximal,
 )
+from .domains import build_domain_AIJ
 from .ground import (
     Subset,
     _check_pair,
@@ -215,9 +215,9 @@ def _check_maximal(c: Collection) -> tuple[int, int]:
     n, k = c.n, sizes.pop()
     if _first_unrelated_pair(c.masks, n) is not None:
         raise NotMaximal("collection is not weakly separated")
-    addable = _first_addable(_k_subset_masks(n, k), c.masks, n)
-    if addable is not None:
-        raise NotMaximal(f"collection is not maximal: {Subset(addable, n)} is addable")
+    # purity: a weakly separated collection of the grid is maximal exactly at k(n-k)+1 sets
+    if len(c) != k * (n - k) + 1:
+        raise NotMaximal(f"collection is not maximal: {len(c)} sets, not {k * (n - k) + 1}")
     return n, k
 
 
@@ -290,17 +290,10 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
                 elif child not in visited:
                     layer.add(child)
             done.add(node)
-        room = budget - len(visited)
-        if room <= 0:
-            truncated = bool(layer)
-            break
         # descending ints are ascending tuples, so the smallest tuples are kept
-        ordered = sorted(layer, reverse=True)
-        if len(ordered) > room:
-            ordered = ordered[:room]
-            truncated = True
-        visited.update(ordered)
-        frontier = ordered
+        frontier = sorted(layer, reverse=True)[: max(budget - len(visited), 0)]
+        truncated = truncated or len(frontier) < len(layer)
+        visited.update(frontier)
     nodes = tuple(map(grid.masks, sorted(visited, reverse=True)))
     return MutationGraph(n, k, len(visited), edges, not truncated, nodes)
 
@@ -343,9 +336,7 @@ def _maximal_collections_containing(s: Subset, grid: _Grid) -> list[int]:
     subsets compatible with s: a maximal clique missing s could absorb it, so
     every one of them contains it.  They come in Bron-Kerbosch visit order.
     """
-    n, k = s.n, len(s)
-    dom = [m for m in _k_subset_masks(n, k) if _weakly_separated_masks(m, s.mask)]
-    g = build_compat_graph(Collection.from_masks(dom, n), "weak")
+    g = build_compat_graph(build_domain_AIJ(s, s), "weak")
     bits = list(map(grid.__getitem__, g.vertices.masks))
     found: list[int] = []
     _bron_kerbosch(g.adj, lambda r: found.append(sum(map(bits.__getitem__, r))))
@@ -373,12 +364,11 @@ def mutation_distance(
         return DistanceResult(0, (), both, both, 0)
 
     grid = _grid(n, k)
-    # side maps: node -> (parent, move, depth); roots have parent None
+    # per side, 0 from i and 1 from j: node -> (parent, move, depth); roots have parent None
     root = (None, None, 0)
-    fwd: dict[int, tuple] = dict.fromkeys(_maximal_collections_containing(i, grid), root)
-    bwd: dict[int, tuple] = dict.fromkeys(_maximal_collections_containing(j, grid), root)
-    fwd_frontier, bwd_frontier = list(fwd), list(bwd)
-    fwd_depth = bwd_depth = 0
+    sides = [dict.fromkeys(_maximal_collections_containing(x, grid), root) for x in (i, j)]
+    frontiers = [list(side) for side in sides]
+    depths = [0, 0]
     best: int | None = None
     meet: int | None = None
 
@@ -386,37 +376,29 @@ def mutation_distance(
         # the meeting node is the smallest tuple, so the largest int, of least sum
         nonlocal best, meet
         for node in fresh:
-            if node in fwd and node in bwd:
-                total = fwd[node][2] + bwd[node][2]
+            if node in sides[0] and node in sides[1]:
+                total = sides[0][node][2] + sides[1][node][2]
                 if best is None or total < best or (total == best and node > meet):
                     best, meet = total, node
 
-    scan(fwd.keys() & bwd.keys())
-    while best is None or fwd_depth + bwd_depth < best:
-        candidates = [
-            (len(fwd_frontier), True),
-            (len(bwd_frontier), False),
-        ]
-        candidates = [c for c in candidates if c[0] > 0]
-        if not candidates:
+    scan(sides[0].keys() & sides[1].keys())
+    while best is None or sum(depths) < best:
+        # the smaller non-empty frontier grows; a tie grows the j side
+        live = [s for s in (1, 0) if frontiers[s]]
+        if not live:
             break
-        grow_fwd = min(candidates)[1]
-        side, frontier, depth = (
-            (fwd, fwd_frontier, fwd_depth + 1) if grow_fwd else (bwd, bwd_frontier, bwd_depth + 1)
-        )
-        if len(fwd) + len(bwd) >= budget:
-            return DistanceResult(None, (), None, None, len(fwd) + len(bwd), best)
+        grow = min(live, key=lambda s: len(frontiers[s]))
+        if sum(map(len, sides)) >= budget:
+            return DistanceResult(None, (), None, None, sum(map(len, sides)), best)
+        side, depth = sides[grow], depths[grow] + 1
         layer: dict[int, tuple] = {}
         # descending ints are ascending tuples, the canonical expansion order
-        for node in sorted(frontier, reverse=True):
+        for node in sorted(frontiers[grow], reverse=True):
             for child, move in _neighbors(grid, node):
                 if child not in side and child not in layer:
                     layer[child] = (node, move, depth)
         side.update(layer)
-        if grow_fwd:
-            fwd_frontier, fwd_depth = layer, depth
-        else:
-            bwd_frontier, bwd_depth = layer, depth
+        frontiers[grow], depths[grow] = layer, depth
         scan(layer)
     if meet is None:
         raise RuntimeError(
@@ -424,18 +406,16 @@ def mutation_distance(
             "components of the two endpoints are disjoint"
         )
 
-    fwd_moves, src = _walk_back(meet, fwd)
-    bwd_moves, dst = _walk_back(meet, bwd)
-    path = tuple(
-        SquareMove(Subset(s, n), a, b, c, d)
-        for s, a, b, c, d, _ in reversed(fwd_moves)
-    ) + tuple(SquareMove(Subset(s, n), a, b, c, d).inverse() for s, a, b, c, d, _ in bwd_moves)
+    (to_meet, src), (from_meet, dst) = (_walk_back(meet, side) for side in sides)
+    path = tuple(SquareMove(Subset(m[0], n), *m[1:5]) for m in reversed(to_meet)) + tuple(
+        SquareMove(Subset(m[0], n), *m[1:5]).inverse() for m in from_meet
+    )
     return DistanceResult(
         best,
         path,
         Collection.from_masks(grid.masks(src), n),
         Collection.from_masks(grid.masks(dst), n),
-        len(fwd) + len(bwd),
+        sum(map(len, sides)),
     )
 
 

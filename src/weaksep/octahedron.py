@@ -16,7 +16,7 @@ from itertools import accumulate
 from math import comb
 
 from .cliques import Collection
-from .domains import circle_partition
+from .domains import _distance_form, circle_partition
 from .ground import Subset
 from .mutations import MutationGraph, SquareMove, _check_applicable, _grid, _neighbors
 
@@ -129,7 +129,7 @@ def p4_counts(a: Subset) -> P4Counts:
                 v = tuple(apex_p[t] + t1 * e1[t] + t2 * e2[t] for t in range(4))
                 if _position(apex_q, -1, v) == "interior":
                     z_points.add(v)
-    z_formula = 1 + k * k - 2 * k - sum(comb(x, 2) for x in p)
+    z_formula = _distance_form(k, p)
 
     interior = 0
     for v1 in range(p[0] + 1):

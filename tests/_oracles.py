@@ -74,6 +74,18 @@ def naive_no_interior(sets: list[set], split: tuple) -> tuple[int, int] | None:
     return None
 
 
+def naive_is_maximal(sets: list[set], n: int) -> bool:
+    """Whether same-size sets are pairwise weakly separated and no k-subset of [n] can join them."""
+    have = {frozenset(x) for x in sets}
+    if not all(naive_weakly_separated(s, t) for s, t in itertools.combinations(have, 2)):
+        return False
+    k = len(next(iter(have)))
+    return not any(
+        frozenset(c) not in have and all(naive_weakly_separated(set(c), s) for s in have)
+        for c in itertools.combinations(range(1, n + 1), k)
+    )
+
+
 def naive_square_moves(sets: list[set], n: int) -> set[tuple]:
     """Every square move of a collection of k-sets, as (S, a, b, c, d, added) with sets.
 

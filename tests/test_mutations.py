@@ -1,9 +1,10 @@
 import collections
 import itertools
 import os
+import random
 
 import pytest
-from _oracles import naive_square_moves
+from _oracles import naive_is_maximal, naive_square_moves, naive_weakly_separated
 
 from weaksep import (
     BigInstance,
@@ -75,6 +76,32 @@ class TestFindSquareMoves:
             find_square_moves(coll([[1, 2], [2, 3]], 4))
         with pytest.raises(NotMaximal):
             find_square_moves(coll([[1, 3], [2, 4], [1, 2], [2, 3], [3, 4], [1, 4]], 4))
+
+    def test_maximality_matches_naive_oracle(self):
+        # explored nodes, each of them with one set removed, and random separated collections
+        cases = []
+        for n, k in ((5, 2), (6, 3), (7, 3)):
+            for idx, node in enumerate(explored(n, k).nodes):
+                drop = node[idx % len(node)]
+                cases += [(node, n), (tuple(x for x in node if x != drop), n)]
+        rng = random.Random(0)
+        for _ in range(300):
+            n = rng.randint(4, 7)
+            k = rng.randint(2, n - 2)
+            order = [sub(c, n).mask for c in itertools.combinations(range(1, n + 1), k)]
+            rng.shuffle(order)
+            chosen = []
+            for x in order[: rng.randint(1, len(order))]:
+                if all(naive_weakly_separated(elements(x, n), elements(y, n)) for y in chosen):
+                    chosen.append(x)
+            cases.append((tuple(chosen), n))
+        for masks, n in cases:
+            try:
+                mutations._check_maximal(Collection.from_masks(masks, n))
+                listed = True
+            except NotMaximal:
+                listed = False
+            assert listed == naive_is_maximal([elements(x, n) for x in masks], n), (masks, n)
 
     def test_grid_checked_once(self, monkeypatch):
         calls = []
@@ -168,6 +195,14 @@ class TestExplore:
         seed = complete_to_maximal(coll([[1, 3]], 4), grid(4, 2))
         g = explore_mutation_graph(seed, budget=1)
         assert g.node_count == 1 and not g.complete
+
+    def test_cut_graph_is_never_complete(self):
+        # a cut layer stays cut even when the kept nodes open no further layer
+        for root in explored(6, 3).nodes:
+            seed = Collection.from_masks(root, 6)
+            for budget in range(1, 35):
+                g = explore_mutation_graph(seed, budget=budget)
+                assert g.complete == (g.node_count == 34), (root, budget)
 
     def test_edge_count_matches_brute_force(self):
         # truncated graphs too: an edge joins two nodes that differ in one set

@@ -1,0 +1,108 @@
+"""Pins of the public surface: the package's exported names and the CLI options.
+
+Both lists should only shrink.  A change that adds or removes a name or an
+option edits the pin here on purpose and says so in CHANGES.md.
+"""
+
+import argparse
+import types
+
+import weaksep
+from weaksep.cli import build_parser
+
+EXPORTS = [
+    "BigInstance",
+    "ChainNotFound",
+    "Collection",
+    "CompatGraph",
+    "CyclicOrder",
+    "DecoratedPermutation",
+    "GrassmannNecklace",
+    "GroundSetMismatch",
+    "NotMaximal",
+    "ProfileNotFound",
+    "SimpleCyclicPattern",
+    "SquareMove",
+    "Subset",
+    "apply_square_move",
+    "block_reversal_permutation",
+    "boundary_intervals",
+    "build_compat_graph",
+    "build_domain_AIJ",
+    "canonical_permutation",
+    "characterize_element",
+    "check_no_interior",
+    "chord_chain",
+    "circle_partition",
+    "cluster_distance",
+    "complete_to_maximal",
+    "cyclic_interval",
+    "cyclically_ordered",
+    "domain_in_for_necklace",
+    "enumerate_maximal_cliques",
+    "explore_mutation_graph",
+    "find_square_moves",
+    "gale_leq",
+    "is_balanced",
+    "is_chord_separated",
+    "is_cyclic_interval",
+    "is_generalized_cyclic_pattern",
+    "is_weakly_separated",
+    "length_of",
+    "lr_chain",
+    "lr_domain",
+    "lr_labels",
+    "lr_subset",
+    "max_clique_size",
+    "move_projection_effect",
+    "mutation_distance",
+    "necklace_from_perm",
+    "normalize_p4",
+    "p4_counts",
+    "perm_from_necklace",
+    "phi",
+    "phi_subset",
+    "positroid_contains",
+    "purity_report",
+    "rank_formula",
+    "reduce_pair",
+    "simple_pattern_split",
+    "surrounds",
+    "tau_kn",
+    "unbalanced_witness",
+]
+
+OPTIONS = {
+    "check": ["--a", "--b", "--n"],
+    "chord": ["--n", "--u", "--v"],
+    "distance": ["--i", "--j", "--method", "--n"],
+    "domain": ["--format", "--i", "--j", "--n"],
+    "explore": ["--budget", "--format", "--k", "--n", "--seed", "--split"],
+    "lr": ["--chains", "--n"],
+    "mutdist": ["--big", "--budget", "--i", "--j", "--n"],
+    "necklace": ["--a", "--colors", "--k", "--n", "--perm"],
+    "octahedron": ["--a", "--n", "--p"],
+    "purity": ["--format", "--i", "--j", "--k", "--n", "--powerset"],
+}
+
+
+def test_exports_are_pinned():
+    names = sorted(
+        name
+        for name in dir(weaksep)
+        if not name.startswith("_") and not isinstance(getattr(weaksep, name), types.ModuleType)
+    )
+    assert names == EXPORTS
+    assert len(EXPORTS) == 59
+
+
+def test_cli_options_are_pinned():
+    verbs = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    options = {
+        verb: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for verb, p in verbs.items()
+    }
+    assert options == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 41
