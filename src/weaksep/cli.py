@@ -2,7 +2,8 @@
 
 One verb per library capability; every report is a single JSON document with
 sorted keys (JSONL for node streams), so identical invocations give identical
-bytes.  Exit codes: 0 success, 2 invalid input, 3 budget exhausted.
+bytes.  Exit codes: 0 success, 2 invalid input, 3 budget exhausted, 4 internal
+error (a search that the theory says cannot fail did fail).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .ground import Subset, _k_subset_masks, is_chord_separated, is_weakly_separ
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def emit_report(result: Any, fmt: str = "json") -> bytes:
@@ -328,9 +330,9 @@ def run(argv: list[str]) -> int:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         code, payload = _COMMANDS[args.verb](args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
+        return EXIT_INTERNAL if isinstance(exc, RuntimeError) else EXIT_BAD_INPUT
     sys.stdout.buffer.write(payload)
     sys.stdout.buffer.flush()
     return code

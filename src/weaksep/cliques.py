@@ -150,17 +150,17 @@ def build_compat_graph(domain: Collection, relation: str = "weak") -> CompatGrap
     return CompatGraph(domain, tuple(adj))
 
 
-def _bron_kerbosch(adj: tuple[int, ...], visit: Callable[[list[int]], None]) -> None:
-    """Visit every maximal clique exactly once (pivoting on max candidate-degree).
+def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[[int], None]) -> None:
+    """Visit every maximal clique once, as the sum of its vertices' weights.
 
-    Ties in the pivot choice break toward the lowest vertex index, which fixes
-    the recursion tree and hence the visit order.
+    Pivots on max candidate-degree, ties toward the lowest vertex index, which
+    fixes the recursion tree and the visit order.  Weight 1 gives clique sizes.
     """
     m = len(adj)
 
-    def expand(r: list[int], p: int, x: int) -> None:
+    def expand(acc: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            visit(r)
+            visit(acc)
             return
         pivot, best = -1, -1
         q = p | x
@@ -174,24 +174,29 @@ def _bron_kerbosch(adj: tuple[int, ...], visit: Callable[[list[int]], None]) -> 
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            r.append(v)
-            expand(r, p & adj[v], x & adj[v])
-            r.pop()
+            expand(acc + weight[v], p & adj[v], x & adj[v])
             p &= ~(1 << v)
             x |= 1 << v
 
     if m:
-        expand([], (1 << m) - 1, 0)
+        expand(0, (1 << m) - 1, 0)
 
 
 def enumerate_maximal_cliques(g: CompatGraph) -> list[Collection]:
     """All inclusion-maximal cliques, each once, in canonical stream order."""
     masks = g.vertices.masks
-    n = g.vertices.n
     found: list[tuple[int, ...]] = []
-    _bron_kerbosch(g.adj, lambda r: found.append(tuple(sorted(masks[v] for v in r))))
+
+    def visit(r: int) -> None:
+        out = []
+        while r:  # vertices are in ascending mask order, so low bit first
+            out.append(masks[(r & -r).bit_length() - 1])
+            r &= r - 1
+        found.append(tuple(out))
+
+    _bron_kerbosch(g.adj, [1 << v for v in range(len(masks))], visit)
     found.sort()
-    return [Collection.from_masks(t, n) for t in found]
+    return [Collection.from_masks(t, g.vertices.n) for t in found]
 
 
 def max_clique_size(g: CompatGraph) -> int:
@@ -282,7 +287,7 @@ def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
         return PurityReport(0, {}, 0, 0, True, None, 0)
     g = build_compat_graph(domain, relation)
     sizes: Counter[int] = Counter()
-    _bron_kerbosch(g.adj, lambda r: sizes.update((len(r),)))
+    _bron_kerbosch(g.adj, [1] * len(g), lambda size: sizes.update((size,)))
     lo, hi = min(sizes), max(sizes)
     pure = lo == hi
     return PurityReport(

@@ -337,9 +337,9 @@ def _maximal_collections_containing(s: Subset, grid: _Grid) -> list[int]:
     every one of them contains it.  They come in Bron-Kerbosch visit order.
     """
     g = build_compat_graph(build_domain_AIJ(s, s), "weak")
-    bits = list(map(grid.__getitem__, g.vertices.masks))
     found: list[int] = []
-    _bron_kerbosch(g.adj, lambda r: found.append(sum(map(bits.__getitem__, r))))
+    # weighted by grid bits, each clique is visited as its finished node
+    _bron_kerbosch(g.adj, list(map(grid.__getitem__, g.vertices.masks)), found.append)
     return found
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from weaksep import cli
-from weaksep.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, emit_report, run
+from weaksep import cli, domains, mutations, octahedron
+from weaksep.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, emit_report, run
 
 
 def invoke(argv):
@@ -170,6 +170,43 @@ class TestMutdist:
     def test_big_gate(self):
         code, _ = invoke(["mutdist", "--n", "8", "--i", "1,2,5,6", "--j", "3,4,7,8"])
         assert code == EXIT_BAD_INPUT
+
+
+def raiser(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def assert_internal_error(argv, capsys, message):
+    code, payload = invoke(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL and payload == b""
+    assert err == f"error: {message}\n"
+
+
+class TestInternalErrors:
+    """A search the theory says cannot fail exits 4 with one error line, not a traceback."""
+
+    def test_chain_not_found(self, monkeypatch, capsys):
+        monkeypatch.setattr(domains, "lr_chain", raiser(domains.ChainNotFound("no chain")))
+        assert_internal_error(["lr", "--n", "4", "--chains"], capsys, "no chain")
+
+    def test_profile_not_found(self, monkeypatch, capsys):
+        monkeypatch.setattr(octahedron, "p4_counts", raiser(domains.ProfileNotFound("no profile")))
+        assert_internal_error(["octahedron", "--p", "2,1,1,2"], capsys, "no profile")
+
+    def test_disjoint_frontiers(self, monkeypatch, capsys):
+        # with no square moves the two seed sets, which share no collection,
+        # can never meet, so mutation_distance raises its own RuntimeError
+        monkeypatch.setattr(mutations, "_neighbors", lambda grid, node: [])
+        argv = ["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6"]
+        message = (
+            "both frontiers exhausted without meeting; the mutation graph "
+            "components of the two endpoints are disjoint"
+        )
+        assert_internal_error(argv, capsys, message)
 
 
 class TestNecklaceVerb:

@@ -141,6 +141,37 @@ class TestEnumerateMaximalCliques:
         assert runs[0] == runs[1]
 
 
+class TestWeightedBronKerbosch:
+    def test_bit_and_unit_weights_match_naive_oracle(self):
+        # weight 1 << v visits each clique as its vertex bitset, weight 1 as
+        # its size; densities from sparse to near-complete, up to 12 vertices
+        rng = random.Random(9)
+        for trial in range(60):
+            m = rng.randint(1, 12)
+            density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            adj = [0] * m
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if rng.random() < density:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+            expected = naive_maximal_cliques(adj)
+            bitsets, sizes = [], []
+            _bron_kerbosch(tuple(adj), [1 << v for v in range(m)], bitsets.append)
+            _bron_kerbosch(tuple(adj), [1] * m, sizes.append)
+            cliques = [frozenset(v for v in range(m) if r >> v & 1) for r in bitsets]
+            assert len(cliques) == len(set(cliques)), (trial, m)
+            assert set(cliques) == expected, (trial, m)
+            assert sorted(sizes) == sorted(len(c) for c in expected), (trial, m)
+            # both weightings walk one recursion tree, so the visits pair up
+            assert sizes == [len(c) for c in cliques], (trial, m)
+
+    def test_empty_graph_visits_nothing(self):
+        seen = []
+        _bron_kerbosch((), [], seen.append)
+        assert seen == []
+
+
 class TestMaxCliqueSize:
     def test_paper_maxima(self):
         d1 = build_domain_AIJ(sub([1, 2, 4], 6), sub([3, 5, 6], 6))
@@ -167,7 +198,7 @@ class TestMaxCliqueSize:
                 vertices = Collection.from_masks(range(1, m + 1), 6)
                 best = max_clique_size(CompatGraph(vertices, tuple(adj)))
                 sizes = []
-                _bron_kerbosch(tuple(adj), lambda r: sizes.append(len(r)))
+                _bron_kerbosch(tuple(adj), [1] * m, sizes.append)
                 assert best == max(sizes), (density, m)
                 perm = rng.sample(range(m), m)
                 moved = [0] * m

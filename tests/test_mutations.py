@@ -15,6 +15,7 @@ from weaksep import (
     apply_square_move,
     boundary_intervals,
     build_compat_graph,
+    build_domain_AIJ,
     complete_to_maximal,
     cluster_distance,
     enumerate_maximal_cliques,
@@ -22,9 +23,10 @@ from weaksep import (
     find_square_moves,
     is_weakly_separated,
     mutation_distance,
+    purity_report,
 )
 from weaksep import mutations
-from weaksep.mutations import _grid, _neighbors
+from weaksep.mutations import _grid, _maximal_collections_containing, _neighbors
 
 
 def sub(elems, n):
@@ -364,8 +366,32 @@ class TestGrid:
         assert len(grid.rows) == len(set().union(*g.nodes)) < 100
 
 
+class TestSeeding:
+    def test_seeds_are_the_grid_collections_holding_the_set(self):
+        # seeds come out of the enumeration as finished grid nodes; they must
+        # be exactly the full-grid maximal cliques that contain s, each once
+        for n, k in ((6, 3), (7, 3)):
+            table = _grid(n, k)
+            full = [c.masks for c in enumerate_maximal_cliques(build_compat_graph(grid(n, k)))]
+            for combo in itertools.combinations(range(1, n + 1), k):
+                s = sub(combo, n)
+                seeds = _maximal_collections_containing(s, table)
+                assert len(seeds) == len(set(seeds)), (n, combo)
+                expected = {table.node(masks) for masks in full if s.mask in masks}
+                assert set(seeds) == expected, (n, combo)
+
+
 @pytest.mark.skipif(os.environ.get("WEAKSEP_LONG") != "1", reason="runs under WEAKSEP_LONG=1")
 class TestBigGrid:
+    def test_ten_four_run_pair_seed_count(self):
+        # the (3,2,2,3) pair at n = 10 that the budget call seeds from both ends
+        i = sub([1, 2, 3, 6, 7], 10)
+        grid = _grid(10, 5)
+        for s in (i, i.complement()):
+            seeds = _maximal_collections_containing(s, grid)
+            assert len(seeds) == len(set(seeds)) == 244037
+            assert purity_report(build_domain_AIJ(s, s)).clique_count == 244037
+
     def test_four_of_eight_graph_matches_clique_census(self):
         # the gated 4-of-8 grid is in fact fully explorable: 5470 maximal
         # collections, found identically by moves and by clique enumeration
