@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import comb
 from typing import Any
 
@@ -48,6 +49,7 @@ def _int_from(low: int):
     return parse
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaksep",
@@ -160,7 +162,9 @@ def _cmd_purity(args) -> tuple[int, bytes]:
         if len(domain) == 0:
             return EXIT_OK, emit_report([], "jsonl")
         cliques = enumerate_maximal_cliques(build_compat_graph(domain, "weak"))
-        return EXIT_OK, emit_report([c.to_json() for c in cliques], "jsonl")
+        # every clique repeats domain members, so each is decoded once
+        rows = {m: Subset(m, domain.n).to_json() for m in domain.masks}
+        return EXIT_OK, emit_report([[rows[m] for m in c.masks] for c in cliques], "jsonl")
     return EXIT_OK, emit_report(purity_report(domain, "weak").to_json())
 
 

@@ -2,15 +2,14 @@
 
 A domain plus a pairwise predicate becomes a graph; maximal weakly separated
 collections are its maximal cliques.  Enumeration (Bron-Kerbosch with
-pivoting) and maximum-clique size (branch and bound with greedy-coloring
-bounds) are coded independently so the two routes can cross-validate.  The
+pivoting, forced candidates folded) and maximum-clique size (branch and bound
+with greedy-coloring bounds) are coded independently to cross-validate.  The
 branch and bound runs on the vertices relabelled once by non-increasing
 degree, ties by index; enumeration keeps the domain's own order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,12 +47,18 @@ class Collection:
     @classmethod
     def from_masks(cls, masks: Iterable[int], n: int) -> "Collection":
         _check_ground_size(n)
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "masks", tuple(sorted(set(masks))))
+        obj = cls._canonical(tuple(sorted(set(masks))), n)
         for m in obj.masks:
             if not 0 <= m < (1 << n):
                 raise ValueError(f"mask {m:#x} has bits outside [1, {n}]")
+        return obj
+
+    @classmethod
+    def _canonical(cls, masks: tuple[int, ...], n: int) -> "Collection":
+        """Wrap masks that are already ascending, distinct and inside [n], unchecked."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "masks", masks)
         return obj
 
     def subsets(self) -> tuple[Subset, ...]:
@@ -153,28 +158,56 @@ def build_compat_graph(domain: Collection, relation: str = "weak") -> CompatGrap
 def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[[int], None]) -> None:
     """Visit every maximal clique once, as the sum of its vertices' weights.
 
-    Pivots on max candidate-degree, ties toward the lowest vertex index, which
-    fixes the recursion tree and the visit order.  Weight 1 gives clique sizes.
+    Forced candidates, adjacent to every other candidate, lie in every maximal
+    clique of their branch and are folded into it at once.  The pivot is the
+    remaining vertex of P or X with the most candidate neighbours, ties toward
+    the lowest index, which fixes the recursion tree and the visit order.
+    Weight 1 gives clique sizes.
     """
     m = len(adj)
 
     def expand(acc: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            visit(acc)
-            return
-        pivot, best = -1, -1
-        q = p | x
+        # p is never empty; a branch with no candidates is settled by its caller
+        top = p.bit_count() - 1
+        pivot, best, forced = -1, -1, 0
+        q = p
         while q:
             u = (q & -q).bit_length() - 1
             q &= q - 1
             d = (p & adj[u]).bit_count()
-            if d > best:
+            if d == top:
+                forced |= 1 << u
+                acc += weight[u]
+                x &= adj[u]
+            elif d > best:
                 best, pivot = d, u
+        # what remains of P and X is adjacent to every forced vertex, so degrees
+        # into p keep their order without them, and no other candidate is forced
+        rest = p & ~forced
+        if not rest:
+            if not x:
+                visit(acc)
+            return
+        q = x
+        while q:
+            u = (q & -q).bit_length() - 1
+            q &= q - 1
+            d = (p & adj[u]).bit_count()
+            if d > top:
+                return  # u extends every clique of this branch
+            if d > best or (d == best and u < pivot):
+                best, pivot = d, u
+        p = rest
         cand = p & ~adj[pivot]
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            expand(acc + weight[v], p & adj[v], x & adj[v])
+            row = adj[v]
+            inner = p & row
+            if inner:
+                expand(acc + weight[v], inner, x & row)
+            elif not x & row:
+                visit(acc + weight[v])
             p &= ~(1 << v)
             x |= 1 << v
 
@@ -196,7 +229,7 @@ def enumerate_maximal_cliques(g: CompatGraph) -> list[Collection]:
 
     _bron_kerbosch(g.adj, [1 << v for v in range(len(masks))], visit)
     found.sort()
-    return [Collection.from_masks(t, g.vertices.n) for t in found]
+    return [Collection._canonical(t, g.vertices.n) for t in found]
 
 
 def max_clique_size(g: CompatGraph) -> int:
@@ -286,13 +319,16 @@ def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
     if len(domain) == 0:
         return PurityReport(0, {}, 0, 0, True, None, 0)
     g = build_compat_graph(domain, relation)
-    sizes: Counter[int] = Counter()
-    _bron_kerbosch(g.adj, [1] * len(g), lambda size: sizes.update((size,)))
+    counts = [0] * (len(g) + 1)
+
+    def count(size: int) -> None:
+        counts[size] += 1
+
+    _bron_kerbosch(g.adj, [1] * len(g), count)
+    sizes = {size: c for size, c in enumerate(counts) if c}
     lo, hi = min(sizes), max(sizes)
     pure = lo == hi
-    return PurityReport(
-        len(domain), dict(sizes), lo, hi, pure, hi if pure else None, sum(sizes.values())
-    )
+    return PurityReport(len(domain), sizes, lo, hi, pure, hi if pure else None, sum(counts))
 
 
 def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:

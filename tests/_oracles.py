@@ -2,7 +2,10 @@
 
 Everything here works on plain Python sets and brute force, deliberately
 sharing no code with the package: definition-level scans for the separation
-predicates and full subset enumeration for maximal cliques.
+predicates and full subset enumeration for maximal cliques.  The one
+exception is ``plain_bron_kerbosch``, the unfolded kernel that the library's
+enumeration replaced, kept so that the two can be compared on graphs too
+large for brute force.
 """
 
 import itertools
@@ -45,11 +48,45 @@ def naive_maximal_cliques(adj: list[int]) -> set[frozenset]:
         verts = [v for v in range(m) if bits >> v & 1]
         if all(adj[u] >> v & 1 for u, v in itertools.combinations(verts, 2)):
             cliques.append(bits)
+    # a clique with a larger clique around it also has one a single vertex larger
+    known = set(cliques)
     out = set()
     for bits in cliques:
-        if not any(other != bits and other & bits == bits for other in cliques):
+        if not any(bits | 1 << v in known for v in range(m) if not bits >> v & 1):
             out.add(frozenset(v for v in range(m) if bits >> v & 1))
     return out
+
+
+def plain_bron_kerbosch(adj, weight, visit) -> None:
+    """Bron-Kerbosch with pivoting and no folding: every candidate is branched on.
+
+    Pivots on max candidate-degree over P and X, ties toward the lowest
+    index, and visits each maximal clique as the sum of its vertices'
+    weights.  This is the kernel that ``cliques._bron_kerbosch`` replaced.
+    """
+
+    def expand(acc, p, x):
+        if p == 0 and x == 0:
+            visit(acc)
+            return
+        pivot, best = -1, -1
+        q = p | x
+        while q:
+            u = (q & -q).bit_length() - 1
+            q &= q - 1
+            d = (p & adj[u]).bit_count()
+            if d > best:
+                best, pivot = d, u
+        cand = p & ~adj[pivot]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            expand(acc + weight[v], p & adj[v], x & adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    if adj:
+        expand(0, (1 << len(adj)) - 1, 0)
 
 
 def naive_no_interior(sets: list[set], split: tuple) -> tuple[int, int] | None:

@@ -348,6 +348,36 @@ class TestDeterminism:
         assert invoke(argv) == invoke(argv)
 
 
+class TestSharedParser:
+    # one parser serves every call, so no call may leave state for the next
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_budget_does_not_stick(self):
+        argv = ["mutdist", "--n", "8", "--i", "1,2,5,6", "--j", "3,4,7,8", "--big"]
+        code, report = invoke_json(argv + ["--budget", "5"])
+        assert code == EXIT_BUDGET and report["distance"] == "budget-exhausted"
+        code, report = invoke_json(argv)
+        assert code == EXIT_OK and report["distance"] == 6
+
+    def test_rejected_argv_leaves_parser_usable(self, capsys):
+        code, _ = invoke(["purity", "--n", "4", "--bogus"])
+        assert code == EXIT_BAD_INPUT
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        code, report = invoke_json(["check", "--n", "6", "--a", "1,2,4", "--b", "3,5,6"])
+        assert code == EXIT_OK and report["weakly_separated"] is False
+
+    def test_each_call_gets_a_fresh_namespace(self):
+        code, report = invoke_json(["purity", "--n", "6", "--k", "3"])
+        assert code == EXIT_OK and report["rank"] == 10
+        # a --k left over from the call above would clash with --i/--j
+        code, report = invoke_json(["purity", "--n", "10", "--i", "1,2,4,6,8", "--j", "3,5,7,9,10"])
+        assert code == EXIT_OK and report["rank"] == 12
+        args = cli.build_parser().parse_args(["purity", "--n", "10", "--i", "1", "--j", "2"])
+        assert args.k is None and not args.powerset
+
+
 class TestEmitReport:
     def test_json_sorted_keys(self):
         assert emit_report({"b": 1, "a": 2}) == b'{"a":2,"b":1}\n'

@@ -1,4 +1,6 @@
+import itertools
 import json
+import os
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from weaksep import (
     boundary_intervals,
     build_compat_graph,
     build_domain_AIJ,
+    circle_partition,
     complete_to_maximal,
     enumerate_maximal_cliques,
     max_clique_size,
@@ -17,9 +20,11 @@ from weaksep import (
     unbalanced_witness,
 )
 from weaksep.cliques import CompatGraph, _bron_kerbosch, _first_addable
-from weaksep.ground import _weakly_separated_masks
+from weaksep.ground import _k_subset_masks, _weakly_separated_masks
 
-from _oracles import naive_maximal_cliques
+from _oracles import naive_maximal_cliques, plain_bron_kerbosch
+
+LONG = os.environ.get("WEAKSEP_LONG") == "1"
 
 
 def sub(elems, n):
@@ -28,6 +33,16 @@ def sub(elems, n):
 
 def coll(sets, n):
     return Collection(Subset.of(s, n) for s in sets)
+
+
+def random_graph(rng, m, density):
+    adj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
 
 class TestCollection:
@@ -106,12 +121,7 @@ class TestEnumerateMaximalCliques:
 
         for trial in range(40):
             m = rng.randint(1, 12)
-            adj = [0] * m
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if rng.random() < 0.45:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
+            adj = random_graph(rng, m, 0.45)
             vertices = Collection.from_masks(range(1, m + 1), 6)
             g = CompatGraph(vertices, tuple(adj))
             got = {
@@ -134,6 +144,18 @@ class TestEnumerateMaximalCliques:
                 if not chosen >> v & 1:
                     assert g.adj[v] & chosen != chosen
 
+    def test_cliques_equal_the_checked_route(self):
+        # cliques are wrapped without the sort, dedup and range check of
+        # from_masks; they must come out as that route would build them
+        rng = random.Random(21)
+        for trial in range(60):
+            n = rng.randint(3, 7)
+            dom = Collection.from_masks(rng.sample(range(1 << n), rng.randint(1, min(30, 1 << n))), n)
+            for c in enumerate_maximal_cliques(build_compat_graph(dom)):
+                checked = Collection.from_masks(c.masks, n)
+                assert c == checked and hash(c) == hash(checked), trial
+                assert type(c.masks) is tuple and c.to_json() == checked.to_json(), trial
+
     def test_deterministic_stream(self):
         dom = build_domain_AIJ(sub([1, 2, 4], 6), sub([3, 5, 6], 6))
         g = build_compat_graph(dom, "weak")
@@ -148,13 +170,7 @@ class TestWeightedBronKerbosch:
         rng = random.Random(9)
         for trial in range(60):
             m = rng.randint(1, 12)
-            density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
-            adj = [0] * m
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if rng.random() < density:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
+            adj = random_graph(rng, m, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
             expected = naive_maximal_cliques(adj)
             bitsets, sizes = [], []
             _bron_kerbosch(tuple(adj), [1 << v for v in range(m)], bitsets.append)
@@ -170,6 +186,96 @@ class TestWeightedBronKerbosch:
         seen = []
         _bron_kerbosch((), [], seen.append)
         assert seen == []
+
+    def check_against_oracle(self, adj, label):
+        bitsets = []
+        _bron_kerbosch(tuple(adj), [1 << v for v in range(len(adj))], bitsets.append)
+        cliques = [frozenset(v for v in range(len(adj)) if r >> v & 1) for r in bitsets]
+        assert len(cliques) == len(set(cliques)), label
+        assert set(cliques) == naive_maximal_cliques(adj), label
+
+    def test_dense_graphs_match_naive_oracle(self):
+        # dense graphs have many candidates adjacent to all the others, so
+        # most branches fold vertices
+        rng = random.Random(11)
+        for trial in range(40):
+            m = rng.randint(2, 14)
+            adj = random_graph(rng, m, rng.uniform(0.8, 0.97))
+            self.check_against_oracle(adj, (trial, m))
+
+    def test_planted_universal_vertices_match_naive_oracle(self):
+        rng = random.Random(12)
+        for trial in range(40):
+            m = rng.randint(2, 13)
+            adj = random_graph(rng, m, rng.choice((0.2, 0.5, 0.8)))
+            for u in rng.sample(range(m), rng.randint(1, max(1, m // 3))):
+                for v in range(m):
+                    if v != u:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+            self.check_against_oracle(adj, (trial, m))
+
+    def test_covered_candidates_match_naive_oracle(self):
+        # a vertex w planted with the neighbourhood of an earlier vertex u and
+        # not adjacent to it: once u's branch is done, u sits in X and covers
+        # every candidate of w's branch
+        rng = random.Random(13)
+        for trial in range(40):
+            m = rng.randint(2, 12)
+            adj = random_graph(rng, m, rng.choice((0.3, 0.5, 0.7, 0.9)))
+            u = rng.randrange(m)
+            adj.append(adj[u])
+            for v in range(m):
+                if adj[u] >> v & 1:
+                    adj[v] |= 1 << m
+            self.check_against_oracle(adj, (trial, m))
+
+    def test_large_complete_graph_is_one_visit(self):
+        # folding takes every vertex at the root: no recursion at all
+        m = 1500
+        full = (1 << m) - 1
+        seen = []
+        _bron_kerbosch(tuple(full & ~(1 << v) for v in range(m)), [1 << v for v in range(m)], seen.append)
+        assert seen == [full]
+
+
+def same_visits(g: CompatGraph) -> int:
+    """Both kernels visit the same multiset of vertex bitsets; returns how many."""
+    weight = [1 << v for v in range(len(g))]
+    fast, plain = [], []
+    _bron_kerbosch(g.adj, weight, fast.append)
+    plain_bron_kerbosch(g.adj, weight, plain.append)
+    assert sorted(fast) == sorted(plain)
+    return len(fast)
+
+
+def complementary_pair_domains(n):
+    """The domain of every non-separated complementary pair of half-size sets holding 1."""
+    return [
+        build_domain_AIJ(a, a.complement())
+        for a in (Subset.of(c, n) for c in itertools.combinations(range(1, n + 1), n // 2) if 1 in c)
+        if circle_partition(a).u >= 2
+    ]
+
+
+class TestFoldAgainstPlainKernel:
+    def test_grids(self):
+        for n, k in ((6, 3), (7, 3), (8, 4)):
+            grid = Collection.from_masks(_k_subset_masks(n, k), n)
+            assert same_visits(build_compat_graph(grid)) > 0, (n, k)
+
+    def test_every_tenth_pair_domain_of_ten(self):
+        domains = complementary_pair_domains(10)
+        assert len(domains) == 121
+        for dom in domains[::10]:
+            same_visits(build_compat_graph(dom))
+
+    @pytest.mark.skipif(not LONG, reason="all pair domains of ten and the n=12 pair run under WEAKSEP_LONG=1")
+    def test_long_all_pair_domains_of_ten_and_twelve(self):
+        for dom in complementary_pair_domains(10):
+            same_visits(build_compat_graph(dom))
+        i = sub([1, 2, 3, 7, 8, 9], 12)
+        assert same_visits(build_compat_graph(build_domain_AIJ(i, i.complement()))) == 73984
 
 
 class TestMaxCliqueSize:
@@ -189,12 +295,7 @@ class TestMaxCliqueSize:
         rng = random.Random(3)
         for density, top in ((0.1, 60), (0.3, 60), (0.5, 60), (0.7, 60), (0.9, 40)):
             for m in (1, 5, 9, 12, rng.randint(13, top), top):
-                adj = [0] * m
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        if rng.random() < density:
-                            adj[i] |= 1 << j
-                            adj[j] |= 1 << i
+                adj = random_graph(rng, m, density)
                 vertices = Collection.from_masks(range(1, m + 1), 6)
                 best = max_clique_size(CompatGraph(vertices, tuple(adj)))
                 sizes = []
@@ -227,8 +328,6 @@ class TestMaxCliqueSize:
 
 class TestPurityReport:
     def test_grassmannian_rank(self):
-        import itertools
-
         full = Collection(Subset.of(c, 6) for c in itertools.combinations(range(1, 7), 3))
         rep = purity_report(full, "weak")
         assert rep.is_pure and rep.rank == 10
@@ -248,8 +347,6 @@ class TestPurityReport:
 
 class TestCompleteToMaximal:
     def grid(self, n, k):
-        import itertools
-
         return Collection(Subset.of(c, n) for c in itertools.combinations(range(1, n + 1), k))
 
     def test_single_set_grows_to_rank(self):
