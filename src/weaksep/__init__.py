@@ -9,6 +9,7 @@ lattice projection.
 from .cliques import (
     Collection,
     CompatGraph,
+    NotMaximal,
     build_compat_graph,
     complete_to_maximal,
     enumerate_maximal_cliques,
@@ -47,7 +48,6 @@ from .ground import (
 )
 from .mutations import (
     BigInstance,
-    NotMaximal,
     SquareMove,
     apply_square_move,
     explore_mutation_graph,

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from math import comb
 from typing import Any
 
 from . import domains, mutations, necklaces, octahedron
@@ -33,6 +32,12 @@ def emit_report(result: Any, fmt: str = "json") -> bytes:
         lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in result]
         return ("\n".join(lines) + "\n").encode() if lines else b""
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _emit_collections(nodes, masks, n: int) -> bytes:
+    """JSONL, one row per mask tuple; rows repeat the sets of ``masks``, so each is decoded once."""
+    rows = {m: Subset(m, n).to_json() for m in masks}
+    return emit_report([[rows[m] for m in node] for node in nodes], "jsonl")
 
 
 def _int_from(low: int):
@@ -162,9 +167,7 @@ def _cmd_purity(args) -> tuple[int, bytes]:
         if len(domain) == 0:
             return EXIT_OK, emit_report([], "jsonl")
         cliques = enumerate_maximal_cliques(build_compat_graph(domain, "weak"))
-        # every clique repeats domain members, so each is decoded once
-        rows = {m: Subset(m, domain.n).to_json() for m in domain.masks}
-        return EXIT_OK, emit_report([[rows[m] for m in c.masks] for c in cliques], "jsonl")
+        return EXIT_OK, _emit_collections((c.masks for c in cliques), domain.masks, domain.n)
     return EXIT_OK, emit_report(purity_report(domain, "weak").to_json())
 
 
@@ -239,7 +242,7 @@ def _cmd_chord(args) -> tuple[int, bytes]:
         raise ValueError("--u and --v must be given together")
     dom = Collection.from_masks(range(1 << args.n), args.n)
     report = purity_report(dom, "chord").to_json()
-    report["expected_size"] = sum(comb(args.n, t) for t in range(4))
+    report["expected_size"] = domains._chord_rank(args.n)
     if args.u is not None:
         u = Subset.parse(args.u, args.n)
         v = Subset.parse(args.v, args.n)
@@ -300,10 +303,7 @@ def _cmd_explore(args) -> tuple[int, bytes]:
         )
     graph = mutations.explore_mutation_graph(seed, budget=args.budget)
     if args.format == "jsonl":
-        rows = [
-            [Subset(m, args.n).to_json() for m in node] for node in graph.nodes
-        ]
-        return EXIT_OK, emit_report(rows, "jsonl")
+        return EXIT_OK, _emit_collections(graph.nodes, set().union(*graph.nodes), args.n)
     report = graph.to_json()
     if args.split:
         checked, consistent = octahedron.check_projection_laws(graph, split)

@@ -24,6 +24,10 @@ from .ground import (
 RELATIONS = ("weak", "chord")
 
 
+class NotMaximal(ValueError):
+    """The collection is not a maximal collection of its domain under the relation."""
+
+
 class Collection:
     """A duplicate-free list of subsets over one ground set, in ascending mask order.
 
@@ -110,21 +114,17 @@ def _first_unrelated_pair(
     return None
 
 
-def _first_addable(
-    candidates: Iterable[int], masks: Sequence[int], n: int, relation: str = "weak"
-) -> int | None:
-    """The first candidate outside ``masks`` that is related to every member."""
-    pred = _relation_predicate(relation, n)
-    member = frozenset(masks)
-    # near candidates tend to clash with the same member, so it is tried first
-    last = None
-    for m in candidates:
-        if m in member or (last is not None and not pred(m, last)):
-            continue
-        last = next((x for x in masks if not pred(m, x)), None)
-        if last is None:
-            return m
-    return None
+def _require_maximal(masks: Sequence[int], n: int, rank: int, relation: str = "weak") -> None:
+    """Raise NotMaximal unless the masks are pairwise related and exactly ``rank`` many.
+
+    The one maximality rule.  It holds in a pure domain of that rank: every
+    related collection there lies in a maximal one of exactly ``rank`` sets.
+    """
+    word = "weakly" if relation == "weak" else relation
+    if _first_unrelated_pair(masks, n, relation) is not None:
+        raise NotMaximal(f"collection is not {word} separated")
+    if len(masks) != rank:
+        raise NotMaximal(f"collection is not maximal {word} separated: {len(masks)} sets, not {rank}")
 
 
 @dataclass(frozen=True)
@@ -352,8 +352,14 @@ def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:
             f"{Subset(a, partial.n)} vs {Subset(b, partial.n)}"
         )
     chosen = list(partial.masks)
-    # one shared iterator: a candidate passed over stays unaddable as chosen grows
-    candidates = iter(domain.masks)
-    while (m := _first_addable(candidates, chosen, domain.n)) is not None:
-        chosen.append(m)
+    member = set(partial.masks)
+    # one pass: a candidate passed over stays unaddable as chosen grows, and
+    # near candidates tend to clash with the same member, so it is tried first
+    last = None
+    for m in domain.masks:
+        if m in member or (last is not None and not _weakly_separated_masks(m, last)):
+            continue
+        last = next((x for x in chosen if not _weakly_separated_masks(m, x)), None)
+        if last is None:
+            chosen.append(m)
     return Collection.from_masks(chosen, domain.n)

@@ -16,8 +16,7 @@ from math import comb
 
 from .cliques import (
     Collection,
-    _first_addable,
-    _first_unrelated_pair,
+    _require_maximal,
     build_compat_graph,
     max_clique_size,
 )
@@ -156,6 +155,16 @@ def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
     return Collection.from_masks(out, n)
 
 
+def _grid_rank(n: int, k: int) -> int:
+    """The size k(n-k)+1 of every maximal weakly separated collection of k-subsets of [n]."""
+    return k * (n - k) + 1
+
+
+def _chord_rank(n: int) -> int:
+    """The size sum of C(n, t), t <= 3, of every maximal chord separated collection of [n]."""
+    return sum(comb(n, t) for t in range(4))
+
+
 def _distance_form(k: int, lengths: tuple[int, ...]) -> int:
     """The closed-form distance 1 + k^2 - 2k - sum C(p_i, 2) over the run lengths p_i."""
     return 1 + k * k - 2 * k - sum(comb(p, 2) for p in lengths)
@@ -167,7 +176,7 @@ def rank_formula(ctx: PairContext) -> int:
         raise ValueError("rank formula requires a balanced pair")
     assert ctx.partition is not None
     m, n = ctx.m, ctx.i.n
-    return m * (n - m) + 1 - _distance_form(ctx.k, ctx.partition.lengths)
+    return _grid_rank(n, m) - _distance_form(ctx.k, ctx.partition.lengths)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ def cluster_distance(i: Subset, j: Subset, method: str = "exact") -> ClusterDist
     if method == "exact":
         m, n = len(i), i.n
         g = build_compat_graph(build_domain_AIJ(i, j), "weak")
-        return ClusterDistance(m * (n - m) + 1 - max_clique_size(g), True)
+        return ClusterDistance(_grid_rank(n, m) - max_clique_size(g), True)
     ctx = reduce_pair(i, j)
     assert ctx.partition is not None
     return ClusterDistance(_distance_form(ctx.k, ctx.partition.lengths), ctx.balanced)
@@ -219,14 +228,8 @@ def lr_domain(n: int) -> Collection:
     """All subsets of [0, n] containing exactly one of 0 and n; size 2^n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    lo = 1 << 0
-    hi = 1 << n
-    out = []
-    for middle in range(1 << (n - 1)):
-        body = middle << 1
-        out.append(lo | body)
-        out.append(hi | body)
-    return Collection.from_masks(out, n + 1)
+    # on the ground set [n + 1], 0 and n are the lowest and the highest bit
+    return Collection.from_masks([m for m in range(2 << n) if (m ^ m >> n) & 1], n + 1)
 
 
 @dataclass(frozen=True)
@@ -245,14 +248,11 @@ def lr_chain(w: Collection, n: int) -> LRChain:
     """
     if w.n != n + 1:
         raise GroundSetMismatch(f"expected a collection over [{n + 1}], got [{w.n}]")
-    domain = set(lr_domain(n).masks)
-    members = set(w.masks)
-    if not members <= domain:
+    if not all((m ^ m >> n) & 1 for m in w.masks):
         raise ValueError("collection has members outside the left/right domain")
-    if _first_unrelated_pair(w.masks, w.n) is not None:
-        raise ValueError("collection is not weakly separated")
-    if _first_addable(domain, w.masks, w.n) is not None:
-        raise ValueError("collection is not maximal in the left/right domain")
+    # the left/right domain is pure of rank C(n,2)+n+1
+    _require_maximal(w.masks, w.n, comb(n, 2) + n + 1)
+    members = set(w.masks)
     lo = 1 << 0
     hi = 1 << n
     chain: list[tuple[int, ...]] = []
@@ -507,10 +507,8 @@ def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
     for mask in (u.mask, v.mask):
         if not decorated_ok(mask):
             raise ValueError("an endpoint is missing one of its four decorated variants")
-    if _first_unrelated_pair(w.masks, n, "chord") is not None:
-        raise ValueError("collection is not chord separated")
-    if _first_addable(range(1 << n), w.masks, n, "chord") is not None:
-        raise ValueError("collection is not maximal chord separated")
+    # the chord separated power set is pure (Galashin)
+    _require_maximal(w.masks, n, _chord_rank(n), "chord")
 
     target = v.mask
     dead: set[int] = set()

@@ -18,12 +18,13 @@ from typing import Iterable
 
 from .cliques import (
     Collection,
+    NotMaximal,  # raised by _check_maximal; also importable from here
     _bron_kerbosch,
-    _first_unrelated_pair,
+    _require_maximal,
     build_compat_graph,
     complete_to_maximal,
 )
-from .domains import build_domain_AIJ
+from .domains import _grid_rank, build_domain_AIJ
 from .ground import (
     Subset,
     _check_pair,
@@ -39,10 +40,6 @@ BIG_GATE = 12
 
 # distinct (n, k) grids whose set bits and square rows stay cached
 _GRIDS = 8
-
-
-class NotMaximal(ValueError):
-    """The collection is not a maximal weakly separated collection of its grid."""
 
 
 class BigInstance(ValueError):
@@ -213,11 +210,8 @@ def _check_maximal(c: Collection) -> tuple[int, int]:
     if len(sizes) != 1:
         raise ValueError("collection mixes cardinalities; square moves need one grid")
     n, k = c.n, sizes.pop()
-    if _first_unrelated_pair(c.masks, n) is not None:
-        raise NotMaximal("collection is not weakly separated")
-    # purity: a weakly separated collection of the grid is maximal exactly at k(n-k)+1 sets
-    if len(c) != k * (n - k) + 1:
-        raise NotMaximal(f"collection is not maximal: {len(c)} sets, not {k * (n - k) + 1}")
+    # the grid is pure (Oh-Postnikov-Speyer)
+    _require_maximal(c.masks, n, _grid_rank(n, k))
     return n, k
 
 

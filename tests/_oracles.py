@@ -111,15 +111,18 @@ def naive_no_interior(sets: list[set], split: tuple) -> tuple[int, int] | None:
     return None
 
 
-def naive_is_maximal(sets: list[set], n: int) -> bool:
-    """Whether same-size sets are pairwise weakly separated and no k-subset of [n] can join them."""
+def naive_is_maximal(sets: list[set], candidates: list[set], related) -> bool:
+    """Whether the sets are pairwise related and no other candidate is related to all of them.
+
+    ``related`` is a predicate on two plain sets; ``candidates`` is the whole
+    domain, scanned one by one.
+    """
     have = {frozenset(x) for x in sets}
-    if not all(naive_weakly_separated(s, t) for s, t in itertools.combinations(have, 2)):
+    if not all(related(set(s), set(t)) for s, t in itertools.combinations(have, 2)):
         return False
-    k = len(next(iter(have)))
     return not any(
-        frozenset(c) not in have and all(naive_weakly_separated(set(c), s) for s in have)
-        for c in itertools.combinations(range(1, n + 1), k)
+        frozenset(c) not in have and all(related(set(c), set(s)) for s in have)
+        for c in candidates
     )
 
 

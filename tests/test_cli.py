@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from weaksep import cli, domains, mutations, octahedron
+from weaksep import Subset, cli, domains, mutations, octahedron
 from weaksep.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, emit_report, run
 
 
@@ -288,6 +288,16 @@ class TestExplore:
         lines = payload.decode().splitlines()
         assert len(lines) == 2
         assert all(len(json.loads(line)) == 5 for line in lines)
+
+    @pytest.mark.parametrize("n, k", [(6, 3), (7, 3)])
+    def test_jsonl_rows_match_graph_nodes(self, n, k):
+        code, payload = invoke(["explore", "--n", str(n), "--k", str(k), "--format", "jsonl"])
+        first = Subset.of(range(1, k + 1), n)
+        graph = mutations.explore_mutation_graph(mutations._grid_completion(first, first))
+        rows = [json.loads(line) for line in payload.decode().splitlines()]
+        assert code == EXIT_OK and len(rows) == len(graph.nodes)
+        for row, node in zip(rows, graph.nodes):
+            assert row == [[x + 1 for x in range(n) if m >> x & 1] for m in node]
 
     def test_custom_seed(self):
         seed = "1,2;2,3;3,4;1,4;1,3"

@@ -19,7 +19,7 @@ from weaksep import (
     purity_report,
     unbalanced_witness,
 )
-from weaksep.cliques import CompatGraph, _bron_kerbosch, _first_addable
+from weaksep.cliques import CompatGraph, _bron_kerbosch
 from weaksep.ground import _k_subset_masks, _weakly_separated_masks
 
 from _oracles import naive_maximal_cliques, plain_bron_kerbosch
@@ -386,7 +386,7 @@ class TestCompleteToMaximal:
 
     def test_clash_first_order_keeps_results(self):
         # trying the last clashing set first changes the test order only:
-        # the greedy completion and the first addable set are as by definition
+        # the greedy completion is as by definition
         rng = random.Random(7)
         for _ in range(60):
             n = rng.randint(3, 7)
@@ -397,13 +397,3 @@ class TestCompleteToMaximal:
                     chosen.append(m)
             out = complete_to_maximal(Collection.from_masks([], n), dom)
             assert out.masks == tuple(sorted(chosen))
-            members = chosen[: rng.randint(0, len(chosen))]
-            candidates = rng.sample(range(1 << n), min(30, 1 << n))
-            expected = next(
-                (
-                    m for m in candidates
-                    if m not in members and all(_weakly_separated_masks(m, x) for x in members)
-                ),
-                None,
-            )
-            assert _first_addable(candidates, members, n) == expected

@@ -1,11 +1,14 @@
 import itertools
 import random
+from math import comb
 
 import pytest
+from _oracles import naive_chord_separated, naive_is_maximal, naive_weakly_separated
 
 from weaksep import (
     ChainNotFound,
     Collection,
+    NotMaximal,
     ProfileNotFound,
     Subset,
     boundary_intervals,
@@ -30,6 +33,7 @@ from weaksep import (
     reduce_pair,
     unbalanced_witness,
 )
+from weaksep.cliques import _require_maximal
 
 
 def sub(elems, n):
@@ -289,6 +293,28 @@ class TestLRDomain:
         with pytest.raises(ValueError):
             lr_chain(Collection([lr_subset([0], 2)]), 2)
 
+    def test_separated_but_not_maximal_rejected(self):
+        # any maximal collection less one member is still weakly separated
+        for n in range(2, 6):
+            for w in enumerate_maximal_cliques(build_compat_graph(lr_domain(n))):
+                for drop in w.masks:
+                    less = Collection.from_masks([m for m in w.masks if m != drop], n + 1)
+                    with pytest.raises(NotMaximal, match=f"{len(w) - 1} sets, not {len(w)}"):
+                        lr_chain(less, n)
+
+    @pytest.mark.parametrize("labels", [[0, 2], [1], []])
+    def test_member_outside_domain_rejected(self, labels):
+        w = Collection(list(lr_domain(2)) + [lr_subset(labels, 2)])
+        with pytest.raises(ValueError, match="outside the left/right domain"):
+            lr_chain(w, 2)
+
+    def test_census_n6_n7(self):
+        # the rank rule of lr_chain relies on these domains being pure
+        for n, count in ((6, 1260), (7, 51466)):
+            rep = purity_report(lr_domain(n), "weak")
+            assert rep.is_pure and rep.rank == comb(n, 2) + n + 1
+            assert rep.clique_count == count
+
 
 class TestUnbalancedWitness:
     def test_six_element_case(self):
@@ -432,3 +458,72 @@ class TestChordChain:
         w = Collection.from_masks([m for m in range(8) if m != 0b101], 3)
         with pytest.raises(ValueError):
             chord_chain(w, sub([], 3), sub([2], 3))
+
+    def test_separated_but_not_maximal_rejected(self):
+        # the four decorated variants of the empty set stay; one other member goes
+        for n in range(3, 6):
+            keep = {0, 1, 1 << (n - 1), 1 | 1 << (n - 1)}
+            cube = Collection.from_masks(range(1 << n), n)
+            for w in enumerate_maximal_cliques(build_compat_graph(cube, "chord")):
+                for drop in set(w.masks) - keep:
+                    less = Collection.from_masks([m for m in w.masks if m != drop], n)
+                    with pytest.raises(NotMaximal, match=f"{len(w) - 1} sets, not {len(w)}"):
+                        chord_chain(less, sub([], n), sub([], n))
+
+
+def elements(mask, n):
+    return {x + 1 for x in range(n) if mask >> x & 1}
+
+
+def maximality_cases(domain, relation, related, rng):
+    """Maximal collections, each less one member and each with one member swapped
+    for another domain set (mostly a clash at full size), and random related ones."""
+    n = domain.n
+    maximal = [w.masks for w in enumerate_maximal_cliques(build_compat_graph(domain, relation))]
+    cases = list(maximal)
+    for idx, w in enumerate(maximal):
+        cut = idx % len(w)
+        less = w[:cut] + w[cut + 1:]
+        outside = [m for m in domain.masks if m not in w]
+        cases.append(less)
+        if outside:
+            cases.append(less + (outside[idx % len(outside)],))
+    for _ in range(40):
+        order = list(domain.masks)
+        rng.shuffle(order)
+        chosen = []
+        for x in order[: rng.randint(1, len(order))]:
+            if all(related(elements(x, n), elements(y, n)) for y in chosen):
+                chosen.append(x)
+        cases.append(tuple(chosen))
+    return cases
+
+
+class TestMaximalityRule:
+    """The rank count agrees with scanning every candidate of the domain."""
+
+    def check(self, domain, rank, relation, related, seed):
+        n = domain.n
+        candidates = [elements(m, n) for m in domain.masks]
+        for masks in maximality_cases(domain, relation, related, random.Random(seed)):
+            try:
+                _require_maximal(masks, n, rank, relation)
+                listed = True
+            except NotMaximal:
+                listed = False
+            sets = [elements(m, n) for m in masks]
+            assert listed == naive_is_maximal(sets, candidates, related), (masks, n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_left_right(self, n):
+        # subsets of [0, n] with exactly one of 0 and n, as 1..n+1, built without lr_domain
+        domain = Collection.from_masks(
+            [m for m in range(1 << (n + 1)) if bool(m & 1) != bool(m >> n & 1)], n + 1
+        )
+        self.check(domain, comb(n, 2) + n + 1, "weak", naive_weakly_separated, n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_chord_power_set(self, n):
+        domain = Collection.from_masks(range(1 << n), n)
+        rank = sum(comb(n, t) for t in range(4))
+        self.check(domain, rank, "chord", lambda s, t: naive_chord_separated(s, t, n), n)

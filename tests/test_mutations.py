@@ -103,7 +103,10 @@ class TestFindSquareMoves:
                 listed = True
             except NotMaximal:
                 listed = False
-            assert listed == naive_is_maximal([elements(x, n) for x in masks], n), (masks, n)
+            sets = [elements(x, n) for x in masks]
+            k = len(sets[0])
+            candidates = [set(c) for c in itertools.combinations(range(1, n + 1), k)]
+            assert listed == naive_is_maximal(sets, candidates, naive_weakly_separated), (masks, n)
 
     def test_grid_checked_once(self, monkeypatch):
         calls = []
