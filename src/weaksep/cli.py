@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from functools import cache
 from typing import Any
 
-from . import domains, mutations, necklaces, octahedron
+from . import cliques, domains, mutations, necklaces, octahedron
 from .cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
 from .ground import Subset, _k_subset_masks, is_chord_separated, is_weakly_separated
 
@@ -228,12 +229,13 @@ def _cmd_necklace(args) -> tuple[int, bytes]:
 
 def _cmd_lr(args) -> tuple[int, bytes]:
     dom = domains.lr_domain(args.n)
-    report = purity_report(dom, "weak").to_json()
-    if args.chains:
-        cliques = enumerate_maximal_cliques(build_compat_graph(dom, "weak"))
-        report["chains"] = [
-            [list(s) for s in domains.lr_chain(w, args.n).sets] for w in cliques
-        ]
+    if not args.chains:
+        return EXIT_OK, emit_report(purity_report(dom, "weak").to_json())
+    # the graph's edges are the weakly separated pairs, and the census below
+    # states the one clique size, so each clique is a maximal collection as is
+    found = enumerate_maximal_cliques(build_compat_graph(dom, "weak"))
+    report = cliques.PurityReport(len(dom), Counter(len(w) for w in found)).to_json()
+    report["chains"] = [[list(s) for s in domains._lr_chain_of(w.masks, args.n).sets] for w in found]
     return EXIT_OK, emit_report(report)
 
 
@@ -246,19 +248,10 @@ def _cmd_chord(args) -> tuple[int, bytes]:
     if args.u is not None:
         u = Subset.parse(args.u, args.n)
         v = Subset.parse(args.v, args.n)
-        lo, hi = 1 << 0, 1 << (args.n - 1)
-        needed = []
-        for base in (u.mask, v.mask):
-            needed += [base, base | lo, base | hi, base | lo | hi]
-        for w in enumerate_maximal_cliques(build_compat_graph(dom, "chord")):
-            have = set(w.masks)
-            if all(m in have for m in needed):
-                chain = domains.chord_chain(w, u, v)
-                report["chain"] = [s.to_json() for s in chain]
-                report["witness_collection"] = w.to_json()
-                break
-        else:
-            raise ValueError("no maximal chord separated collection holds the eight required sets")
+        needed = {m for s in (u, v) for m in domains._decorated(s.mask, args.n)}
+        w = Collection.from_masks(cliques._greedy_maximal(needed, dom.masks, args.n, "chord"), args.n)
+        report["chain"] = [s.to_json() for s in domains.chord_chain(w, u, v)]
+        report["witness_collection"] = w.to_json()
     return EXIT_OK, emit_report(report)
 
 

@@ -294,15 +294,27 @@ def max_clique_size(g: CompatGraph) -> int:
 
 @dataclass(frozen=True)
 class PurityReport:
-    """Aggregate of the maximal-clique sizes of a domain under one relation."""
+    """The maximal-clique sizes of a domain under one relation, as size -> count."""
 
     domain_size: int
     clique_sizes: dict[int, int]
-    min_size: int
-    max_size: int
-    is_pure: bool
-    rank: int | None
-    clique_count: int
+
+    @property
+    def is_pure(self) -> bool:
+        return len(self.clique_sizes) <= 1
+
+    @property
+    def rank(self) -> int | None:
+        """The one clique size of a pure non-empty domain, else None."""
+        return next(iter(self.clique_sizes)) if len(self.clique_sizes) == 1 else None
+
+    @property
+    def max_size(self) -> int:
+        return max(self.clique_sizes, default=0)
+
+    @property
+    def clique_count(self) -> int:
+        return sum(self.clique_sizes.values())
 
     def to_json(self) -> dict:
         return {
@@ -317,7 +329,7 @@ class PurityReport:
 def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
     """Enumerate all maximal cliques of the domain and decide purity."""
     if len(domain) == 0:
-        return PurityReport(0, {}, 0, 0, True, None, 0)
+        return PurityReport(0, {})
     g = build_compat_graph(domain, relation)
     counts = [0] * (len(g) + 1)
 
@@ -325,10 +337,29 @@ def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
         counts[size] += 1
 
     _bron_kerbosch(g.adj, [1] * len(g), count)
-    sizes = {size: c for size, c in enumerate(counts) if c}
-    lo, hi = min(sizes), max(sizes)
-    pure = lo == hi
-    return PurityReport(len(domain), sizes, lo, hi, pure, hi if pure else None, sum(counts))
+    return PurityReport(len(domain), {size: c for size, c in enumerate(counts) if c})
+
+
+def _greedy_maximal(
+    masks: Iterable[int], candidates: Iterable[int], n: int, relation: str = "weak"
+) -> list[int]:
+    """Grow pairwise related masks to a maximal collection, trying each candidate once, in order.
+
+    In ascending mask order that is the lexicographically least one holding the masks.
+    """
+    related = _relation_predicate(relation, n)
+    chosen = list(masks)
+    member = set(chosen)
+    # one pass: a candidate passed over stays unaddable as chosen grows, and
+    # near candidates tend to clash with the same member, so it is tried first
+    last = None
+    for m in candidates:
+        if m in member or (last is not None and not related(m, last)):
+            continue
+        last = next((x for x in chosen if not related(m, x)), None)
+        if last is None:
+            chosen.append(m)
+    return chosen
 
 
 def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:
@@ -351,15 +382,4 @@ def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:
             f"partial collection is not weakly separated: "
             f"{Subset(a, partial.n)} vs {Subset(b, partial.n)}"
         )
-    chosen = list(partial.masks)
-    member = set(partial.masks)
-    # one pass: a candidate passed over stays unaddable as chosen grows, and
-    # near candidates tend to clash with the same member, so it is tried first
-    last = None
-    for m in domain.masks:
-        if m in member or (last is not None and not _weakly_separated_masks(m, last)):
-            continue
-        last = next((x for x in chosen if not _weakly_separated_masks(m, x)), None)
-        if last is None:
-            chosen.append(m)
-    return Collection.from_masks(chosen, domain.n)
+    return Collection.from_masks(_greedy_maximal(partial.masks, domain.masks, domain.n), domain.n)

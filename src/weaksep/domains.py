@@ -23,6 +23,7 @@ from .cliques import (
 from .ground import (
     GroundSetMismatch,
     Subset,
+    _check_ground_size,
     _check_pair,
     _check_same_ground,
     _k_subset_masks,
@@ -228,6 +229,7 @@ def lr_domain(n: int) -> Collection:
     """All subsets of [0, n] containing exactly one of 0 and n; size 2^n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_ground_size(n + 1)
     # on the ground set [n + 1], 0 and n are the lowest and the highest bit
     return Collection.from_masks([m for m in range(2 << n) if (m ^ m >> n) & 1], n + 1)
 
@@ -252,26 +254,27 @@ def lr_chain(w: Collection, n: int) -> LRChain:
         raise ValueError("collection has members outside the left/right domain")
     # the left/right domain is pure of rank C(n,2)+n+1
     _require_maximal(w.masks, w.n, comb(n, 2) + n + 1)
-    members = set(w.masks)
-    lo = 1 << 0
-    hi = 1 << n
+    return _lr_chain_of(w.masks, n)
+
+
+def _lr_chain_of(masks: tuple[int, ...], n: int) -> LRChain:
+    """The chain of a maximal collection of lr_domain(n), given as its masks, unchecked."""
+    members = set(masks)
+    # by size, each S with both S + {0} and S + {n} present
+    levels: list[list[int]] = [[] for _ in range(n)]
+    for m in masks:
+        if m & 1 and (m ^ 1) | 1 << n in members:
+            levels[m.bit_count() - 1].append(m ^ 1)
     chain: list[tuple[int, ...]] = []
-    prev = None
-    for size in range(n):
-        found = [
-            m ^ lo
-            for m in members
-            if m & lo and m.bit_count() == size + 1 and (m ^ lo) | hi in members
-        ]
+    prev = 0
+    for size, found in enumerate(levels):
         if len(found) != 1:
-            raise ChainNotFound(
-                f"level {size}: expected exactly one chain set, found {len(found)}"
-            )
+            raise ChainNotFound(f"level {size}: expected exactly one chain set, found {len(found)}")
         body = found[0]
-        if prev is not None and prev & ~body:
+        if prev & ~body:
             raise ChainNotFound(f"level {size}: chain sets are not nested")
         prev = body
-        chain.append(lr_labels(Subset(body, n + 1)))
+        chain.append(tuple(x for x in range(1, n) if body >> x & 1))
     return LRChain(tuple(chain))
 
 
@@ -308,13 +311,8 @@ def unbalanced_witness(a: Subset) -> UnbalancedBound:
             "set and complement are weakly separated; the witness construction needs at least four runs"
         )
     lengths = part.lengths
-    starts = []
-    pos = 1
-    for p in lengths:
-        starts.append(pos)
-        pos += p
-    av = tuple(lengths[2 * i] for i in range(u))
-    bv = tuple(lengths[2 * i + 1] for i in range(u))
+    starts = list(itertools.accumulate(lengths, initial=1))
+    av, bv = lengths[0::2], lengths[1::2]
 
     def interval_mask(lo: int, hi: int) -> int:
         return cyclic_interval((lo - 1) % n + 1, (hi - 1) % n + 1, n).mask
@@ -327,40 +325,27 @@ def unbalanced_witness(a: Subset) -> UnbalancedBound:
         for x, y in itertools.combinations(range(s0, s0 + p), 2):
             witness.add(interval_mask(x - k + s0 + p - y, x - 1) | interval_mask(y, s0 + p - 1))
 
-    def chi_entry(i: int, j: int) -> int:
-        # runs 2i-1 and 2j are adjacent on the circle iff j = i or j = i-1 (mod u)
-        if (j - i) % u in (0, u - 1):
-            return 0
-        return 1 if av[i - 1] + bv[j - 1] >= k else 0
-
+    # the runs of a_(i+1) and b_(j+1) are adjacent on the circle iff j = i or j = i-1 (mod u)
     chi = tuple(
-        tuple(chi_entry(i, j) if i != j else 0 for j in range(1, u + 1))
-        for i in range(1, u + 1)
+        tuple(int((j - i) % u not in (0, u - 1) and av[i] + bv[j] >= k) for j in range(u))
+        for i in range(u)
     )
     cross_total = 0
-    for i in range(1, u + 1):
-        for j in range(i + 1, u + 1):
-            if not chi[i - 1][j - 1]:
+    for i in range(u):
+        for j in range(i + 1, u):
+            if not chi[i][j]:
                 continue
-            s0 = starts[2 * (i - 1)]
-            t0 = starts[2 * (j - 1) + 1]
-            ai, bj = av[i - 1], bv[j - 1]
+            s0, t0 = starts[2 * i], starts[2 * j + 1]
+            ai, bj = av[i], bv[j]
             cross_total += ai + bj - k + 1
             for x in range(s0, s0 + ai):
                 for y in range(t0, t0 + bj):
                     piece = interval_mask(x, s0 + ai - 1) | interval_mask(y, t0 + bj - 1)
                     if piece.bit_count() == k:
                         witness.add(piece)
-    bound = (
-        2 * k
-        + sum(comb(x, 2) for x in av)
-        + sum(comb(x, 2) for x in bv)
-        + cross_total
-    )
+    bound = 2 * k + sum(comb(x, 2) for x in lengths) + cross_total
     if len(witness) != bound:
-        raise RuntimeError(
-            f"witness construction produced {len(witness)} sets, bound says {bound}"
-        )
+        raise RuntimeError(f"witness construction produced {len(witness)} sets, bound says {bound}")
     rotated_back = Collection(Subset(m, n).rotate(-part.offset) for m in witness)
     return UnbalancedBound(av, bv, chi, bound, rotated_back)
 
@@ -482,6 +467,12 @@ def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
 
 # --- chains inside maximal chord separated collections ------------------------
 
+def _decorated(mask: int, n: int) -> tuple[int, int, int, int]:
+    """The four decorated variants S, S+{1}, S+{n}, S+{1,n} of the set S given by mask."""
+    lo, hi = 1, 1 << (n - 1)
+    return mask, mask | lo, mask | hi, mask | lo | hi
+
+
 def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
     """Nested chain U = S_u c ... c S_v = V with all four decorated variants present.
 
@@ -498,14 +489,8 @@ def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
     if u.mask & ~v.mask or (u.mask | v.mask) & ~interior:
         raise ValueError("need U inside V inside [2, n-1]")
     members = set(w.masks)
-    lo = 1 << 0
-    hi = 1 << (n - 1)
-
-    def decorated_ok(mask: int) -> bool:
-        return all(m in members for m in (mask, mask | lo, mask | hi, mask | lo | hi))
-
     for mask in (u.mask, v.mask):
-        if not decorated_ok(mask):
+        if not members.issuperset(_decorated(mask, n)):
             raise ValueError("an endpoint is missing one of its four decorated variants")
     # the chord separated power set is pure (Galashin)
     _require_maximal(w.masks, n, _chord_rank(n), "chord")
@@ -523,7 +508,7 @@ def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
             bit = free & -free
             free &= free - 1
             nxt = mask | bit
-            if decorated_ok(nxt):
+            if members.issuperset(_decorated(nxt, n)):
                 rest = extend(nxt)
                 if rest is not None:
                     return [mask] + rest

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from weaksep import Subset, cli, domains, mutations, octahedron
+from weaksep import Subset, cli, cliques, domains, mutations, octahedron
+from weaksep.cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
 from weaksep.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, emit_report, run
 
 
@@ -103,6 +104,16 @@ class TestPurity:
         assert code == EXIT_OK and len(lines) == 2
         assert all(len(c) == 5 for c in lines)
 
+    def test_impure_census(self):
+        # an unbalanced pair: maximal collections of two sizes
+        argv = ["purity", "--n", "7", "--i", "1,2,4", "--j", "3,5,6"]
+        code, report = invoke_json(argv)
+        assert code == EXIT_OK
+        assert report["pure"] is False and report["rank"] is None
+        assert report["clique_sizes"] == {"10": 5, "11": 10} and report["clique_count"] == 15
+        rep = purity_report(domains.build_domain_AIJ(Subset.of([1, 2, 4], 7), Subset.of([3, 5, 6], 7)))
+        assert rep.max_size == 11 and rep.to_json() == report
+
     def test_empty_domain_in_both_formats(self):
         code, report = invoke_json(["purity", "--n", "4", "--k", "5"])
         assert code == EXIT_OK and report["clique_count"] == 0
@@ -190,7 +201,7 @@ class TestInternalErrors:
     """A search the theory says cannot fail exits 4 with one error line, not a traceback."""
 
     def test_chain_not_found(self, monkeypatch, capsys):
-        monkeypatch.setattr(domains, "lr_chain", raiser(domains.ChainNotFound("no chain")))
+        monkeypatch.setattr(domains, "_lr_chain_of", raiser(domains.ChainNotFound("no chain")))
         assert_internal_error(["lr", "--n", "4", "--chains"], capsys, "no chain")
 
     def test_profile_not_found(self, monkeypatch, capsys):
@@ -258,6 +269,11 @@ class TestLrChordOcta:
         assert code == EXIT_BAD_INPUT and payload == b""
         assert capsys.readouterr().err == "error: --u and --v must be given together\n"
 
+    def test_lr_ground_too_large(self, capsys):
+        code, payload = invoke(["lr", "--n", "64"])
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == "error: ground set size must be in [1, 64], got 65\n"
+
     def test_octahedron_by_lengths(self):
         code, report = invoke_json(["octahedron", "--p", "2,1,1,2"])
         assert report == {
@@ -276,6 +292,78 @@ class TestLrChordOcta:
     def test_octahedron_bad_lengths(self):
         code, _ = invoke(["octahedron", "--p", "2,1,1,3"])
         assert code == EXIT_BAD_INPUT
+
+
+def _interior_subsets(n):
+    """Every subset of [2, n-1], as a mask."""
+    return [m << 1 for m in range(1 << (n - 2))]
+
+
+def _flag(mask, n):
+    return ",".join(str(x + 1) for x in range(n) if mask >> x & 1)
+
+
+class TestOnceOnlyVerbs:
+    """`lr --chains` and `chord --u/--v` answer as the public, fully checked routes do."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lr_chains_match_checked_route(self, n):
+        code, report = invoke_json(["lr", "--n", str(n), "--chains"])
+        dom = domains.lr_domain(n)
+        want = purity_report(dom).to_json()
+        want["chains"] = [
+            [list(s) for s in domains.lr_chain(w, n).sets]
+            for w in enumerate_maximal_cliques(build_compat_graph(dom))
+        ]
+        assert code == EXIT_OK and report == want
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_chord_witness_is_first_holding_clique(self, n):
+        dom = Collection.from_masks(range(1 << n), n)
+        found = enumerate_maximal_cliques(build_compat_graph(dom, "chord"))
+        pairs = [(u, v) for u in _interior_subsets(n) for v in _interior_subsets(n) if not u & ~v]
+        assert len(pairs) == 3 ** (n - 2)
+        for u, v in pairs:
+            code, report = invoke_json(["chord", "--n", str(n), "--u", _flag(u, n), "--v", _flag(v, n)])
+            needed = {m for s in (u, v) for m in domains._decorated(s, n)}
+            first = next(w for w in found if needed <= set(w.masks))
+            assert code == EXIT_OK and report["witness_collection"] == first.to_json()
+            chain = domains.chord_chain(first, Subset(u, n), Subset(v, n))
+            assert report["chain"] == [s.to_json() for s in chain]
+
+    def test_chord_invalid_pairs_exit_2(self, capsys):
+        n = 4
+        bad = [
+            (u, v)
+            for u in range(1 << n)
+            for v in range(1 << n)
+            if u & ~v or (u | v) & (1 | 1 << (n - 1))
+        ]
+        assert len(bad) == 247
+        for u, v in bad:
+            code, payload = invoke(["chord", "--n", str(n), "--u", _flag(u, n), "--v", _flag(v, n)])
+            assert code == EXIT_BAD_INPUT and payload == b""
+            assert capsys.readouterr().err == "error: need U inside V inside [2, n-1]\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["lr", "--n", "5", "--chains"], ["chord", "--n", "5", "--u", "3", "--v", "2,3,4"]]
+    )
+    def test_one_graph_one_enumeration(self, argv, monkeypatch):
+        calls = {"graph": 0, "bk": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        graph = counted("graph", cliques.build_compat_graph)
+        monkeypatch.setattr(cliques, "build_compat_graph", graph)
+        monkeypatch.setattr(cli, "build_compat_graph", graph)
+        monkeypatch.setattr(cliques, "_bron_kerbosch", counted("bk", cliques._bron_kerbosch))
+        code, _ = invoke(argv)
+        assert code == EXIT_OK and calls == {"graph": 1, "bk": 1}
 
 
 class TestExplore:

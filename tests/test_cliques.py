@@ -343,6 +343,14 @@ class TestPurityReport:
     def test_empty_domain(self):
         rep = purity_report(Collection.from_masks([], 4))
         assert rep.domain_size == 0 and rep.rank is None
+        assert rep.is_pure and rep.clique_count == 0 and rep.max_size == 0
+        assert rep.to_json() == {
+            "domain_size": 0,
+            "pure": True,
+            "rank": None,
+            "clique_sizes": {},
+            "clique_count": 0,
+        }
 
 
 class TestCompleteToMaximal:

@@ -269,6 +269,11 @@ class TestLRDomain:
         for n in range(1, 7):
             assert len(lr_domain(n)) == 1 << n
 
+    def test_ground_too_large_rejected_before_listing(self):
+        # [0, 64] does not fit the 64-element ground limit; listing 2^65 masks would hang
+        with pytest.raises(ValueError, match="got 65"):
+            lr_domain(64)
+
     def test_known_incompatible_pair(self):
         a = lr_subset([0, 2, 3], 4)
         b = lr_subset([1, 4], 4)
