@@ -235,7 +235,8 @@ def _cmd_lr(args) -> tuple[int, bytes]:
     # states the one clique size, so each clique is a maximal collection as is
     found = enumerate_maximal_cliques(build_compat_graph(dom, "weak"))
     report = cliques.PurityReport(len(dom), Counter(len(w) for w in found)).to_json()
-    report["chains"] = [[list(s) for s in domains._lr_chain_of(w.masks, args.n).sets] for w in found]
+    labels: dict[int, tuple[int, ...]] = {}  # one decode per chain set, as JSON arrays
+    report["chains"] = [domains._lr_chain_of(w.masks, args.n, labels).sets for w in found]
     return EXIT_OK, emit_report(report)
 
 

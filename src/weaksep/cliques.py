@@ -4,8 +4,10 @@ A domain plus a pairwise predicate becomes a graph; maximal weakly separated
 collections are its maximal cliques.  Enumeration (Bron-Kerbosch with
 pivoting, forced candidates folded) and maximum-clique size (branch and bound
 with greedy-coloring bounds) are coded independently to cross-validate.  The
-branch and bound runs on the vertices relabelled once by non-increasing
-degree, ties by index; enumeration keeps the domain's own order.
+maximum splits the graph into the components of its complement, whose maxima
+add up, and runs the branch and bound on each part of more than one vertex,
+relabelled once by non-increasing degree, ties by index.  Enumeration stays
+unsplit, in the domain's own order, so it still checks the maximum.
 """
 
 from __future__ import annotations
@@ -232,29 +234,29 @@ def enumerate_maximal_cliques(g: CompatGraph) -> list[Collection]:
     return [Collection._canonical(t, g.vertices.n) for t in found]
 
 
-def max_clique_size(g: CompatGraph) -> int:
-    """Exact maximum-clique size by branch and bound with greedy-coloring bounds.
+def _co_components(adj: Sequence[int]) -> list[int]:
+    """The vertex sets of the complement graph's components, as bitsets, by lowest vertex.
 
-    Independent of the enumerator on purpose: the two answers cross-check each
-    other in the test suite.
+    Every vertex of one part is adjacent to every vertex of every other part,
+    so the graph is the join of its parts.
     """
-    m = len(g.adj)
-    if m == 0:
-        return 0
-    # relabel so vertex 0 has the highest degree (ties by index): the greedy
-    # colouring then meets high-degree vertices first, which tightens its
-    # bound, as in Tomita et al. (WALCOM 2010) and San Segundo et al. (2011)
-    by_degree = sorted(range(m), key=lambda v: (-g.adj[v].bit_count(), v))
-    label = [0] * m
-    for i, v in enumerate(by_degree):
-        label[v] = i
-    adj = []
-    for v in by_degree:
-        row, q = 0, g.adj[v]
-        while q:
-            row |= 1 << label[(q & -q).bit_length() - 1]
-            q &= q - 1
-        adj.append(row)
+    parts = []
+    rest = (1 << len(adj)) - 1
+    while rest:
+        part = todo = rest & -rest
+        while todo:  # grow the part along non-edges
+            u = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            new = rest & ~adj[u] & ~part
+            part |= new
+            todo |= new
+        rest &= ~part
+        parts.append(part)
+    return parts
+
+
+def _branch_and_bound(adj: Sequence[int], p: int) -> int:
+    """The largest clique inside the vertex set ``p``, by greedy-coloring bounds."""
     best = 0
 
     def coloring(p: int) -> tuple[list[int], list[int]]:
@@ -288,8 +290,43 @@ def max_clique_size(g: CompatGraph) -> int:
                 best = size + 1
             p &= ~(1 << v)
 
-    expand(0, (1 << m) - 1)
+    expand(0, p)
     return best
+
+
+def _degree_ordered(adj: Sequence[int]) -> list[int]:
+    """The graph relabelled so vertex 0 has the highest degree, ties by index.
+
+    The greedy colouring then meets high-degree vertices first, which
+    tightens its bound, as in Tomita et al. (WALCOM 2010) and San Segundo et
+    al. (2011).
+    """
+    m = len(adj)
+    by_degree = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
+    label = [0] * m
+    for i, v in enumerate(by_degree):
+        label[v] = i
+    out = []
+    for v in by_degree:
+        row, q = 0, adj[v]
+        while q:
+            row |= 1 << label[(q & -q).bit_length() - 1]
+            q &= q - 1
+        out.append(row)
+    return out
+
+
+def max_clique_size(g: CompatGraph) -> int:
+    """Exact maximum-clique size: the sum of the maxima of the graph's join parts.
+
+    The parts are the complement's components.  A one-vertex part (a universal
+    vertex) adds 1; every other part runs the branch and bound alone.  The
+    enumerator stays unsplit, so the two answers still cross-check each other.
+    """
+    # edges between parts are complete, so the global degree order restricted
+    # to a part is the part's own degree order
+    adj = _degree_ordered(g.adj)
+    return sum(1 if part.bit_count() == 1 else _branch_and_bound(adj, part) for part in _co_components(adj))
 
 
 @dataclass(frozen=True)

@@ -254,11 +254,15 @@ def lr_chain(w: Collection, n: int) -> LRChain:
         raise ValueError("collection has members outside the left/right domain")
     # the left/right domain is pure of rank C(n,2)+n+1
     _require_maximal(w.masks, w.n, comb(n, 2) + n + 1)
-    return _lr_chain_of(w.masks, n)
+    return _lr_chain_of(w.masks, n, {})
 
 
-def _lr_chain_of(masks: tuple[int, ...], n: int) -> LRChain:
-    """The chain of a maximal collection of lr_domain(n), given as its masks, unchecked."""
+def _lr_chain_of(masks: tuple[int, ...], n: int, labels: dict[int, tuple[int, ...]]) -> LRChain:
+    """The chain of a maximal collection of lr_domain(n), given as its masks, unchecked.
+
+    ``labels`` maps chain-set masks to their labels and is filled as sets are
+    met, so callers that share one across collections decode each set once.
+    """
     members = set(masks)
     # by size, each S with both S + {0} and S + {n} present
     levels: list[list[int]] = [[] for _ in range(n)]
@@ -274,7 +278,9 @@ def _lr_chain_of(masks: tuple[int, ...], n: int) -> LRChain:
         if prev & ~body:
             raise ChainNotFound(f"level {size}: chain sets are not nested")
         prev = body
-        chain.append(tuple(x for x in range(1, n) if body >> x & 1))
+        if body not in labels:
+            labels[body] = tuple(x for x in range(1, n) if body >> x & 1)
+        chain.append(labels[body])
     return LRChain(tuple(chain))
 
 

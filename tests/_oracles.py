@@ -57,6 +57,18 @@ def naive_maximal_cliques(adj: list[int]) -> set[frozenset]:
     return out
 
 
+def naive_co_components(adj: list[int]) -> set[frozenset]:
+    """The vertex sets of the complement graph's components, by merging non-adjacent pairs."""
+    m = len(adj)
+    group = {v: frozenset([v]) for v in range(m)}
+    for u, v in itertools.combinations(range(m), 2):
+        if not adj[u] >> v & 1 and group[u] is not group[v]:
+            merged = group[u] | group[v]
+            for w in merged:
+                group[w] = merged
+    return set(group.values())
+
+
 def plain_bron_kerbosch(adj, weight, visit) -> None:
     """Bron-Kerbosch with pivoting and no folding: every candidate is branched on.
 

@@ -3,8 +3,8 @@
 Each test prints a single pass line with its elapsed time (visible under
 ``pytest -s``) and enforces the stated runtime ceiling.  Three long-running
 extras (the power-set chord census at n=6, the 14-element exact cluster
-distance and the 16-element move-distance case) are gated behind
-WEAKSEP_LONG=1.
+distance checked by Bron-Kerbosch as well, and the 16-element move-distance
+case) are gated behind WEAKSEP_LONG=1.
 """
 
 import itertools
@@ -153,6 +153,14 @@ def test_criterion_05_cluster_distances():
                 assert exact <= closed.value, a
                 if is_balanced(a):
                     assert closed.exact and exact == closed.value, a
+
+
+def test_criterion_05_fourteen_element_distance():
+    with _Timer(5, 60, "pair (4,3,3,4), n=14: max 32 by branch and bound, distance 18"):
+        i = sub([1, 2, 3, 4, 8, 9, 10], 14)
+        assert cluster_distance(i, i.complement(), "exact").value == 18
+        dom = build_domain_AIJ(i, i.complement())
+        assert max_clique_size(build_compat_graph(dom, "weak")) == 32 == unbalanced_witness(i).bound
 
 
 @pytest.mark.skipif(not LONG, reason="14-element exact distance runs under WEAKSEP_LONG=1")

@@ -19,10 +19,10 @@ from weaksep import (
     purity_report,
     unbalanced_witness,
 )
-from weaksep.cliques import CompatGraph, _bron_kerbosch
+from weaksep.cliques import CompatGraph, _branch_and_bound, _bron_kerbosch, _co_components, _degree_ordered
 from weaksep.ground import _k_subset_masks, _weakly_separated_masks
 
-from _oracles import naive_maximal_cliques, plain_bron_kerbosch
+from _oracles import naive_co_components, naive_maximal_cliques, plain_bron_kerbosch
 
 LONG = os.environ.get("WEAKSEP_LONG") == "1"
 
@@ -43,6 +43,20 @@ def random_graph(rng, m, density):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def permuted(adj, perm):
+    """The graph with vertex u renamed perm[u]."""
+    moved = [0] * len(adj)
+    for u, row in enumerate(adj):
+        for v in range(len(adj)):
+            if row >> v & 1:
+                moved[perm[u]] |= 1 << perm[v]
+    return moved
+
+
+def as_graph(adj):
+    return CompatGraph(Collection.from_masks(range(1, len(adj) + 1), 6), tuple(adj))
 
 
 class TestCollection:
@@ -301,12 +315,7 @@ class TestMaxCliqueSize:
                 sizes = []
                 _bron_kerbosch(tuple(adj), [1] * m, sizes.append)
                 assert best == max(sizes), (density, m)
-                perm = rng.sample(range(m), m)
-                moved = [0] * m
-                for u in range(m):
-                    for v in range(m):
-                        if adj[u] >> v & 1:
-                            moved[perm[u]] |= 1 << perm[v]
+                moved = permuted(adj, rng.sample(range(m), m))
                 assert max_clique_size(CompatGraph(vertices, tuple(moved))) == best, (density, m)
                 if m <= 12:
                     assert best == max(len(c) for c in naive_maximal_cliques(adj)), (density, m)
@@ -324,6 +333,104 @@ class TestMaxCliqueSize:
             g = build_compat_graph(build_domain_AIJ(sub(i, n), sub(j, n)), "weak")
             best = max(len(c) for c in enumerate_maximal_cliques(g))
             assert max_clique_size(g) == best
+
+
+def join(parts, universal):
+    """The join of the part graphs, in order, then ``universal`` vertices adjacent to all."""
+    m = sum(len(a) for a in parts) + universal
+    full = (1 << m) - 1
+    adj, base = [], 0
+    for a in parts:
+        block = ((1 << len(a)) - 1) << base
+        adj += [full & ~block | row << base for row in a]
+        base += len(a)
+    return adj + [full & ~(1 << v) for v in range(base, m)]
+
+
+def checked_split(adj):
+    """The parts of ``_co_components``, checked to be the complement's components, as vertex sets."""
+    m = len(adj)
+    parts = [frozenset(v for v in range(m) if p >> v & 1) for p in _co_components(adj)]
+    assert sorted(v for part in parts for v in part) == list(range(m))
+    for a, b in itertools.combinations(parts, 2):
+        assert all(adj[u] >> v & 1 for u in a for v in b)
+    for part in parts:
+        seen, stack = {min(part)}, [min(part)]
+        while stack:
+            u = stack.pop()
+            for v in part - seen:
+                if not adj[u] >> v & 1:
+                    seen.add(v)
+                    stack.append(v)
+        assert seen == part
+    assert set(parts) == naive_co_components(adj)
+    return parts
+
+
+def unsplit_max(adj):
+    """The branch and bound on all vertices at once, as before the split."""
+    return _branch_and_bound(_degree_ordered(adj), (1 << len(adj)) - 1)
+
+
+class TestJoinSplit:
+    def test_empty_graph(self):
+        assert _co_components([]) == []
+        assert max_clique_size(as_graph([])) == 0
+
+    def test_complete_graph_is_all_singletons(self):
+        for m in range(1, 11):
+            adj = [((1 << m) - 1) & ~(1 << v) for v in range(m)]
+            assert checked_split(adj) == [frozenset([v]) for v in range(m)]
+            assert max_clique_size(as_graph(adj)) == m
+
+    def test_edgeless_graph_is_one_part(self):
+        for m in range(1, 11):
+            assert checked_split([0] * m) == [frozenset(range(m))]
+            assert max_clique_size(as_graph([0] * m)) == 1
+
+    def test_random_graphs_split_into_co_components(self):
+        rng = random.Random(11)
+        for density in (0.1, 0.5, 0.9, 0.97):
+            for m in (1, 2, 5, 12, 30):
+                checked_split(random_graph(rng, m, density))
+
+    def test_planted_joins_relabelled(self):
+        rng = random.Random(13)
+        for trial in range(80):
+            parts = [random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8))) for _ in range(rng.randint(2, 4))]
+            universal = rng.randint(0, 3)
+            m = sum(map(len, parts)) + universal
+            adj = permuted(join(parts, universal), rng.sample(range(m), m))
+            # a planted part may split further, never merge with another
+            assert len(checked_split(adj)) >= len(parts) + universal, trial
+            best = max_clique_size(as_graph(adj))
+            planted = sum(max(len(c) for c in naive_maximal_cliques(a)) for a in parts) + universal
+            sizes = []
+            _bron_kerbosch(tuple(adj), [1] * m, sizes.append)
+            assert best == planted == unsplit_max(adj) == max(sizes), trial
+            if m <= 12:
+                assert best == max(len(c) for c in naive_maximal_cliques(adj)), trial
+
+    def test_pair_domains_split_as_measured(self):
+        # runs (4,1,1,4) at n=10: 10 universal sets joined to a 104-set core;
+        # runs (4,3,3,4) at n=14: 14 universal sets joined to two 62-set halves
+        for elems, n, shape in (([1, 2, 3, 5, 10], 10, [104] + [1] * 10), ([1, 2, 3, 4, 8, 9, 10], 14, [62, 62] + [1] * 14)):
+            i = sub(elems, n)
+            g = build_compat_graph(build_domain_AIJ(i, i.complement()))
+            assert sorted(map(len, checked_split(g.adj)), reverse=True) == shape
+
+    def test_every_tenth_pair_domain_of_ten_matches_unsplit(self):
+        for dom in complementary_pair_domains(10)[::10]:
+            g = build_compat_graph(dom)
+            checked_split(g.adj)
+            assert max_clique_size(g) == unsplit_max(g.adj), dom
+
+    @pytest.mark.skipif(not LONG, reason="all pair domains of ten run under WEAKSEP_LONG=1")
+    def test_long_all_pair_domains_of_ten_match_unsplit(self):
+        for dom in complementary_pair_domains(10):
+            g = build_compat_graph(dom)
+            checked_split(g.adj)
+            assert max_clique_size(g) == unsplit_max(g.adj), dom
 
 
 class TestPurityReport:

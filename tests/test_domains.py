@@ -34,6 +34,7 @@ from weaksep import (
     unbalanced_witness,
 )
 from weaksep.cliques import _require_maximal
+from weaksep.domains import _lr_chain_of
 
 
 def sub(elems, n):
@@ -293,6 +294,15 @@ class TestLRDomain:
                 assert len(s) == m
             for a, b in zip(chain.sets, chain.sets[1:]):
                 assert set(a) <= set(b)
+
+    def test_shared_labels_decode_each_chain_set_once(self):
+        n = 5
+        found = enumerate_maximal_cliques(build_compat_graph(lr_domain(n)))
+        labels = {}
+        chains = [_lr_chain_of(w.masks, n, labels).sets for w in found]
+        assert chains == [lr_chain(w, n).sets for w in found]
+        # every chain set of every clique is one of the stored label tuples
+        assert len({id(s) for chain in chains for s in chain}) == len(labels) <= 2 ** (n - 1)
 
     def test_non_maximal_rejected(self):
         with pytest.raises(ValueError):
