@@ -17,7 +17,7 @@ from typing import Any
 
 from . import cliques, domains, mutations, necklaces, octahedron
 from .cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
-from .ground import Subset, _k_subset_masks, is_chord_separated, is_weakly_separated
+from .ground import Subset, _check_power_set, _k_subset_masks, is_chord_separated, is_weakly_separated
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -152,6 +152,7 @@ def _purity_domain(args) -> Collection:
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --i/--j, --k, or --powerset")
     if args.powerset:
+        _check_power_set(args.n)
         return Collection.from_masks(range(1 << args.n), args.n)
     if args.k is not None:
         return Collection.from_masks(_k_subset_masks(args.n, args.k), args.n)
@@ -243,6 +244,7 @@ def _cmd_lr(args) -> tuple[int, bytes]:
 def _cmd_chord(args) -> tuple[int, bytes]:
     if (args.u is None) != (args.v is None):
         raise ValueError("--u and --v must be given together")
+    _check_power_set(args.n)
     dom = Collection.from_masks(range(1 << args.n), args.n)
     report = purity_report(dom, "chord").to_json()
     report["expected_size"] = domains._chord_rank(args.n)

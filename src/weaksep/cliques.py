@@ -2,8 +2,9 @@
 
 A domain plus a pairwise predicate becomes a graph; maximal weakly separated
 collections are its maximal cliques.  Enumeration (Bron-Kerbosch with
-pivoting, forced candidates folded) and maximum-clique size (branch and bound
-with greedy-coloring bounds) are coded independently to cross-validate.  The
+pivoting, forced candidates folded, branches of at most two candidates read
+off without recursing) and maximum-clique size (branch and bound with
+greedy-coloring bounds) are coded independently to cross-validate.  The
 maximum splits the graph into the components of its complement, whose maxima
 add up, and runs the branch and bound on each part of more than one vertex,
 relabelled once by non-increasing degree, ties by index.  Enumeration stays
@@ -163,13 +164,17 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
     Forced candidates, adjacent to every other candidate, lie in every maximal
     clique of their branch and are folded into it at once.  The pivot is the
     remaining vertex of P or X with the most candidate neighbours, ties toward
-    the lowest index, which fixes the recursion tree and the visit order.
-    Weight 1 gives clique sizes.
+    the lowest index, which fixes the recursion tree and the visit order.  A
+    child with at most two candidates is settled in its caller's loop: one
+    candidate, or two adjacent ones, make one clique, two non-adjacent ones a
+    clique each, in the order the recursion would visit them.  Weight 1 gives
+    clique sizes.
     """
     m = len(adj)
 
     def expand(acc: int, p: int, x: int) -> None:
-        # p is never empty; a branch with no candidates is settled by its caller
+        # p is never empty; a branch with at most two candidates is settled by its
+        # caller, unless it is the root
         top = p.bit_count() - 1
         pivot, best, forced = -1, -1, 0
         q = p
@@ -206,10 +211,27 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
             cand &= cand - 1
             row = adj[v]
             inner = p & row
-            if inner:
+            if inner.bit_count() > 2:
                 expand(acc + weight[v], inner, x & row)
-            elif not x & row:
-                visit(acc + weight[v])
+            elif not inner:
+                if not x & row:
+                    visit(acc + weight[v])
+            else:
+                # one or two candidates: the child's cliques are read off, each
+                # visited unless a vertex of X extends it
+                xv, av = x & row, acc + weight[v]
+                u, w = (inner & -inner).bit_length() - 1, inner.bit_length() - 1
+                if u == w:
+                    if not xv & adj[u]:
+                        visit(av + weight[u])
+                elif adj[u] >> w & 1:
+                    if not xv & adj[u] & adj[w]:
+                        visit(av + weight[u] + weight[w])
+                else:
+                    if not xv & adj[u]:
+                        visit(av + weight[u])
+                    if not xv & adj[w]:
+                        visit(av + weight[w])
             p &= ~(1 << v)
             x |= 1 << v
 

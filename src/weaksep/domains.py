@@ -25,6 +25,7 @@ from .ground import (
     Subset,
     _check_ground_size,
     _check_pair,
+    _check_power_set,
     _check_same_ground,
     _k_subset_masks,
     _weakly_separated_masks,
@@ -230,6 +231,7 @@ def lr_domain(n: int) -> Collection:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_ground_size(n + 1)
+    _check_power_set(n)
     # on the ground set [n + 1], 0 and n are the lowest and the highest bit
     return Collection.from_masks([m for m in range(2 << n) if (m ^ m >> n) & 1], n + 1)
 

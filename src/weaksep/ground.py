@@ -24,6 +24,19 @@ def _check_ground_size(n: int) -> None:
         raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
 
 
+# 2^20 sets already make about 10^12 pair tests, far beyond any search that finishes
+_MAX_POWER_SET_BITS = 20
+
+
+def _check_power_set(n: int) -> None:
+    """Refuse a domain of 2^n sets, all subsets of an n-set, before it is listed."""
+    _check_ground_size(n)
+    if n > _MAX_POWER_SET_BITS:
+        raise ValueError(
+            f"a domain of 2^{n} sets is too large to search; the limit is 2^{_MAX_POWER_SET_BITS}"
+        )
+
+
 @dataclass(frozen=True)
 class Subset:
     """A subset of [n] = {1, ..., n} stored as a bitmask (bit i-1 <=> element i).

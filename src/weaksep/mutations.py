@@ -3,9 +3,11 @@
 The mutation graph is implicit: nodes are canonical collections, edges are
 single square moves.  Inside the engine a collection of the C(n,k) grid is
 one int with a bit per grid set (``_Grid``), decoded to sorted mask tuples
-only at the public boundary.  Exploration is breadth-first with
-canonical-order frontiers, so node streams, distances, and witness paths are
-deterministic.
+only at the public boundary.  A member's square moves depend only on which
+of its side sets the node holds, so each grid tables them per member and
+pattern of held sides, and expanding a node is one lookup per member.
+Exploration is breadth-first with canonical-order frontiers, so node streams,
+distances, and witness paths are deterministic.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ class _Grid(dict):
     collection is the sum of its members' bits, and among collections of one
     size int order is the reverse of sorted-tuple order.  Bits and square
     rows are filled per set on first use, never over the whole grid.
+
+    ``table`` keeps, per set, the moves for each pattern of side sets a node
+    has held, so ``_neighbors`` scans a set's squares once per pattern, not
+    once per node.  It grows only with the patterns met and lives as long as
+    the grid, which the ``_GRIDS``-entry LRU of ``_grid`` bounds.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -89,6 +96,8 @@ class _Grid(dict):
         self.top = comb(n, k) - 1
         self.at: dict[int, int] = {}  # bit position -> set
         self.rows: dict[int, tuple] = {}
+        # bit position -> (near, {held: flips}); see ``entry`` and ``flips``
+        self.table: dict[int, tuple[int, dict[int, tuple]]] = {}
 
     def __missing__(self, x: int) -> int:
         if x.bit_count() != self.k or x >> self.n:
@@ -152,6 +161,35 @@ class _Grid(dict):
         rows = self.rows[x] = tuple(out)
         return rows
 
+    def entry(self, pos: int) -> tuple[int, dict[int, tuple]]:
+        """The table entry of the set at bit ``pos``, with no moves known yet.
+
+        ``near`` is the bits of every side set of the set's squares; a node's
+        moves of that set depend only on which of them it holds.
+        """
+        near = 0
+        for around, moves in self.squares(self.at[pos]):
+            near |= around
+            for _, beside in moves:
+                near |= beside
+        out = self.table[pos] = (near, {})
+        return out
+
+    def flips(self, pos: int, held: int) -> tuple[tuple[int, tuple], ...]:
+        """The moves of the set at bit ``pos`` in a node holding the side sets ``held``.
+
+        Each is (removed bit ^ added bit, move), in ``squares`` order, and is
+        kept in the set's table entry, which ``entry`` made.
+        """
+        out = []
+        for around, moves in self.squares(self.at[pos]):
+            if held & around == around:
+                for move, beside in moves:
+                    if held & beside == beside:
+                        out.append(((1 << pos) ^ self[move[5]], move))
+        flips = self.table[pos][1][held] = tuple(out)
+        return flips
+
 
 @functools.lru_cache(maxsize=_GRIDS)
 def _grid(n: int, k: int) -> _Grid:
@@ -164,21 +202,23 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     No maximality contract here; callers guarantee it.  A move applies when
     the node has all its side bits, and the child flips the bits of the
     removed and the added set.  Members are walked from the high bit down,
-    that is in ascending mask order, each with its moves in ``squares`` order.
+    that is in ascending mask order, each with its moves in ``squares`` order,
+    looked up in ``grid.table`` by the side sets the node holds.
     """
     out = []
-    at, rows = grid.at, grid.rows
+    append = out.append
+    table = grid.table
     rest = node
     while rest:
         pos = rest.bit_length() - 1
-        bx = 1 << pos
-        rest ^= bx
-        x = at[pos]
-        for around, moves in rows[x] if x in rows else grid.squares(x):
-            if node & around == around:
-                for move, beside in moves:
-                    if node & beside == beside:
-                        out.append((node ^ bx ^ grid[move[5]], move))
+        rest ^= 1 << pos
+        near, known = table[pos] if pos in table else grid.entry(pos)
+        held = node & near
+        flips = known.get(held)
+        if flips is None:
+            flips = grid.flips(pos, held)
+        for flip, move in flips:
+            append((node ^ flip, move))
     return out
 
 

@@ -274,6 +274,17 @@ class TestLrChordOcta:
         assert code == EXIT_BAD_INPUT and payload == b""
         assert capsys.readouterr().err == "error: ground set size must be in [1, 64], got 65\n"
 
+    @pytest.mark.parametrize("argv", [["chord", "--n", "40"], ["purity", "--n", "40", "--powerset"], ["lr", "--n", "40"]])
+    def test_power_set_too_large_rejected_before_listing(self, argv, monkeypatch, capsys):
+        # 2^40 masks would exhaust memory; the cap refuses them before any is listed
+        def listed(cls, masks, n):
+            raise AssertionError("a domain was listed before the size check")
+
+        monkeypatch.setattr(Collection, "from_masks", classmethod(listed))
+        code, payload = invoke(argv)
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == "error: a domain of 2^40 sets is too large to search; the limit is 2^20\n"
+
     def test_octahedron_by_lengths(self):
         code, report = invoke_json(["octahedron", "--p", "2,1,1,2"])
         assert report == {

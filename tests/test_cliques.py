@@ -273,6 +273,26 @@ def complementary_pair_domains(n):
 
 
 class TestFoldAgainstPlainKernel:
+    def test_every_graph_on_at_most_six_vertices(self):
+        # all 33,868 labelled graphs: every child with one or two candidates,
+        # adjacent or not, meets every way an X vertex can cover its cliques
+        graphs = 0
+        for m in range(7):
+            pairs = list(itertools.combinations(range(m), 2))
+            for edges in range(1 << len(pairs)):
+                adj = [0] * m
+                for e, (u, v) in enumerate(pairs):
+                    if edges >> e & 1:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                for weight in ([1 << v for v in range(m)], [1] * m):
+                    fast, plain = [], []
+                    _bron_kerbosch(tuple(adj), weight, fast.append)
+                    plain_bron_kerbosch(adj, weight, plain.append)
+                    assert sorted(fast) == sorted(plain), (m, edges, weight)
+                graphs += 1
+        assert graphs == 33868
+
     def test_grids(self):
         for n, k in ((6, 3), (7, 3), (8, 4)):
             grid = Collection.from_masks(_k_subset_masks(n, k), n)

@@ -35,6 +35,7 @@ from weaksep import (
 )
 from weaksep.cliques import _require_maximal
 from weaksep.domains import _lr_chain_of
+from weaksep.ground import _check_power_set
 
 
 def sub(elems, n):
@@ -274,6 +275,12 @@ class TestLRDomain:
         # [0, 64] does not fit the 64-element ground limit; listing 2^65 masks would hang
         with pytest.raises(ValueError, match="got 65"):
             lr_domain(64)
+
+    def test_power_set_cap(self):
+        # 2^20 sets pass the cap; 2^21 are refused, without listing 2^22 masks
+        _check_power_set(20)
+        with pytest.raises(ValueError, match="2\\^21 sets is too large"):
+            lr_domain(21)
 
     def test_known_incompatible_pair(self):
         a = lr_subset([0, 2, 3], 4)

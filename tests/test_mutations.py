@@ -365,8 +365,63 @@ class TestGrid:
         g = explore_mutation_graph(seed, budget=10)
         grid = _grid(16, 8)
         assert g.node_count == 10 and not g.complete
-        # rows only for members of the explored nodes, a sliver of the 12,870 sets
+        # rows and move-table entries only for members of the explored nodes,
+        # a sliver of the 12,870 sets
         assert len(grid.rows) == len(set().union(*g.nodes)) < 100
+        assert {grid.at[pos] for pos in grid.table} == set().union(*g.nodes)
+
+
+def scanned_neighbors(grid, node):
+    """The moves of a node by a direct scan of ``grid.squares``, member by member in ascending mask order."""
+    out = []
+    for x in grid.masks(node):
+        for around, moves in grid.squares(x):
+            if node & around == around:
+                for move, beside in moves:
+                    if node & beside == beside:
+                        out.append((node ^ grid[x] ^ grid[move[5]], move))
+    return out
+
+
+def table_entries(grid):
+    return {(pos, held) for pos, (_, known) in grid.table.items() for held in known}
+
+
+CLOSURES = [(6, 3), (7, 3), pytest.param(8, 4, marks=pytest.mark.skipif(
+    os.environ.get("WEAKSEP_LONG") != "1", reason="runs under WEAKSEP_LONG=1"))]
+
+
+class TestMoveTable:
+    @pytest.mark.parametrize("n, k", CLOSURES)
+    def test_lookups_match_a_direct_scan(self, n, k):
+        # the warm grid answers from its table, a fresh one fills it; both
+        # must list the moves in the order of the squares themselves
+        _grid.cache_clear()
+        nodes = explored(n, k).nodes
+        warm = _grid(n, k)
+        for masks in nodes:
+            node = warm.node(masks)
+            listed = _neighbors(warm, node)
+            fresh = mutations._Grid(n, k)
+            assert _neighbors(fresh, fresh.node(masks)) == listed, masks
+            assert scanned_neighbors(warm, node) == listed, masks
+
+    @pytest.mark.parametrize("n, k", CLOSURES)
+    def test_entries_are_the_patterns_of_explored_members(self, n, k):
+        _grid.cache_clear()
+        nodes = explored(n, k).nodes
+        grid = _grid(n, k)
+        entries = table_entries(grid)
+        expected = set()
+        for masks in nodes:
+            node = grid.node(masks)
+            for x in masks:
+                pos = grid[x].bit_length() - 1
+                expected.add((pos, node & grid.table[pos][0]))
+        assert entries == expected
+        # a second closure meets only patterns already tabled
+        explored(n, k)
+        assert table_entries(grid) == entries
 
 
 class TestSeeding:
