@@ -4,7 +4,12 @@ A domain plus a pairwise predicate becomes a graph; maximal weakly separated
 collections are its maximal cliques.  Enumeration (Bron-Kerbosch with
 pivoting, forced candidates folded, branches of at most two candidates read
 off without recursing) and maximum-clique size (branch and bound with
-greedy-coloring bounds) are coded independently to cross-validate.  The
+greedy-coloring bounds) are coded independently to cross-validate.
+Bron-Kerbosch memoises each branch by its candidate and excluded sets, keyed
+``~(P << m | X)``: a branch met again replays its recorded visits, in order,
+instead of recursing.  Records name their children by key, so the memo holds
+each subtree once; it lives for one call and is cleared whenever it holds
+``_BRANCHES`` (4,000) records, about a megabyte on graphs of 110 vertices.  The
 maximum splits the graph into the components of its complement, whose maxima
 add up, and runs the branch and bound on each part of more than one vertex,
 relabelled once by non-increasing degree, ties by index.  Enumeration stays
@@ -158,6 +163,10 @@ def build_compat_graph(domain: Collection, relation: str = "weak") -> CompatGrap
     return CompatGraph(domain, tuple(adj))
 
 
+# the Bron-Kerbosch memo is cleared when it holds this many branch records
+_BRANCHES = 4000
+
+
 def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[[int], None]) -> None:
     """Visit every maximal clique once, as the sum of its vertices' weights.
 
@@ -168,15 +177,48 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
     child with at most two candidates is settled in its caller's loop: one
     candidate, or two adjacent ones, make one clique, two non-adjacent ones a
     clique each, in the order the recursion would visit them.  Weight 1 gives
-    clique sizes.
+    clique sizes; weights must not be negative.
+
+    A branch does the same work wherever its (P, X) pair comes up, so each one
+    is recorded under the key ``~(P << m | X)``, negative so that it stands
+    apart from the visits in a record.  A record lists the branch's visits
+    relative to the weight it entered with, and each child it recursed into as
+    that child's key followed by the child's entry weight, relative in the
+    same way.  A branch met again replays its record in order, replaying the
+    children it names or expanding those no longer held, so the visits and
+    their order stay the same.  Repeats come from anywhere in the tree, so the
+    memo spans the whole call; since records name their children instead of
+    holding their visits, clearing it whenever it holds ``_BRANCHES`` records
+    bounds its memory.
     """
     m = len(adj)
+    low = (1 << m) - 1
+    memo: dict[int, tuple[int, ...]] = {}
 
-    def expand(acc: int, p: int, x: int) -> None:
+    def remember(key: int, record: Sequence[int]) -> None:
+        if len(memo) >= _BRANCHES:
+            memo.clear()
+        memo[key] = tuple(record)
+
+    def replay(acc: int, record: tuple[int, ...]) -> None:
+        items = iter(record)
+        for r in items:
+            if r >= 0:
+                visit(acc + r)
+                continue
+            # a child's key, then its entry weight relative to this record
+            off = next(items)
+            sub = memo.get(r)
+            if sub is None:
+                expand(acc + off, ~r >> m, ~r & low, r)
+            else:
+                replay(acc + off, sub)
+
+    def expand(acc: int, p: int, x: int, key: int) -> None:
         # p is never empty; a branch with at most two candidates is settled by its
         # caller, unless it is the root
         top = p.bit_count() - 1
-        pivot, best, forced = -1, -1, 0
+        pivot, best, forced, own = -1, -1, 0, 0
         q = p
         while q:
             u = (q & -q).bit_length() - 1
@@ -184,7 +226,7 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
             d = (p & adj[u]).bit_count()
             if d == top:
                 forced |= 1 << u
-                acc += weight[u]
+                own += weight[u]
                 x &= adj[u]
             elif d > best:
                 best, pivot = d, u
@@ -193,7 +235,8 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
         rest = p & ~forced
         if not rest:
             if not x:
-                visit(acc)
+                visit(acc + own)
+            remember(key, () if x else (own,))
             return
         q = x
         while q:
@@ -201,9 +244,11 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
             q &= q - 1
             d = (p & adj[u]).bit_count()
             if d > top:
+                remember(key, ())
                 return  # u extends every clique of this branch
             if d > best or (d == best and u < pivot):
                 best, pivot = d, u
+        record: list[int] = []
         p = rest
         cand = p & ~adj[pivot]
         while cand:
@@ -211,32 +256,51 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
             cand &= cand - 1
             row = adj[v]
             inner = p & row
+            xv, rv = x & row, own + weight[v]
             if inner.bit_count() > 2:
-                expand(acc + weight[v], inner, x & row)
+                child = ~(inner << m | xv)
+                record += (child, rv)
+                sub = memo.get(child)
+                if sub is None:
+                    expand(acc + rv, inner, xv, child)
+                else:
+                    replay(acc + rv, sub)
             elif not inner:
-                if not x & row:
-                    visit(acc + weight[v])
+                if not xv:
+                    visit(acc + rv)
+                    record.append(rv)
             else:
                 # one or two candidates: the child's cliques are read off, each
                 # visited unless a vertex of X extends it
-                xv, av = x & row, acc + weight[v]
                 u, w = (inner & -inner).bit_length() - 1, inner.bit_length() - 1
                 if u == w:
                     if not xv & adj[u]:
-                        visit(av + weight[u])
+                        r = rv + weight[u]
+                        visit(acc + r)
+                        record.append(r)
                 elif adj[u] >> w & 1:
                     if not xv & adj[u] & adj[w]:
-                        visit(av + weight[u] + weight[w])
+                        r = rv + weight[u] + weight[w]
+                        visit(acc + r)
+                        record.append(r)
                 else:
                     if not xv & adj[u]:
-                        visit(av + weight[u])
+                        r = rv + weight[u]
+                        visit(acc + r)
+                        record.append(r)
                     if not xv & adj[w]:
-                        visit(av + weight[w])
+                        r = rv + weight[w]
+                        visit(acc + r)
+                        record.append(r)
             p &= ~(1 << v)
             x |= 1 << v
+        remember(key, record)
 
     if m:
-        expand(0, (1 << m) - 1, 0)
+        expand(0, low, 0, ~(low << m))
+    # the closures name each other, so drop them rather than leave a cycle that
+    # holds adj, weight, visit and the memo until a full collection
+    expand = replay = None
 
 
 def enumerate_maximal_cliques(g: CompatGraph) -> list[Collection]:
@@ -313,6 +377,7 @@ def _branch_and_bound(adj: Sequence[int], p: int) -> int:
             p &= ~(1 << v)
 
     expand(0, p)
+    expand = None  # it names itself, a cycle that would hold adj until a full collection
     return best
 
 

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -19,6 +21,7 @@ from weaksep import (
     purity_report,
     unbalanced_witness,
 )
+from weaksep import cliques
 from weaksep.cliques import CompatGraph, _branch_and_bound, _bron_kerbosch, _co_components, _degree_ordered
 from weaksep.ground import _k_subset_masks, _weakly_separated_masks
 
@@ -276,7 +279,7 @@ class TestFoldAgainstPlainKernel:
     def test_every_graph_on_at_most_six_vertices(self):
         # all 33,868 labelled graphs: every child with one or two candidates,
         # adjacent or not, meets every way an X vertex can cover its cliques
-        graphs = 0
+        graphs = replaying = 0
         for m in range(7):
             pairs = list(itertools.combinations(range(m), 2))
             for edges in range(1 << len(pairs)):
@@ -286,12 +289,15 @@ class TestFoldAgainstPlainKernel:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
                 for weight in ([1 << v for v in range(m)], [1] * m):
-                    fast, plain = [], []
-                    _bron_kerbosch(tuple(adj), weight, fast.append)
+                    plain = []
+                    fast, replayed, _ = traced_visits(adj, weight)
                     plain_bron_kerbosch(adj, weight, plain.append)
                     assert sorted(fast) == sorted(plain), (m, edges, weight)
                 graphs += 1
-        assert graphs == 33868
+                # e.g. a root vertex folded, then two candidates whose children
+                # share P and X: 25 graphs on five vertices and 991 on six
+                replaying += replayed > 0
+        assert graphs == 33868 and replaying == 1016
 
     def test_grids(self):
         for n, k in ((6, 3), (7, 3), (8, 4)):
@@ -310,6 +316,97 @@ class TestFoldAgainstPlainKernel:
             same_visits(build_compat_graph(dom))
         i = sub([1, 2, 3, 7, 8, 9], 12)
         assert same_visits(build_compat_graph(build_domain_AIJ(i, i.complement()))) == 73984
+
+
+def traced_visits(adj, weight):
+    """The kernel's visits, and how many came from a replay and from a child a replay re-expanded."""
+    out, replayed, reexpanded = [], 0, 0
+
+    def visit(r):
+        nonlocal replayed, reexpanded
+        # the caller's frame says which path made the visit
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "replay":
+            replayed += 1
+        elif caller.f_back.f_code.co_name == "replay":
+            reexpanded += 1
+        out.append(r)
+
+    _bron_kerbosch(tuple(adj), weight, visit)
+    return out, replayed, reexpanded
+
+
+def unbalanced_ten():
+    """The runs (4,1,1,4) pair domain at n=10: 114 sets, 52,758 maximal cliques."""
+    i = sub([1, 2, 3, 5, 10], 10)
+    return build_domain_AIJ(i, i.complement())
+
+
+class TestBranchMemo:
+    # a memo that keeps only its latest record, one cleared every five
+    # records, and the default; the visits and their order must not depend on it
+    BOUNDS = (0, 1, 5, cliques._BRANCHES)
+
+    def graphs(self):
+        out = [build_compat_graph(dom) for dom in complementary_pair_domains(8)]
+        for n, k in ((6, 3), (7, 3), (8, 4)):
+            out.append(build_compat_graph(Collection.from_masks(_k_subset_masks(n, k), n)))
+        return out + [build_compat_graph(unbalanced_ten())]
+
+    def test_every_bound_matches_plain_kernel(self, monkeypatch):
+        graphs = self.graphs()
+        assert len(graphs) == 35
+        for g in graphs:
+            m = len(g)
+            weight = [1 << v for v in range(m)]
+            plain = []
+            plain_bron_kerbosch(g.adj, weight, plain.append)
+            runs = []
+            for bound in self.BOUNDS:
+                monkeypatch.setattr(cliques, "_BRANCHES", bound)
+                bitsets, replayed, reexpanded = traced_visits(g.adj, weight)
+                sizes, _, _ = traced_visits(g.adj, [1] * m)
+                assert sorted(bitsets) == sorted(plain), (m, bound)
+                # both weightings replay the same records, so the visits pair up
+                assert sizes == [r.bit_count() for r in bitsets], (m, bound)
+                runs.append(bitsets)
+                if m == 114 and bound >= 5:
+                    assert replayed > 0, bound
+                if m == 114 and bound == 5:
+                    # replayed records name children cleared since
+                    assert reexpanded > 0
+            assert all(run == runs[0] for run in runs), m
+
+    def test_twelve_pair_census(self):
+        # runs (2,4,4,2): 90 sets, many repeated branches
+        i = sub([1, 6, 7, 8, 9, 12], 12)
+        dom = build_domain_AIJ(i, i.complement())
+        report = purity_report(dom)
+        assert len(dom) == 90 and report.clique_sizes == {26: 162264}
+        assert max_clique_size(build_compat_graph(dom)) == 26
+
+
+def test_kernels_leave_no_reference_cycles():
+    # the recursive closures are dropped on return, so a call leaves nothing
+    # for the cycle collector to find
+    dom = unbalanced_ten()
+    g = build_compat_graph(dom)
+    adj = _degree_ordered(g.adj)
+    calls = [
+        lambda: _bron_kerbosch(g.adj, [1] * len(g), [].append),
+        lambda: _branch_and_bound(adj, (1 << 40) - 1),
+        lambda: purity_report(dom),
+        lambda: enumerate_maximal_cliques(g),
+        lambda: max_clique_size(g),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for idx, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, idx
+    finally:
+        gc.enable()
 
 
 class TestMaxCliqueSize:

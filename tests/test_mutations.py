@@ -4,7 +4,7 @@ import os
 import random
 
 import pytest
-from _oracles import naive_is_maximal, naive_square_moves, naive_weakly_separated
+from _oracles import naive_is_maximal, naive_square_moves, naive_weakly_separated, plain_bron_kerbosch
 
 from weaksep import (
     BigInstance,
@@ -449,6 +449,16 @@ class TestBigGrid:
             seeds = _maximal_collections_containing(s, grid)
             assert len(seeds) == len(set(seeds)) == 244037
             assert purity_report(build_domain_AIJ(s, s)).clique_count == 244037
+
+    def test_ten_four_run_seeds_match_plain_kernel(self):
+        # the memoised kernel builds the same nodes as the unmemoised one
+        s = sub([1, 2, 3, 6, 7], 10)
+        grid = _grid(10, 5)
+        g = build_compat_graph(build_domain_AIJ(s, s))
+        plain: list[int] = []
+        plain_bron_kerbosch(g.adj, list(map(grid.__getitem__, g.vertices.masks)), plain.append)
+        seeds = _maximal_collections_containing(s, grid)
+        assert len(plain) == 244037 and sorted(seeds) == sorted(plain)
 
     def test_four_of_eight_graph_matches_clique_census(self):
         # the gated 4-of-8 grid is in fact fully explorable: 5470 maximal
