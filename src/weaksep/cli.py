@@ -36,9 +36,10 @@ def emit_report(result: Any, fmt: str = "json") -> bytes:
 
 
 def _emit_collections(nodes, masks, n: int) -> bytes:
-    """JSONL, one row per mask tuple; rows repeat the sets of ``masks``, so each is decoded once."""
-    rows = {m: Subset(m, n).to_json() for m in masks}
-    return emit_report([[rows[m] for m in node] for node in nodes], "jsonl")
+    """JSONL, one row per mask tuple; rows repeat the sets of ``masks``, each written as JSON once."""
+    texts = {m: json.dumps(Subset(m, n).to_json(), separators=(",", ":")) for m in masks}
+    lines = ["[" + ",".join(map(texts.__getitem__, node)) + "]" for node in nodes]
+    return ("\n".join(lines) + "\n").encode() if lines else b""
 
 
 def _int_from(low: int):
@@ -299,7 +300,8 @@ def _cmd_explore(args) -> tuple[int, bytes]:
         )
     graph = mutations.explore_mutation_graph(seed, budget=args.budget)
     if args.format == "jsonl":
-        return EXIT_OK, _emit_collections(graph.nodes, set().union(*graph.nodes), args.n)
+        nodes = graph.nodes
+        return EXIT_OK, _emit_collections(nodes, set().union(*nodes), args.n)
     report = graph.to_json()
     if args.split:
         checked, consistent = octahedron.check_projection_laws(graph, split)

@@ -102,10 +102,6 @@ class Subset:
         full = (1 << n) - 1
         return Subset(((self.mask << r) | (self.mask >> (n - r))) & full, n)
 
-    def issubset(self, other: "Subset") -> bool:
-        _check_same_ground(self, other)
-        return self.mask & ~other.mask == 0
-
 
 def _k_subset_masks(n: int, k: int) -> Iterator[int]:
     """Masks of the k-subsets of [n], in the lexicographic order of their elements."""

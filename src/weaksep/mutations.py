@@ -2,19 +2,19 @@
 
 The mutation graph is implicit: nodes are canonical collections, edges are
 single square moves.  Inside the engine a collection of the C(n,k) grid is
-one int with a bit per grid set (``_Grid``), decoded to sorted mask tuples
-only at the public boundary.  A member's square moves depend only on which
-of its side sets the node holds, so each grid tables them per member and
-pattern of held sides, and expanding a node is one lookup per member.
-Exploration is breadth-first with canonical-order frontiers, so node streams,
-distances, and witness paths are deterministic.
+one int with a bit per grid set (``_Grid``), from seeding to the explored
+graph; nodes are decoded to sorted mask tuples only at the public boundary.
+Each grid keeps one table entry per set: its squares, flat, and the moves
+they give for each pattern of held side sets, so expanding a node is one
+lookup per member.  Exploration is breadth-first with canonical-order
+frontiers, so node streams, distances, and witness paths are deterministic.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable
 
@@ -40,7 +40,7 @@ DEFAULT_BUDGET = 10**6
 # instances with more ambient-grid cells than this need the explicit big flag
 BIG_GATE = 12
 
-# distinct (n, k) grids whose set bits and square rows stay cached
+# distinct (n, k) grids whose set bits and move tables stay cached
 _GRIDS = 8
 
 
@@ -81,13 +81,14 @@ class _Grid(dict):
 
     The set of rank r in ascending mask order is bit N-1-r, N = C(n,k).  A
     collection is the sum of its members' bits, and among collections of one
-    size int order is the reverse of sorted-tuple order.  Bits and square
-    rows are filled per set on first use, never over the whole grid.
+    size int order is the reverse of sorted-tuple order.  Bits and table
+    entries are filled per set on first use, never over the whole grid.
 
-    ``table`` keeps, per set, the moves for each pattern of side sets a node
-    has held, so ``_neighbors`` scans a set's squares once per pattern, not
-    once per node.  It grows only with the patterns met and lives as long as
-    the grid, which the ``_GRIDS``-entry LRU of ``_grid`` bounds.
+    ``table`` keeps one entry per set (``entry``): its squares and the
+    moves of each pattern of side sets a node has held, so ``_neighbors``
+    scans a set's squares once per pattern, not once per node.
+    It grows only with the patterns met and lives as long as the grid, which
+    the ``_GRIDS``-entry LRU of ``_grid`` bounds.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -95,9 +96,8 @@ class _Grid(dict):
         self.n, self.k = n, k
         self.top = comb(n, k) - 1
         self.at: dict[int, int] = {}  # bit position -> set
-        self.rows: dict[int, tuple] = {}
-        # bit position -> (near, {held: flips}); see ``entry`` and ``flips``
-        self.table: dict[int, tuple[int, dict[int, tuple]]] = {}
+        # bit position -> (near, squares, {held: flips}); see ``entry`` and ``flips``
+        self.table: dict[int, tuple[int, tuple, dict[int, tuple]]] = {}
 
     def __missing__(self, x: int) -> int:
         if x.bit_count() != self.k or x >> self.n:
@@ -126,21 +126,20 @@ class _Grid(dict):
             node ^= 1 << pos
         return tuple(out)
 
-    def squares(self, x: int) -> tuple[tuple[int, tuple[tuple[tuple, int], ...]], ...]:
-        """Every square move that removes the set x, in rows (around, ((move, beside), ...)).
+    def entry(self, pos: int) -> tuple[int, tuple[tuple[int, tuple], ...], dict[int, tuple]]:
+        """The table entry (near, squares, {held: flips}) of the set x at bit ``pos``.
 
         The one definition of a square: x = S+{a,c} with a < c, b strictly
         inside the arc (a, c) and d strictly inside the arc (c, a), S disjoint
-        from {a, b, c, d}.  The move (s, a, b, c, d, added) adds S+{b,d} and
-        needs the four side sets.  A row holds the moves of one (a, c, d):
-        ``around`` is the bits of S+{c,d} and S+{d,a}, which they share, and
-        ``beside`` the bits of S+{a,b} and S+{b,c}.  Moves run by (a, c), then
-        d, then b.
+        from {a, b, c, d}.  ``squares`` holds each as (sides, move): the move
+        (s, a, b, c, d, added) adds S+{b,d}, and ``sides`` is the bits of the
+        four side sets S+{a,b}, S+{b,c}, S+{c,d} and S+{d,a} that it needs.
+        Squares run by (a, c), then d, then b.  ``near`` is the union of all
+        sides; a node's moves of x depend only on which of them it holds.
         """
-        rows = self.rows.get(x)
-        if rows is not None:
-            return rows
-        n, out = self.n, []
+        if pos in self.table:
+            return self.table[pos]
+        x, n, squares, near = self.at[pos], self.n, [], 0
         for a, c in itertools.combinations([i + 1 for i in range(n) if x >> i & 1], 2):
             ba, bc = 1 << (a - 1), 1 << (c - 1)
             s = x & ~ba & ~bc
@@ -154,40 +153,27 @@ class _Grid(dict):
             for d in (*range(c + 1, n + 1), *range(1, a)):
                 bd = 1 << (d - 1)
                 if not s & bd:
+                    # S+{c,d} and S+{d,a}; every b adds its own S+{a,b} and S+{b,c}
                     around = self[s | bc | bd] | self[s | bd | ba]
-                    out.append((around, tuple(
-                        ((s, a, b, c, d, s | bb | bd), beside) for b, bb, beside in inside
-                    )))
-        rows = self.rows[x] = tuple(out)
-        return rows
-
-    def entry(self, pos: int) -> tuple[int, dict[int, tuple]]:
-        """The table entry of the set at bit ``pos``, with no moves known yet.
-
-        ``near`` is the bits of every side set of the set's squares; a node's
-        moves of that set depend only on which of them it holds.
-        """
-        near = 0
-        for around, moves in self.squares(self.at[pos]):
-            near |= around
-            for _, beside in moves:
-                near |= beside
-        out = self.table[pos] = (near, {})
+                    for b, bb, beside in inside:
+                        sides = around | beside
+                        near |= sides
+                        squares.append((sides, (s, a, b, c, d, s | bb | bd)))
+        out = self.table[pos] = (near, tuple(squares), {})
         return out
 
     def flips(self, pos: int, held: int) -> tuple[tuple[int, tuple], ...]:
         """The moves of the set at bit ``pos`` in a node holding the side sets ``held``.
 
-        Each is (removed bit ^ added bit, move), in ``squares`` order, and is
-        kept in the set's table entry, which ``entry`` made.
+        Each is (removed bit ^ added bit, move), for the squares whose sides
+        ``held`` covers, in ``squares`` order; the tuple is kept under
+        ``held`` in the set's table entry.
         """
-        out = []
-        for around, moves in self.squares(self.at[pos]):
-            if held & around == around:
-                for move, beside in moves:
-                    if held & beside == beside:
-                        out.append(((1 << pos) ^ self[move[5]], move))
-        flips = self.table[pos][1][held] = tuple(out)
+        _, squares, known = self.entry(pos)
+        bit = 1 << pos
+        flips = known[held] = tuple(
+            (bit ^ self[move[5]], move) for sides, move in squares if held & sides == sides
+        )
         return flips
 
 
@@ -203,7 +189,8 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     the node has all its side bits, and the child flips the bits of the
     removed and the added set.  Members are walked from the high bit down,
     that is in ascending mask order, each with its moves in ``squares`` order,
-    looked up in ``grid.table`` by the side sets the node holds.
+    looked up in the member's ``grid.table`` entry by the side sets the node
+    holds.
     """
     out = []
     append = out.append
@@ -212,7 +199,7 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     while rest:
         pos = rest.bit_length() - 1
         rest ^= 1 << pos
-        near, known = table[pos] if pos in table else grid.entry(pos)
+        near, _, known = table[pos] if pos in table else grid.entry(pos)
         held = node & near
         flips = known.get(held)
         if flips is None:
@@ -223,7 +210,7 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
 
 
 def _check_applicable(c: Collection, m: SquareMove) -> None:
-    """Raise ValueError unless m labels a move of ``_Grid.squares`` whose sets c all holds.
+    """Raise ValueError unless m labels a square of the removed set's table entry, all held by c.
 
     The one applicability rule: a listed move with the same s, removed and
     added set fixes {a, c} and {b, d}, so exactly the four labellings of a
@@ -237,11 +224,11 @@ def _check_applicable(c: Collection, m: SquareMove) -> None:
         grid = _grid(n, k)
         # a collection off the grid of m's sets holds none of them
         node = grid.node(c.masks) if {x.bit_count() for x in c.masks} == {k} else 0
-        for around, moves in grid.squares(removed):
-            for move, beside in moves:
-                need = grid[removed] | around | beside
-                if move[0] == s and move[5] == added and node & need == need:
-                    return
+        bit = grid[removed]
+        for sides, move in grid.entry(bit.bit_length() - 1)[1]:
+            need = bit | sides
+            if move[0] == s and move[5] == added and node & need == need:
+                return
     raise ValueError("move is not applicable to this collection")
 
 
@@ -280,17 +267,24 @@ def apply_square_move(c: Collection, m: SquareMove) -> Collection:
 
 @dataclass(frozen=True)
 class MutationGraph:
-    """BFS closure of a seed under square moves, possibly budget-truncated."""
+    """BFS closure of a seed under square moves, possibly budget-truncated.
+
+    The visited nodes are kept as ints of the grid that numbered them,
+    descending, which is canonical order; ``nodes`` decodes them through it.
+    """
 
     n: int
     k: int
     node_count: int
     edge_count: int
     complete: bool
-    nodes: tuple[tuple[int, ...], ...]
+    ints: tuple[int, ...]
+    grid: _Grid = field(compare=False, repr=False)
 
-    def node_collections(self) -> list[Collection]:
-        return [Collection.from_masks(t, self.n) for t in self.nodes]
+    @property
+    def nodes(self) -> tuple[tuple[int, ...], ...]:
+        """The visited nodes as ascending mask tuples, in canonical order."""
+        return tuple(map(self.grid.masks, self.ints))
 
     def to_json(self) -> dict:
         return {
@@ -328,8 +322,8 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
         frontier = sorted(layer, reverse=True)[: max(budget - len(visited), 0)]
         truncated = truncated or len(frontier) < len(layer)
         visited.update(frontier)
-    nodes = tuple(map(grid.masks, sorted(visited, reverse=True)))
-    return MutationGraph(n, k, len(visited), edges, not truncated, nodes)
+    ints = tuple(sorted(visited, reverse=True))
+    return MutationGraph(n, k, len(visited), edges, not truncated, ints, grid)
 
 
 @dataclass(frozen=True)

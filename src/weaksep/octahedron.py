@@ -18,7 +18,7 @@ from math import comb
 from .cliques import Collection
 from .domains import _distance_form, circle_partition
 from .ground import Subset
-from .mutations import MutationGraph, SquareMove, _check_applicable, _grid, _neighbors
+from .mutations import MutationGraph, SquareMove, _check_applicable, _neighbors
 
 ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
 SHIFT = (-1, 1, -1, 1)
@@ -187,10 +187,6 @@ class MoveProjection:
     kind: str
     sign: int | None
 
-    @property
-    def vector(self) -> tuple[int, int, int, int] | None:
-        return None if self.sign is None else tuple(self.sign * x for x in SHIFT)
-
 
 def _shift_sign(a: int, b: int, c: int, d: int, bounds: tuple[int, ...]) -> int | None:
     """The sign of the shift when a, b, c, d sit in four distinct intervals, else None.
@@ -223,12 +219,12 @@ def check_projection_laws(
 ) -> tuple[int, bool]:
     """Check the no-interior rule on each node and the projection effect of its moves.
 
-    Moves and children come from the square table that built the graph, and
-    its nodes are maximal, so nothing is checked again.  Returns
+    Nodes, moves and children are ints of the grid that built the graph, and
+    its nodes are maximal, so nothing is checked or encoded again.  Returns
     ``(moves_checked, consistent)``; every move of every node is counted.
     """
     bounds = _split_bounds(split, graph.n)
-    grid = _grid(graph.n, graph.k)
+    grid = graph.grid
     points: dict[int, list[tuple[int, ...]]] = {}
 
     def project(node: int) -> list[tuple[int, ...]]:
@@ -238,7 +234,7 @@ def check_projection_laws(
 
     checked = 0
     consistent = True
-    for node in map(grid.node, graph.nodes):
+    for node in graph.ints:
         consistent &= _interior_pair(project(node)) is None
         for child, (s, a, b, c, d, added) in _neighbors(grid, node):
             checked += 1

@@ -242,7 +242,7 @@ def test_criterion_08_chord_census_and_chains():
                         chain = chord_chain(w, Subset(umask, n), Subset(vmask, n))
                         assert chain[0].mask == umask and chain[-1].mask == vmask
                         for a, b in zip(chain, chain[1:]):
-                            assert a.issubset(b) and len(b) == len(a) + 1
+                            assert a.mask & ~b.mask == 0 and len(b) == len(a) + 1
 
 
 def test_criterion_09_necklaces():

@@ -473,7 +473,7 @@ class TestChordChain:
             chain = chord_chain(w, u, v)
             assert chain[0] == u and chain[-1] == v
             for a, b in zip(chain, chain[1:]):
-                assert a.issubset(b) and len(b) == len(a) + 1
+                assert a.mask & ~b.mask == 0 and len(b) == len(a) + 1
         assert found
 
     def test_missing_decorated_set_rejected(self):

@@ -170,7 +170,7 @@ class TestApplySquareMove:
             apply_square_move(mixed, m)
 
     def test_four_labellings_apply_alike(self):
-        for node in explored(6, 3).node_collections():
+        for node in (Collection.from_masks(t, 6) for t in explored(6, 3).nodes):
             for m in find_square_moves(node):
                 a, b, c, d = m.a, m.b, m.c, m.d
                 out = {
@@ -365,26 +365,24 @@ class TestGrid:
         g = explore_mutation_graph(seed, budget=10)
         grid = _grid(16, 8)
         assert g.node_count == 10 and not g.complete
-        # rows and move-table entries only for members of the explored nodes,
-        # a sliver of the 12,870 sets
-        assert len(grid.rows) == len(set().union(*g.nodes)) < 100
+        # table entries only for members of the explored nodes, a sliver of
+        # the 12,870 sets
+        assert len(grid.table) == len(set().union(*g.nodes)) < 100
         assert {grid.at[pos] for pos in grid.table} == set().union(*g.nodes)
 
 
 def scanned_neighbors(grid, node):
-    """The moves of a node by a direct scan of ``grid.squares``, member by member in ascending mask order."""
+    """The moves of a node by a direct scan of its members' squares, in ascending mask order."""
     out = []
     for x in grid.masks(node):
-        for around, moves in grid.squares(x):
-            if node & around == around:
-                for move, beside in moves:
-                    if node & beside == beside:
-                        out.append((node ^ grid[x] ^ grid[move[5]], move))
+        for sides, move in grid.entry(grid[x].bit_length() - 1)[1]:
+            if node & sides == sides:
+                out.append((node ^ grid[x] ^ grid[move[5]], move))
     return out
 
 
 def table_entries(grid):
-    return {(pos, held) for pos, (_, known) in grid.table.items() for held in known}
+    return {(pos, held) for pos, (_, _, known) in grid.table.items() for held in known}
 
 
 CLOSURES = [(6, 3), (7, 3), pytest.param(8, 4, marks=pytest.mark.skipif(

@@ -19,9 +19,9 @@ from weaksep import (
     phi,
     phi_subset,
 )
-from weaksep import octahedron
-from weaksep.mutations import MutationGraph
-from weaksep.octahedron import ALPHA, _position, check_projection_laws
+from weaksep import mutations, octahedron
+from weaksep.mutations import MutationGraph, _grid
+from weaksep.octahedron import ALPHA, SHIFT, _position, check_projection_laws
 
 from _oracles import naive_no_interior, pyramid_decomposition
 
@@ -32,6 +32,15 @@ def sub(elems, n):
 
 def grid(n, k):
     return Collection(Subset.of(c, n) for c in itertools.combinations(range(1, n + 1), k))
+
+
+def shift(effect):
+    """The 4-vector by which a "shift" effect moves the projected point."""
+    return tuple(effect.sign * x for x in SHIFT)
+
+
+def collections(graph):
+    return [Collection.from_masks(node, graph.n) for node in graph.nodes]
 
 
 def accepts(fn, *args):
@@ -186,7 +195,7 @@ class TestCheckNoInterior:
 
     def test_matches_oracle_on_three_of_six_graph(self):
         seed = complete_to_maximal(Collection.from_masks([], 6), grid(6, 3))
-        for node in explore_mutation_graph(seed).node_collections():
+        for node in collections(explore_mutation_graph(seed)):
             for split in splits_of(6):
                 assert not self.assert_matches_oracle(node, split)
 
@@ -209,7 +218,7 @@ class TestMoveProjection:
         c = complete_to_maximal(Collection([sub([1, 3], 4)]), grid(4, 2))
         move = find_square_moves(c)[0]
         effect = move_projection_effect(c, move, (1, 1, 1, 1))
-        assert effect.kind == "shift" and effect.vector == (-1, 1, -1, 1)
+        assert effect.kind == "shift" and shift(effect) == (-1, 1, -1, 1)
 
     def test_shared_interval_unchanged(self):
         seed = complete_to_maximal(Collection([sub([1, 3, 5], 6)]), grid(6, 3))
@@ -238,7 +247,7 @@ class TestMoveProjection:
         # of each listed move, and the four give one child and one effect
         n, k = 6, 3
         seed = complete_to_maximal(Collection.from_masks([], n), grid(n, k))
-        for node in explore_mutation_graph(seed).node_collections():
+        for node in collections(explore_mutation_graph(seed)):
             labellings = {}
             for m in find_square_moves(node):
                 for a, b, c, d in (
@@ -271,14 +280,30 @@ class TestMoveProjection:
         effect = move_projection_effect(c, move, split)
         src = phi_subset(move.removed, split)
         dst = phi_subset(move.added, split)
-        assert tuple(dst[t] - src[t] for t in range(4)) == effect.vector
+        assert tuple(dst[t] - src[t] for t in range(4)) == shift(effect)
 
 
 class TestExplorationConsistency:
+    def test_graph_outlives_its_cached_grid(self):
+        # a graph decodes and expands through the grid that numbered it, which
+        # the grid LRU may since have dropped for a fresh, empty one
+        seed = complete_to_maximal(Collection.from_masks([], 6), grid(6, 3))
+        graph = explore_mutation_graph(seed)
+        split = (2, 2, 1, 1)
+        nodes, laws = graph.nodes, check_projection_laws(graph, split)
+        assert len(nodes) == 34 and laws[0] > 0 and laws[1]
+        for n in range(7, 7 + mutations._GRIDS):
+            other = complete_to_maximal(Collection.from_masks([], n), grid(n, 2))
+            explore_mutation_graph(other, budget=3)
+        assert _grid(6, 3) is not graph.grid
+        assert graph.nodes == nodes
+        assert check_projection_laws(graph, split) == laws
+
     def test_interior_pair_breaks_the_laws(self):
         # {1,2,4} projects strictly inside a pyramid of {3,5,6} under (2,1,1,2)
-        node = (sub([1, 2, 4], 6).mask, sub([3, 5, 6], 6).mask)
-        graph = MutationGraph(6, 3, 1, 0, True, (node,))
+        table = _grid(6, 3)
+        node = table.node((sub([1, 2, 4], 6).mask, sub([3, 5, 6], 6).mask))
+        graph = MutationGraph(6, 3, 1, 0, True, (node,), table)
         assert check_projection_laws(graph, (2, 1, 1, 2)) == (0, False)
 
     def test_wrong_shift_breaks_the_laws(self, monkeypatch):
@@ -292,7 +317,7 @@ class TestExplorationConsistency:
         for n in (4, 5, 6):
             seed = complete_to_maximal(Collection.from_masks([], n), grid(n, 2))
             graph = explore_mutation_graph(seed)
-            nodes = graph.node_collections()
+            nodes = collections(graph)
             for split in splits_of(n):
                 for node in nodes:
                     assert check_no_interior(node, split).ok
@@ -305,7 +330,7 @@ class TestExplorationConsistency:
                         else:
                             src = phi_subset(move.removed, split)
                             dst = phi_subset(move.added, split)
-                            assert tuple(dst[t] - src[t] for t in range(4)) == effect.vector
+                            assert tuple(dst[t] - src[t] for t in range(4)) == shift(effect)
 
     def test_distance_consistency_with_counts(self):
         # every four-run complementary shape with k <= 4: max collection size
