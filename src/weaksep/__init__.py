@@ -35,7 +35,6 @@ from .domains import (
     unbalanced_witness,
 )
 from .ground import (
-    CyclicOrder,
     GroundSetMismatch,
     Subset,
     cyclic_interval,

@@ -3,7 +3,8 @@
 One verb per library capability; every report is a single JSON document with
 sorted keys (JSONL for node streams), so identical invocations give identical
 bytes.  Exit codes: 0 success, 2 invalid input, 3 budget exhausted, 4 internal
-error (a search that the theory says cannot fail did fail).
+error (any other failure, such as a search that the theory says cannot fail).
+No failure prints a traceback; each prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import json
 import sys
 from collections import Counter
 from functools import cache
-from typing import Any
+from typing import Any, Iterable
 
 from . import cliques, domains, mutations, necklaces, octahedron
 from .cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
-from .ground import Subset, _check_power_set, _k_subset_masks, is_chord_separated, is_weakly_separated
+from .ground import Subset, _check_power_set, _whole_grid, is_chord_separated, is_weakly_separated
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -25,21 +26,20 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def emit_report(result: Any, fmt: str = "json") -> bytes:
+def emit_report(result: Any) -> bytes:
     """Serialize a report deterministically: sorted keys, canonical order, one newline."""
-    if fmt == "json":
-        return (json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n").encode()
-    if fmt == "jsonl":
-        lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in result]
-        return ("\n".join(lines) + "\n").encode() if lines else b""
-    raise ValueError(f"unknown format {fmt!r}")
+    return (json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _jsonl(lines: Iterable[str]) -> bytes:
+    """JSONL bytes, each line newline-terminated; no lines give no bytes."""
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def _emit_collections(nodes, masks, n: int) -> bytes:
     """JSONL, one row per mask tuple; rows repeat the sets of ``masks``, each written as JSON once."""
     texts = {m: json.dumps(Subset(m, n).to_json(), separators=(",", ":")) for m in masks}
-    lines = ["[" + ",".join(map(texts.__getitem__, node)) + "]" for node in nodes]
-    return ("\n".join(lines) + "\n").encode() if lines else b""
+    return _jsonl("[" + ",".join(map(texts.__getitem__, node)) + "]" for node in nodes)
 
 
 def _int_from(low: int):
@@ -143,7 +143,7 @@ def _cmd_domain(args) -> tuple[int, bytes]:
     j = Subset.parse(args.j, args.n)
     dom = domains.build_domain_AIJ(i, j)
     if args.format == "jsonl":
-        return EXIT_OK, emit_report(dom.to_json(), "jsonl")
+        return EXIT_OK, _jsonl(json.dumps(s, separators=(",", ":")) for s in dom.to_json())
     report = {"n": args.n, "i": i.to_json(), "j": j.to_json(), "size": len(dom), "sets": dom.to_json()}
     return EXIT_OK, emit_report(report)
 
@@ -156,7 +156,7 @@ def _purity_domain(args) -> Collection:
         _check_power_set(args.n)
         return Collection.from_masks(range(1 << args.n), args.n)
     if args.k is not None:
-        return Collection.from_masks(_k_subset_masks(args.n, args.k), args.n)
+        return Collection.from_masks(_whole_grid(args.n, args.k), args.n)
     if args.i is None or args.j is None:
         raise ValueError("--i and --j must be given together")
     return domains.build_domain_AIJ(
@@ -168,7 +168,7 @@ def _cmd_purity(args) -> tuple[int, bytes]:
     domain = _purity_domain(args)
     if args.format == "jsonl":
         if len(domain) == 0:
-            return EXIT_OK, emit_report([], "jsonl")
+            return EXIT_OK, b""
         cliques = enumerate_maximal_cliques(build_compat_graph(domain, "weak"))
         return EXIT_OK, _emit_collections((c.masks for c in cliques), domain.masks, domain.n)
     return EXIT_OK, emit_report(purity_report(domain, "weak").to_json())
@@ -238,7 +238,7 @@ def _cmd_lr(args) -> tuple[int, bytes]:
     found = enumerate_maximal_cliques(build_compat_graph(dom, "weak"))
     report = cliques.PurityReport(len(dom), Counter(len(w) for w in found)).to_json()
     labels: dict[int, tuple[int, ...]] = {}  # one decode per chain set, as JSON arrays
-    report["chains"] = [domains._lr_chain_of(w.masks, args.n, labels).sets for w in found]
+    report["chains"] = [domains._lr_chain_of(w.masks, args.n, labels) for w in found]
     return EXIT_OK, emit_report(report)
 
 
@@ -332,9 +332,9 @@ def run(argv: list[str]) -> int:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         code, payload = _COMMANDS[args.verb](args)
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except Exception as exc:  # every input check raises ValueError; anything else is a fault here
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INTERNAL if isinstance(exc, RuntimeError) else EXIT_BAD_INPUT
+        return EXIT_BAD_INPUT if isinstance(exc, ValueError) else EXIT_INTERNAL
     sys.stdout.buffer.write(payload)
     sys.stdout.buffer.flush()
     return code

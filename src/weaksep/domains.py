@@ -236,15 +236,8 @@ def lr_domain(n: int) -> Collection:
     return Collection.from_masks([m for m in range(2 << n) if (m ^ m >> n) & 1], n + 1)
 
 
-@dataclass(frozen=True)
-class LRChain:
-    """The nested sets S_0 c S_1 c ... c S_(n-1) of a maximal left/right collection."""
-
-    sets: tuple[tuple[int, ...], ...]
-
-
-def lr_chain(w: Collection, n: int) -> LRChain:
-    """Extract the unique nested chain attached to a maximal collection in lr_domain(n).
+def lr_chain(w: Collection, n: int) -> tuple[tuple[int, ...], ...]:
+    """The nested chain S_0 c S_1 c ... c S_(n-1) of a maximal collection of lr_domain(n), as label tuples.
 
     For each m < n there must be exactly one m-subset S of [1, n-1] with both
     S + {0} and S + {n} in the collection; violations signal that the input
@@ -259,7 +252,9 @@ def lr_chain(w: Collection, n: int) -> LRChain:
     return _lr_chain_of(w.masks, n, {})
 
 
-def _lr_chain_of(masks: tuple[int, ...], n: int, labels: dict[int, tuple[int, ...]]) -> LRChain:
+def _lr_chain_of(
+    masks: tuple[int, ...], n: int, labels: dict[int, tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
     """The chain of a maximal collection of lr_domain(n), given as its masks, unchecked.
 
     ``labels`` maps chain-set masks to their labels and is filled as sets are
@@ -283,7 +278,7 @@ def _lr_chain_of(masks: tuple[int, ...], n: int, labels: dict[int, tuple[int, ..
         if body not in labels:
             labels[body] = tuple(x for x in range(1, n) if body >> x & 1)
         chain.append(labels[body])
-    return LRChain(tuple(chain))
+    return tuple(chain)
 
 
 # --- unbalanced lower-bound witness ------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator
 
 MAX_GROUND = 64
@@ -28,13 +29,18 @@ def _check_ground_size(n: int) -> None:
 _MAX_POWER_SET_BITS = 20
 
 
+def _check_domain_size(count: int, name: str) -> None:
+    """Refuse a domain of ``count`` sets, ``name`` in the message, before it is listed."""
+    if count > 1 << _MAX_POWER_SET_BITS:
+        raise ValueError(
+            f"a domain of {name} sets is too large to search; the limit is 2^{_MAX_POWER_SET_BITS}"
+        )
+
+
 def _check_power_set(n: int) -> None:
     """Refuse a domain of 2^n sets, all subsets of an n-set, before it is listed."""
     _check_ground_size(n)
-    if n > _MAX_POWER_SET_BITS:
-        raise ValueError(
-            f"a domain of 2^{n} sets is too large to search; the limit is 2^{_MAX_POWER_SET_BITS}"
-        )
+    _check_domain_size(1 << n, f"2^{n}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,12 @@ def _k_subset_masks(n: int, k: int) -> Iterator[int]:
     return (sum(c) for c in itertools.combinations([1 << i for i in range(n)], k))
 
 
+def _whole_grid(n: int, k: int) -> Iterator[int]:
+    """``_k_subset_masks`` for a domain of all of them, refused above the cap before any is listed."""
+    _check_domain_size(comb(n, k), f"C({n},{k})")
+    return _k_subset_masks(n, k)
+
+
 def _check_same_ground(a: Subset, b: Subset) -> None:
     if a.n != b.n:
         raise GroundSetMismatch(f"ground sets differ: [{a.n}] vs [{b.n}]")
@@ -118,22 +130,6 @@ def _check_pair(i: Subset, j: Subset) -> None:
     _check_same_ground(i, j)
     if len(i) != len(j):
         raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
-
-
-@dataclass(frozen=True)
-class CyclicOrder:
-    """The linear order <_i on [n] that starts at ``base``: i < i+1 < ... < i-1."""
-
-    base: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_ground_size(self.n)
-        if not 1 <= self.base <= self.n:
-            raise ValueError(f"base {self.base} outside [1, {self.n}]")
-
-    def key(self, x: int) -> int:
-        return (x - self.base) % self.n
 
 
 def cyclic_interval(a: int, b: int, n: int) -> Subset:
@@ -233,19 +229,20 @@ def is_chord_separated(s: Subset, t: Subset) -> bool:
     return _chord_separated_masks(s.mask, t.mask, s.n)
 
 
-def gale_leq(a: Subset, b: Subset, order: CyclicOrder) -> bool:
-    """Componentwise comparison of the sorted sets under the shifted order.
+def gale_leq(a: Subset, b: Subset, base: int) -> bool:
+    """Componentwise comparison of the sorted sets under <_i, i = base: i < i+1 < ... < i-1.
 
     True iff |A| <= |B| and the m-th smallest element of A under <_i is at
     most the m-th smallest element of B, for every m up to |A|.
     """
     _check_same_ground(a, b)
-    if order.n != a.n:
-        raise GroundSetMismatch(f"order over [{order.n}] applied to subsets of [{a.n}]")
+    n = a.n
+    if not 1 <= base <= n:
+        raise ValueError(f"base {base} outside [1, {n}]")
     if len(a) > len(b):
         return False
-    ka = sorted(order.key(x) for x in a.elements())
-    kb = sorted(order.key(x) for x in b.elements())
+    ka = sorted((x - base) % n for x in a.elements())
+    kb = sorted((x - base) % n for x in b.elements())
     return all(x <= y for x, y in zip(ka, kb))
 
 

@@ -20,7 +20,6 @@ from typing import Iterable
 
 from .cliques import (
     Collection,
-    NotMaximal,  # raised by _check_maximal; also importable from here
     _bron_kerbosch,
     _require_maximal,
     build_compat_graph,
@@ -30,8 +29,8 @@ from .domains import _grid_rank, build_domain_AIJ
 from .ground import (
     Subset,
     _check_pair,
-    _k_subset_masks,
     _weakly_separated_masks,
+    _whole_grid,
     is_weakly_separated,
 )
 
@@ -210,10 +209,10 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
 
 
 def _check_applicable(c: Collection, m: SquareMove) -> None:
-    """Raise ValueError unless m labels a square of the removed set's table entry, all held by c.
+    """Raise ValueError unless c holds m's removed set and ``_neighbors`` lists m's exchange.
 
-    The one applicability rule: a listed move with the same s, removed and
-    added set fixes {a, c} and {b, d}, so exactly the four labellings of a
+    The one applicability rule: a listed move with the same s and the same
+    child fixes {a, c} and {b, d}, so exactly the four labellings of a
     listed square are accepted.
     """
     n, s = c.n, m.s.mask
@@ -221,33 +220,33 @@ def _check_applicable(c: Collection, m: SquareMove) -> None:
         removed = s | 1 << (m.a - 1) | 1 << (m.c - 1)
         added = s | 1 << (m.b - 1) | 1 << (m.d - 1)
         k = removed.bit_count()
-        grid = _grid(n, k)
         # a collection off the grid of m's sets holds none of them
-        node = grid.node(c.masks) if {x.bit_count() for x in c.masks} == {k} else 0
-        bit = grid[removed]
-        for sides, move in grid.entry(bit.bit_length() - 1)[1]:
-            need = bit | sides
-            if move[0] == s and move[5] == added and node & need == need:
+        if added.bit_count() == k and {x.bit_count() for x in c.masks} == {k}:
+            grid = _grid(n, k)
+            node, bit = grid.node(c.masks), grid[removed]
+            # without the held removed set, the inverse square would give the same child
+            child = node ^ bit ^ grid[added]
+            if node & bit and any(move[0] == s and nxt == child for nxt, move in _neighbors(grid, node)):
                 return
     raise ValueError("move is not applicable to this collection")
 
 
-def _check_maximal(c: Collection) -> tuple[int, int]:
+def _check_maximal(c: Collection) -> _Grid:
+    """The grid of a maximal weakly separated collection; raises NotMaximal for any other."""
     sizes = {m.bit_count() for m in c.masks}
     if len(sizes) != 1:
         raise ValueError("collection mixes cardinalities; square moves need one grid")
     n, k = c.n, sizes.pop()
     # the grid is pure (Oh-Postnikov-Speyer)
     _require_maximal(c.masks, n, _grid_rank(n, k))
-    return n, k
+    return _grid(n, k)
 
 
 def find_square_moves(c: Collection) -> list[SquareMove]:
     """All applicable square moves of a maximal collection, in deterministic order."""
-    n, k = _check_maximal(c)
-    grid = _grid(n, k)
+    grid = _check_maximal(c)
     return [
-        SquareMove(Subset(s, n), a, b, cc, d)
+        SquareMove(Subset(s, c.n), a, b, cc, d)
         for _, (s, a, b, cc, d, _) in _neighbors(grid, grid.node(c.masks))
     ]
 
@@ -300,8 +299,7 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
     Budget exhaustion is an ordinary outcome reported via ``complete=False``.
     The edge count is over explored endpoints only.
     """
-    n, k = _check_maximal(seed)
-    grid = _grid(n, k)
+    grid = _check_maximal(seed)
     root = grid.node(seed.masks)
     visited = {root}
     # every visited node is expanded once; an edge is counted at its later end
@@ -323,7 +321,7 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
         truncated = truncated or len(frontier) < len(layer)
         visited.update(frontier)
     ints = tuple(sorted(visited, reverse=True))
-    return MutationGraph(n, k, len(visited), edges, not truncated, ints, grid)
+    return MutationGraph(grid.n, grid.k, len(visited), edges, not truncated, ints, grid)
 
 
 @dataclass(frozen=True)
@@ -459,7 +457,5 @@ def _walk_back(node: int, side: dict) -> tuple[list[tuple], int]:
 
 def _grid_completion(i: Subset, j: Subset) -> Collection:
     n, k = i.n, len(i)
-    return complete_to_maximal(
-        Collection.from_masks({i.mask, j.mask}, n),
-        Collection.from_masks(_k_subset_masks(n, k), n),
-    )
+    grid = _whole_grid(n, k)  # refused above the cap before anything is built
+    return complete_to_maximal(Collection.from_masks({i.mask, j.mask}, n), Collection.from_masks(grid, n))

@@ -15,9 +15,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .cliques import Collection, _first_unrelated_pair
 from .domains import circle_partition
 from .ground import (
-    CyclicOrder,
     GroundSetMismatch,
     Subset,
+    _check_power_set,
     _k_subset_masks,
     _weakly_separated_masks,
     cyclically_ordered,
@@ -185,10 +185,9 @@ def necklace_from_perm(p: DecoratedPermutation, k: int) -> GrassmannNecklace:
             dark |= 1 << (i - 1)
     sets = []
     for i in range(1, n + 1):
-        order = CyclicOrder(i, n)
         mask = dark
         for j in range(1, n + 1):
-            if inv[j - 1] != j and order.key(j) < order.key(inv[j - 1]):
+            if inv[j - 1] != j and (j - i) % n < (inv[j - 1] - i) % n:
                 mask |= 1 << (j - 1)
         if mask.bit_count() != k:
             raise ValueError(
@@ -225,9 +224,7 @@ def positroid_contains(nk: GrassmannNecklace, j: Subset) -> bool:
         raise GroundSetMismatch(f"subset of [{j.n}] against a necklace over [{nk.n}]")
     if len(j) != nk.k:
         raise ValueError(f"expected a {nk.k}-subset, got cardinality {len(j)}")
-    return all(
-        gale_leq(nk.sets[i - 1], j, CyclicOrder(i, nk.n)) for i in range(1, nk.n + 1)
-    )
+    return all(gale_leq(nk.sets[i - 1], j, i) for i in range(1, nk.n + 1))
 
 
 def domain_in_for_necklace(nk: GrassmannNecklace) -> Collection:
@@ -315,7 +312,7 @@ def simple_pattern_split(p: SimpleCyclicPattern) -> tuple[Collection, Collection
     full compatible family.
     """
     n = p.n
-    base = CyclicOrder(1, n)
+    _check_power_set(n)
     pattern_masks = {s.mask for s in p.sets}
     slopes_by_size: dict[int, list[Subset]] = {}
     for i in p.slope_indices():
@@ -327,6 +324,6 @@ def simple_pattern_split(p: SimpleCyclicPattern) -> tuple[Collection, Collection
         if not all(_weakly_separated_masks(mask, m) for m in members):
             continue
         x = Subset(mask, n)
-        below = sum(1 for s in slopes_by_size.get(len(x), []) if gale_leq(s, x, base))
+        below = sum(1 for s in slopes_by_size.get(len(x), []) if gale_leq(s, x, 1))
         (inside if below % 2 else outside).add(mask)
     return Collection.from_masks(inside, n), Collection.from_masks(outside, n)

@@ -203,10 +203,10 @@ def test_criterion_07_left_right_purity():
             assert rep.is_pure and rep.rank == comb(n, 2) + n + 1
             for w in enumerate_maximal_cliques(build_compat_graph(dom, "weak")):
                 chain = lr_chain(w, n)  # raises unless each level set exists uniquely
-                assert len(chain.sets) == n
-                for m, s in enumerate(chain.sets):
+                assert len(chain) == n
+                for m, s in enumerate(chain):
                     assert len(s) == m
-                for a, b in zip(chain.sets, chain.sets[1:]):
+                for a, b in zip(chain, chain[1:]):
                     assert set(a) < set(b)
 
 

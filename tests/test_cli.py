@@ -166,6 +166,28 @@ def test_budget_below_one_rejected(argv, capsys):
     assert err.splitlines()[-1].endswith(expected)
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["purity", "--n", "5", "--i", "1,2"], "error: --i and --j must be given together"),
+        (["necklace", "--a", "1,2"], "error: --a needs --n"),
+        (["necklace"], "error: give either --perm with --k, or --a with --n"),
+        (["octahedron", "--a", "1,2"], "error: --a needs --n"),
+        (["octahedron", "--p", "1,2,3"], "error: --p needs four comma-separated lengths"),
+        (["octahedron"], "error: give either --a with --n, or --p"),
+        (
+            ["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6", "--budget", "x"],
+            "weaksep mutdist: error: argument --budget: expected an integer >= 1, got 'x'",
+        ),
+    ],
+)
+def test_input_errors_exit_2(argv, line, capsys):
+    code, payload = invoke(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT and payload == b""
+    assert [e for e in err.splitlines() if "error:" in e] == [line]
+
+
 class TestMutdist:
     def test_distance_with_path(self):
         code, report = invoke_json(["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6"])
@@ -219,6 +241,12 @@ class TestInternalErrors:
         )
         assert_internal_error(argv, capsys, message)
 
+    @pytest.mark.parametrize("exc", [KeyError("lost"), TypeError("bad operand")])
+    def test_any_other_exception(self, exc, monkeypatch, capsys):
+        # only ValueError means bad input; everything else is a fault of the program
+        monkeypatch.setitem(cli._COMMANDS, "check", raiser(exc))
+        assert_internal_error(["check", "--n", "4", "--a", "1", "--b", "2"], capsys, str(exc))
+
 
 class TestNecklaceVerb:
     def test_from_permutation(self):
@@ -244,6 +272,9 @@ class TestNecklaceVerb:
     def test_missing_k(self):
         code, _ = invoke(["necklace", "--perm", "3,4,1,2"])
         assert code == EXIT_BAD_INPUT
+
+
+HALF_40 = ",".join(map(str, range(1, 21)))
 
 
 class TestLrChordOcta:
@@ -274,16 +305,27 @@ class TestLrChordOcta:
         assert code == EXIT_BAD_INPUT and payload == b""
         assert capsys.readouterr().err == "error: ground set size must be in [1, 64], got 65\n"
 
-    @pytest.mark.parametrize("argv", [["chord", "--n", "40"], ["purity", "--n", "40", "--powerset"], ["lr", "--n", "40"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chord", "--n", "40"],
+            ["purity", "--n", "40", "--powerset"],
+            ["lr", "--n", "40"],
+            ["explore", "--n", "40", "--k", "20"],
+            ["purity", "--n", "40", "--k", "20"],
+            ["mutdist", "--n", "40", "--i", HALF_40, "--j", HALF_40, "--big"],
+        ],
+    )
     def test_power_set_too_large_rejected_before_listing(self, argv, monkeypatch, capsys):
-        # 2^40 masks would exhaust memory; the cap refuses them before any is listed
+        # 2^40 or C(40,20) masks would exhaust memory; the cap refuses them before any is listed
         def listed(cls, masks, n):
             raise AssertionError("a domain was listed before the size check")
 
         monkeypatch.setattr(Collection, "from_masks", classmethod(listed))
         code, payload = invoke(argv)
         assert code == EXIT_BAD_INPUT and payload == b""
-        assert capsys.readouterr().err == "error: a domain of 2^40 sets is too large to search; the limit is 2^20\n"
+        size = "C(40,20)" if "--k" in argv or "--big" in argv else "2^40"
+        assert capsys.readouterr().err == f"error: a domain of {size} sets is too large to search; the limit is 2^20\n"
 
     def test_octahedron_by_lengths(self):
         code, report = invoke_json(["octahedron", "--p", "2,1,1,2"])
@@ -323,7 +365,7 @@ class TestOnceOnlyVerbs:
         dom = domains.lr_domain(n)
         want = purity_report(dom).to_json()
         want["chains"] = [
-            [list(s) for s in domains.lr_chain(w, n).sets]
+            [list(s) for s in domains.lr_chain(w, n)]
             for w in enumerate_maximal_cliques(build_compat_graph(dom))
         ]
         assert code == EXIT_OK and report == want
@@ -495,12 +537,8 @@ class TestEmitReport:
         assert emit_report([]) == b"[]\n"
 
     def test_jsonl(self):
-        assert emit_report([{"x": 1}, {"y": 2}], "jsonl") == b'{"x":1}\n{"y":2}\n'
-        assert emit_report([], "jsonl") == b""
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            emit_report({}, "yaml")
+        assert cli._jsonl(['{"x":1}', '{"y":2}']) == b'{"x":1}\n{"y":2}\n'
+        assert cli._jsonl([]) == b""
 
 
 def test_readme_cli_block_runs():

@@ -290,24 +290,24 @@ class TestLRDomain:
 
     def test_chain_for_full_small_domain(self):
         chain = lr_chain(Collection(list(lr_domain(2))), 2)
-        assert chain.sets == ((), (1,))
+        assert chain == ((), (1,))
 
     def test_chains_exist_and_unique_n4(self):
         dom = lr_domain(4)
         for w in enumerate_maximal_cliques(build_compat_graph(dom)):
             chain = lr_chain(w, 4)
-            assert len(chain.sets) == 4
-            for m, s in enumerate(chain.sets):
+            assert len(chain) == 4
+            for m, s in enumerate(chain):
                 assert len(s) == m
-            for a, b in zip(chain.sets, chain.sets[1:]):
+            for a, b in zip(chain, chain[1:]):
                 assert set(a) <= set(b)
 
     def test_shared_labels_decode_each_chain_set_once(self):
         n = 5
         found = enumerate_maximal_cliques(build_compat_graph(lr_domain(n)))
         labels = {}
-        chains = [_lr_chain_of(w.masks, n, labels).sets for w in found]
-        assert chains == [lr_chain(w, n).sets for w in found]
+        chains = [_lr_chain_of(w.masks, n, labels) for w in found]
+        assert chains == [lr_chain(w, n) for w in found]
         # every chain set of every clique is one of the stored label tuples
         assert len({id(s) for chain in chains for s in chain}) == len(labels) <= 2 ** (n - 1)
 

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from weaksep import (
-    CyclicOrder,
     GroundSetMismatch,
     Subset,
     cyclic_interval,
@@ -65,7 +64,7 @@ class TestSubset:
         with pytest.raises(GroundSetMismatch):
             surrounds(sub([1], 4), sub([1], 5))
         with pytest.raises(GroundSetMismatch):
-            gale_leq(sub([1], 4), sub([1], 5), CyclicOrder(1, 4))
+            gale_leq(sub([1], 4), sub([1], 5), 1)
 
 
 class TestCyclicInterval:
@@ -199,29 +198,32 @@ class TestChordSeparation:
 
 class TestGaleOrder:
     def test_examples(self):
-        o1 = CyclicOrder(1, 4)
-        assert gale_leq(sub([1, 3], 4), sub([2, 4], 4), o1)
-        assert not gale_leq(sub([2, 4], 4), sub([1, 3], 4), o1)
-        assert gale_leq(sub([2, 4], 4), sub([2, 4], 4), CyclicOrder(3, 4))
+        assert gale_leq(sub([1, 3], 4), sub([2, 4], 4), 1)
+        assert not gale_leq(sub([2, 4], 4), sub([1, 3], 4), 1)
+        assert gale_leq(sub([2, 4], 4), sub([2, 4], 4), 3)
 
     def test_smaller_into_larger(self):
-        assert gale_leq(sub([1], 4), sub([1, 2], 4), CyclicOrder(1, 4))
-        assert not gale_leq(sub([1, 2], 4), sub([1], 4), CyclicOrder(1, 4))
+        assert gale_leq(sub([1], 4), sub([1, 2], 4), 1)
+        assert not gale_leq(sub([1, 2], 4), sub([1], 4), 1)
+
+    @pytest.mark.parametrize("base", [0, 5])
+    def test_base_outside_ground_is_error(self, base):
+        with pytest.raises(ValueError, match=f"base {base} outside"):
+            gale_leq(sub([1], 4), sub([2], 4), base)
 
     def test_partial_order_on_fixed_cardinality(self):
         for n in range(2, 7):
             for k in range(1, min(4, n + 1)):
                 subsets = [Subset.of(c, n) for c in itertools.combinations(range(1, n + 1), k)]
                 for base in range(1, n + 1):
-                    order = CyclicOrder(base, n)
                     for a in subsets:
-                        assert gale_leq(a, a, order)
+                        assert gale_leq(a, a, base)
                         for b in subsets:
-                            if gale_leq(a, b, order) and gale_leq(b, a, order):
+                            if gale_leq(a, b, base) and gale_leq(b, a, base):
                                 assert a == b
                             for c in subsets:
-                                if gale_leq(a, b, order) and gale_leq(b, c, order):
-                                    assert gale_leq(a, c, order)
+                                if gale_leq(a, b, base) and gale_leq(b, c, base):
+                                    assert gale_leq(a, c, base)
 
 
 class TestTransform:

@@ -341,6 +341,12 @@ class TestSimpleCyclicPattern:
         )
         assert len(p.sets) == 4
 
+    def test_split_over_too_large_ground_rejected(self):
+        # the split scans all 2^21 subsets of [21], beyond the 2^20-set cap
+        p = SimpleCyclicPattern((sub([], 21), sub([1], 21)))
+        with pytest.raises(ValueError, match="2\\^21 sets is too large"):
+            simple_pattern_split(p)
+
     def test_lr_proof_pattern_split(self):
         p = self.lr_pattern([(), (1,)], 2)
         din, dout = simple_pattern_split(p)
