@@ -18,7 +18,7 @@ from typing import Any, Iterable
 
 from . import cliques, domains, mutations, necklaces, octahedron
 from .cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
-from .ground import Subset, _check_power_set, _whole_grid, is_chord_separated, is_weakly_separated
+from .ground import Subset, _power_set, _whole_grid, is_chord_separated, is_weakly_separated
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -153,8 +153,7 @@ def _purity_domain(args) -> Collection:
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --i/--j, --k, or --powerset")
     if args.powerset:
-        _check_power_set(args.n)
-        return Collection.from_masks(range(1 << args.n), args.n)
+        return Collection.from_masks(_power_set(args.n), args.n)
     if args.k is not None:
         return Collection.from_masks(_whole_grid(args.n, args.k), args.n)
     if args.i is None or args.j is None:
@@ -245,8 +244,7 @@ def _cmd_lr(args) -> tuple[int, bytes]:
 def _cmd_chord(args) -> tuple[int, bytes]:
     if (args.u is None) != (args.v is None):
         raise ValueError("--u and --v must be given together")
-    _check_power_set(args.n)
-    dom = Collection.from_masks(range(1 << args.n), args.n)
+    dom = Collection.from_masks(_power_set(args.n), args.n)
     report = purity_report(dom, "chord").to_json()
     report["expected_size"] = domains._chord_rank(args.n)
     if args.u is not None:
@@ -299,14 +297,15 @@ def _cmd_explore(args) -> tuple[int, bytes]:
             Subset.of(range(1, args.k + 1), args.n), Subset.of(range(1, args.k + 1), args.n)
         )
     graph = mutations.explore_mutation_graph(seed, budget=args.budget)
+    code = EXIT_OK if graph.complete else EXIT_BUDGET
     if args.format == "jsonl":
         nodes = graph.nodes
-        return EXIT_OK, _emit_collections(nodes, set().union(*nodes), args.n)
+        return code, _emit_collections(nodes, set().union(*nodes), args.n)
     report = graph.to_json()
     if args.split:
         checked, consistent = octahedron.check_projection_laws(graph, split)
         report["projection_laws"] = {"moves_checked": checked, "consistent": consistent}
-    return EXIT_OK, emit_report(report)
+    return code, emit_report(report)
 
 
 _COMMANDS = {

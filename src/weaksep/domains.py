@@ -25,10 +25,10 @@ from .ground import (
     Subset,
     _check_ground_size,
     _check_pair,
-    _check_power_set,
     _check_same_ground,
-    _k_subset_masks,
+    _power_set,
     _weakly_separated_masks,
+    _whole_grid,
     cyclic_interval,
     is_weakly_separated,
 )
@@ -151,7 +151,7 @@ def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
     n, m = i.n, len(i)
     out = [
         mask
-        for mask in _k_subset_masks(n, m)
+        for mask in _whole_grid(n, m)
         if _weakly_separated_masks(mask, i.mask) and _weakly_separated_masks(mask, j.mask)
     ]
     return Collection.from_masks(out, n)
@@ -231,9 +231,9 @@ def lr_domain(n: int) -> Collection:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_ground_size(n + 1)
-    _check_power_set(n)
-    # on the ground set [n + 1], 0 and n are the lowest and the highest bit
-    return Collection.from_masks([m for m in range(2 << n) if (m ^ m >> n) & 1], n + 1)
+    # on the ground set [n + 1], 0 and n are the lowest and the highest bit;
+    # each subset t of [0, n-1] that lacks 0 gains n instead
+    return Collection.from_masks([t if t & 1 else t | 1 << n for t in _power_set(n)], n + 1)
 
 
 def lr_chain(w: Collection, n: int) -> tuple[tuple[int, ...], ...]:

@@ -37,10 +37,11 @@ def _check_domain_size(count: int, name: str) -> None:
         )
 
 
-def _check_power_set(n: int) -> None:
-    """Refuse a domain of 2^n sets, all subsets of an n-set, before it is listed."""
+def _power_set(n: int) -> range:
+    """The masks of all 2^n subsets of [n], refused above the cap before any is listed."""
     _check_ground_size(n)
     _check_domain_size(1 << n, f"2^{n}")
+    return range(1 << n)
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,10 @@ class Subset:
         return Subset(((self.mask << r) | (self.mask >> (n - r))) & full, n)
 
 
-def _k_subset_masks(n: int, k: int) -> Iterator[int]:
-    """Masks of the k-subsets of [n], in the lexicographic order of their elements."""
-    return (sum(c) for c in itertools.combinations([1 << i for i in range(n)], k))
-
-
 def _whole_grid(n: int, k: int) -> Iterator[int]:
-    """``_k_subset_masks`` for a domain of all of them, refused above the cap before any is listed."""
+    """Masks of the k-subsets of [n], in lexicographic order, refused above the cap before any is listed."""
     _check_domain_size(comb(n, k), f"C({n},{k})")
-    return _k_subset_masks(n, k)
+    return (sum(c) for c in itertools.combinations([1 << i for i in range(n)], k))
 
 
 def _check_same_ground(a: Subset, b: Subset) -> None:

@@ -383,7 +383,7 @@ def mutation_distance(
     n, k = i.n, len(i)
     if k * (n - k) > BIG_GATE and not big:
         raise BigInstance(
-            f"grid {k}x({n}-{k}) exceeds the desk-scale gate; pass big=True to proceed"
+            f"grid {k}x({n}-{k}) exceeds the desk-scale gate; pass --big (big=True) to proceed"
         )
     if is_weakly_separated(i, j):
         both = _grid_completion(i, j)

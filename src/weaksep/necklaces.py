@@ -17,9 +17,9 @@ from .domains import circle_partition
 from .ground import (
     GroundSetMismatch,
     Subset,
-    _check_power_set,
-    _k_subset_masks,
+    _power_set,
     _weakly_separated_masks,
+    _whole_grid,
     cyclically_ordered,
     gale_leq,
 )
@@ -233,7 +233,7 @@ def domain_in_for_necklace(nk: GrassmannNecklace) -> Collection:
     neck = [s.mask for s in nk.sets]
     out = [
         mask
-        for mask in _k_subset_masks(n, k)
+        for mask in _whole_grid(n, k)
         if all(_weakly_separated_masks(mask, m) for m in neck)
         and positroid_contains(nk, Subset(mask, n))
     ]
@@ -312,7 +312,6 @@ def simple_pattern_split(p: SimpleCyclicPattern) -> tuple[Collection, Collection
     full compatible family.
     """
     n = p.n
-    _check_power_set(n)
     pattern_masks = {s.mask for s in p.sets}
     slopes_by_size: dict[int, list[Subset]] = {}
     for i in p.slope_indices():
@@ -320,7 +319,7 @@ def simple_pattern_split(p: SimpleCyclicPattern) -> tuple[Collection, Collection
     inside = set(pattern_masks)
     outside = set(pattern_masks)
     members = [s.mask for s in p.sets]
-    for mask in range(1 << n):
+    for mask in _power_set(n):
         if not all(_weakly_separated_masks(mask, m) for m in members):
             continue
         x = Subset(mask, n)

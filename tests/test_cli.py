@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from weaksep import Subset, cli, cliques, domains, mutations, octahedron
+from weaksep import Subset, cli, cliques, domains, mutations, necklaces, octahedron
 from weaksep.cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
 from weaksep.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, emit_report, run
 
@@ -200,9 +200,12 @@ class TestMutdist:
         )
         assert code == EXIT_BUDGET and report["distance"] == "budget-exhausted"
 
-    def test_big_gate(self):
-        code, _ = invoke(["mutdist", "--n", "8", "--i", "1,2,5,6", "--j", "3,4,7,8"])
-        assert code == EXIT_BAD_INPUT
+    def test_big_gate(self, capsys):
+        code, payload = invoke(["mutdist", "--n", "8", "--i", "1,2,5,6", "--j", "3,4,7,8"])
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == (
+            "error: grid 4x(8-4) exceeds the desk-scale gate; pass --big (big=True) to proceed\n"
+        )
 
 
 def raiser(exc):
@@ -275,6 +278,9 @@ class TestNecklaceVerb:
 
 
 HALF_40 = ",".join(map(str, range(1, 21)))
+# a pair that is not weakly separated, so its domain is a filtered C(40,20) listing
+ODD_40 = ",".join(map(str, range(1, 41, 2)))
+EVEN_40 = ",".join(map(str, range(2, 41, 2)))
 
 
 class TestLrChordOcta:
@@ -314,18 +320,33 @@ class TestLrChordOcta:
             ["explore", "--n", "40", "--k", "20"],
             ["purity", "--n", "40", "--k", "20"],
             ["mutdist", "--n", "40", "--i", HALF_40, "--j", HALF_40, "--big"],
+            ["domain", "--n", "40", "--i", ODD_40, "--j", EVEN_40],
+            ["distance", "--n", "40", "--i", ODD_40, "--j", EVEN_40],
+            ["purity", "--n", "40", "--i", ODD_40, "--j", EVEN_40],
+            ["mutdist", "--n", "40", "--i", ODD_40, "--j", EVEN_40, "--big"],
         ],
     )
     def test_power_set_too_large_rejected_before_listing(self, argv, monkeypatch, capsys):
-        # 2^40 or C(40,20) masks would exhaust memory; the cap refuses them before any is listed
+        # 2^40 or C(40,20) masks would exhaust memory, and filtering C(40,20) candidates
+        # would not end; the cap refuses them before any is listed or tested
         def listed(cls, masks, n):
             raise AssertionError("a domain was listed before the size check")
 
+        def scanned(*args):
+            raise AssertionError("a candidate was tested before the size check")
+
         monkeypatch.setattr(Collection, "from_masks", classmethod(listed))
+        monkeypatch.setattr(domains, "_weakly_separated_masks", scanned)
+        monkeypatch.setattr(necklaces, "_weakly_separated_masks", scanned)
         code, payload = invoke(argv)
         assert code == EXIT_BAD_INPUT and payload == b""
-        size = "C(40,20)" if "--k" in argv or "--big" in argv else "2^40"
+        size = "2^40" if argv[0] in ("chord", "lr") or "--powerset" in argv else "C(40,20)"
         assert capsys.readouterr().err == f"error: a domain of {size} sets is too large to search; the limit is 2^20\n"
+
+    def test_formula_distance_lists_nothing(self):
+        # the closed form needs no domain, so the listing cap does not apply
+        code, report = invoke_json(["distance", "--n", "40", "--i", ODD_40, "--j", EVEN_40, "--method", "formula"])
+        assert code == EXIT_OK and report == {"d": 361}
 
     def test_octahedron_by_lengths(self):
         code, report = invoke_json(["octahedron", "--p", "2,1,1,2"])
@@ -423,6 +444,16 @@ class TestExplore:
     def test_summary(self):
         code, report = invoke_json(["explore", "--n", "6", "--k", "3"])
         assert report == {"complete": True, "edges": 60, "nodes": 34}
+
+    @pytest.mark.parametrize("fmt", ["json", "jsonl"])
+    def test_budget_exhaustion_exit_code(self, fmt):
+        # the partial graph is printed as it would be if complete, and the exit code says it is not
+        code, payload = invoke(["explore", "--n", "6", "--k", "3", "--budget", "5", "--format", fmt])
+        assert code == EXIT_BUDGET
+        if fmt == "json":
+            assert payload == b'{"complete":false,"edges":4,"nodes":5}\n'
+        else:
+            assert len(payload.decode().splitlines()) == 5
 
     def test_jsonl_nodes(self):
         code, payload = invoke(["explore", "--n", "4", "--k", "2", "--format", "jsonl"])

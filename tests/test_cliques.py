@@ -23,7 +23,7 @@ from weaksep import (
 )
 from weaksep import cliques
 from weaksep.cliques import CompatGraph, _branch_and_bound, _bron_kerbosch, _co_components, _degree_ordered
-from weaksep.ground import _k_subset_masks, _weakly_separated_masks
+from weaksep.ground import _weakly_separated_masks, _whole_grid
 
 from _oracles import naive_co_components, naive_maximal_cliques, plain_bron_kerbosch
 
@@ -301,7 +301,7 @@ class TestFoldAgainstPlainKernel:
 
     def test_grids(self):
         for n, k in ((6, 3), (7, 3), (8, 4)):
-            grid = Collection.from_masks(_k_subset_masks(n, k), n)
+            grid = Collection.from_masks(_whole_grid(n, k), n)
             assert same_visits(build_compat_graph(grid)) > 0, (n, k)
 
     def test_every_tenth_pair_domain_of_ten(self):
@@ -350,7 +350,7 @@ class TestBranchMemo:
     def graphs(self):
         out = [build_compat_graph(dom) for dom in complementary_pair_domains(8)]
         for n, k in ((6, 3), (7, 3), (8, 4)):
-            out.append(build_compat_graph(Collection.from_masks(_k_subset_masks(n, k), n)))
+            out.append(build_compat_graph(Collection.from_masks(_whole_grid(n, k), n)))
         return out + [build_compat_graph(unbalanced_ten())]
 
     def test_every_bound_matches_plain_kernel(self, monkeypatch):

@@ -35,7 +35,7 @@ from weaksep import (
 )
 from weaksep.cliques import _require_maximal
 from weaksep.domains import _lr_chain_of
-from weaksep.ground import _check_power_set
+from weaksep.ground import _power_set
 
 
 def sub(elems, n):
@@ -278,9 +278,14 @@ class TestLRDomain:
 
     def test_power_set_cap(self):
         # 2^20 sets pass the cap; 2^21 are refused, without listing 2^22 masks
-        _check_power_set(20)
+        assert _power_set(20) == range(1 << 20)
         with pytest.raises(ValueError, match="2\\^21 sets is too large"):
             lr_domain(21)
+
+    def test_lists_its_definition(self):
+        # one mask per subset of [0, n-1], against the filter over all of [0, n]
+        for n in range(1, 13):
+            assert lr_domain(n).masks == tuple(m for m in range(2 << n) if (m ^ m >> n) & 1), n
 
     def test_known_incompatible_pair(self):
         a = lr_subset([0, 2, 3], 4)

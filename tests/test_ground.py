@@ -14,7 +14,7 @@ from weaksep import (
     is_weakly_separated,
     surrounds,
 )
-from weaksep.ground import _k_subset_masks
+from weaksep.ground import _whole_grid
 
 from _oracles import naive_chord_separated, naive_weakly_separated
 
@@ -241,11 +241,11 @@ class TestKSubsetMasks:
         for n in range(1, 9):
             for k in range(n + 1):
                 expected = [sum(1 << b for b in c) for c in itertools.combinations(range(n), k)]
-                got = list(_k_subset_masks(n, k))
+                got = list(_whole_grid(n, k))
                 assert got == expected, (n, k)
                 assert len(got) == comb(n, k)
 
     def test_extreme_sizes(self):
-        assert list(_k_subset_masks(5, 0)) == [0]
-        assert list(_k_subset_masks(5, 5)) == [0b11111]
-        assert list(_k_subset_masks(4, 5)) == []
+        assert list(_whole_grid(5, 0)) == [0]
+        assert list(_whole_grid(5, 5)) == [0b11111]
+        assert list(_whole_grid(4, 5)) == []

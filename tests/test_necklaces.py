@@ -26,6 +26,7 @@ from weaksep import (
     simple_pattern_split,
     tau_kn,
 )
+from weaksep import necklaces
 from weaksep.domains import lr_chain, lr_domain
 from math import comb
 
@@ -270,6 +271,16 @@ class TestDomainIn:
         assert len(dom) < comb(10, 5)
         cliques = enumerate_maximal_cliques(build_compat_graph(dom))
         assert all(len(c) == length_of(p, 5).length + 1 == 18 for c in cliques)
+
+    def test_grid_too_large_rejected_before_listing(self, monkeypatch):
+        # C(40,20) candidates; a scan that got past the cap would fail here at once
+        def scanned(*args):
+            raise AssertionError("a candidate was tested before the size check")
+
+        monkeypatch.setattr(necklaces, "_weakly_separated_masks", scanned)
+        nk = necklace_from_perm(tau_kn(20, 40), 20)
+        with pytest.raises(ValueError, match=r"a domain of C\(40,20\) sets is too large to search"):
+            domain_in_for_necklace(nk)
 
 
 def connected_necklaces(n):

@@ -1,7 +1,8 @@
 """Pins of the public surface and the code size: the package's exported names,
-the CLI options, and a ceiling on the lines of ``src/weaksep/*.py``.
+the CLI options, a ceiling on the lines of ``src/weaksep/*.py``, and the one
+module that lists candidate sets.
 
-All three should only shrink.  A change that adds or removes a name or an
+The first three should only shrink.  A change that adds or removes a name or an
 option, or grows the source past the ceiling, edits the pin here on purpose
 and says so in CHANGES.md.
 """
@@ -74,7 +75,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2755
+SOURCE_LINES = 2749
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
@@ -115,3 +116,12 @@ def test_cli_options_are_pinned():
 def test_source_lines_are_capped():
     source = Path(weaksep.__file__).parent.glob("*.py")
     assert sum(len(p.read_text().splitlines()) for p in source) <= SOURCE_LINES
+
+
+def test_only_ground_lists_masks():
+    # every domain lists through ground._whole_grid or ground._power_set, which hold the cap
+    listing = ("range(1 <<", "range(2 <<", "_k_subset_masks", "_check_power_set")
+    for path in sorted(Path(weaksep.__file__).parent.glob("*.py")):
+        if path.name != "ground.py":
+            text = path.read_text()
+            assert not [s for s in listing if s in text], path.name
