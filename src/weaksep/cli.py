@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--perm")
     p.add_argument("--k", type=int)
-    p.add_argument("--colors", default="")
+    p.add_argument("--colors")
     p.add_argument("--a")
 
     p = sub.add_parser("lr", help="purity of the left/right domain")
@@ -192,6 +192,8 @@ def _cmd_mutdist(args) -> tuple[int, bytes]:
 
 
 def _cmd_necklace(args) -> tuple[int, bytes]:
+    if {args.perm, args.k, args.colors} != {None} and {args.a, args.n} != {None}:
+        raise ValueError("--perm, --k and --colors cannot be combined with --a or --n")
     if args.perm is not None:
         if args.k is None:
             raise ValueError("--perm needs --k")
@@ -258,6 +260,8 @@ def _cmd_chord(args) -> tuple[int, bytes]:
 
 
 def _cmd_octahedron(args) -> tuple[int, bytes]:
+    if args.p is not None and {args.a, args.n} != {None}:
+        raise ValueError("--p cannot be combined with --a or --n")
     if args.a is not None:
         if args.n is None:
             raise ValueError("--a needs --n")

@@ -396,10 +396,12 @@ def _region_masks(alpha: int, beta: int, gamma: int, delta: int, n: int) -> tupl
 def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
     """Search for the lexicographically least valid four-tuple (alpha, beta, gamma, delta).
 
-    Containment of the reduced endpoint regions in single runs is enforced on
-    the open arcs (alpha, beta) and (gamma, delta); the half-open variants are
-    not total over balanced domains.  Exhaustive over all cyclically arranged
-    tuples, so O(n^4) validity checks per element.
+    The endpoint regions are the open arcs (alpha, beta) and (gamma, delta);
+    the half-open variants are not total over balanced domains.  An open arc
+    that lies between I and J meets the symmetric difference in elements of
+    one sign, an arc of the reduced circle, so it lies inside one run.
+    Exhaustive over all cyclically arranged tuples, so O(n^4) validity checks
+    per element.
     """
     if not ctx.balanced:
         raise ValueError("element profiles are defined for balanced pairs only")
@@ -431,10 +433,7 @@ def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
         cell = region & diff
         if cell == 0:
             return None
-        for pos, pre in enumerate(preimages):
-            if cell & ~pre == 0:
-                return pos + 1
-        return None
+        return next(pos + 1 for pos, pre in enumerate(preimages) if cell & ~pre == 0)
 
     for alpha, beta, gamma, delta in itertools.product(range(1, n + 1), repeat=4):
         ob = (beta - alpha) % n
@@ -450,10 +449,6 @@ def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
         if not between(reg3):
             continue
         if union & reg4 & ~rmask:
-            continue
-        if (reg1 & diff) and run_index(reg1) is None:
-            continue
-        if (reg3 & diff) and run_index(reg3) is None:
             continue
         left = run_index(reg3)
         right = run_index(reg1)
@@ -481,9 +476,11 @@ def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
 
     Each chain member S must have S, S+{1}, S+{n}, S+{1,n} in the collection.
     The collection must be maximal chord separated over the full power set and
-    already contain the eight decorated variants of U and V.  Returns the
-    lexicographically least chain; raises ChainNotFound if none exists, which
-    would contradict the guarantee this search certifies.
+    already contain the eight decorated variants of U and V.  Such a collection
+    holds a chain to V from each S in V whose variants it holds, so the walk
+    adds the lowest bit whose variants are present and never backtracks; its
+    chain is the lexicographically least.  Raises ChainNotFound when no bit
+    can be added, which would contradict that guarantee.
     """
     n = w.n
     if u.n != n or v.n != n:
@@ -498,30 +495,16 @@ def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
     # the chord separated power set is pure (Galashin)
     _require_maximal(w.masks, n, _chord_rank(n), "chord")
 
-    target = v.mask
-    dead: set[int] = set()
-
-    def extend(mask: int) -> list[int] | None:
-        if mask == target:
-            return [mask]
-        if mask in dead:
-            return None
-        free = target & ~mask
-        while free:
-            bit = free & -free
+    mask, chain = u.mask, [u]
+    while mask != v.mask:
+        free = v.mask & ~mask
+        while free and not members.issuperset(_decorated(mask | free & -free, n)):
             free &= free - 1
-            nxt = mask | bit
-            if members.issuperset(_decorated(nxt, n)):
-                rest = extend(nxt)
-                if rest is not None:
-                    return [mask] + rest
-        dead.add(mask)
-        return None
-
-    chain = extend(u.mask)
-    if chain is None:
-        raise ChainNotFound(
-            "no nested chain with all decorated variants present; "
-            "this contradicts the guarantee for maximal chord separated collections"
-        )
-    return [Subset(m, n) for m in chain]
+        if not free:
+            raise ChainNotFound(
+                "no nested chain with all decorated variants present; "
+                "this contradicts the guarantee for maximal chord separated collections"
+            )
+        mask |= free & -free
+        chain.append(Subset(mask, n))
+    return chain

@@ -2,10 +2,11 @@
 
 Everything here works on plain Python sets and brute force, deliberately
 sharing no code with the package: definition-level scans for the separation
-predicates and full subset enumeration for maximal cliques.  The one
-exception is ``plain_bron_kerbosch``, the unfolded kernel that the library's
+predicates and full subset enumeration for maximal cliques.  The two
+exceptions are ``plain_bron_kerbosch``, the unfolded kernel that the library's
 enumeration replaced, kept so that the two can be compared on graphs too
-large for brute force.
+large for brute force, and ``naive_chord_chain``, the backtracking search
+that the library's chord chain walk replaced.
 """
 
 import itertools
@@ -173,3 +174,33 @@ def pyramid_decomposition(apex: tuple, orientation: int, v: tuple) -> tuple | No
     if lo > hi:
         return None
     return (-d[2] - lo, lo, d[1] - lo, d[3] + d[2] + lo)
+
+
+def naive_chord_chain(members: set, u: int, v: int, n: int) -> list | None:
+    """The lexicographically least chain u = S_0 c ... c S_t = v, as masks, or None.
+
+    Depth-first search over one added bit at a time, lowest bit first, with a
+    set of dead ends; each chain mask S needs S, S+{1}, S+{n}, S+{1,n} among
+    ``members``.  This is the search the library's greedy walk replaced.
+    """
+    lo, hi = 1, 1 << (n - 1)
+    dead = set()
+
+    def extend(mask):
+        if mask == v:
+            return [mask]
+        if mask in dead:
+            return None
+        free = v & ~mask
+        while free:
+            bit = free & -free
+            free &= free - 1
+            nxt = mask | bit
+            if {nxt, nxt | lo, nxt | hi, nxt | lo | hi} <= members:
+                rest = extend(nxt)
+                if rest is not None:
+                    return [mask] + rest
+        dead.add(mask)
+        return None
+
+    return extend(u)

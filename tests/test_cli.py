@@ -179,6 +179,19 @@ def test_budget_below_one_rejected(argv, capsys):
             ["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6", "--budget", "x"],
             "weaksep mutdist: error: argument --budget: expected an integer >= 1, got 'x'",
         ),
+        (
+            ["necklace", "--n", "5", "--perm", "2,1", "--k", "1"],
+            "error: --perm, --k and --colors cannot be combined with --a or --n",
+        ),
+        (
+            ["necklace", "--a", "1,2,3,7,8", "--n", "10", "--k", "3"],
+            "error: --perm, --k and --colors cannot be combined with --a or --n",
+        ),
+        (["octahedron", "--n", "7", "--p", "2,1,1,2"], "error: --p cannot be combined with --a or --n"),
+        (
+            ["octahedron", "--a", "1,2,5,6", "--n", "8", "--p", "1,1,1,1"],
+            "error: --p cannot be combined with --a or --n",
+        ),
     ],
 )
 def test_input_errors_exit_2(argv, line, capsys):

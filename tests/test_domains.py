@@ -3,7 +3,12 @@ import random
 from math import comb
 
 import pytest
-from _oracles import naive_chord_separated, naive_is_maximal, naive_weakly_separated
+from _oracles import (
+    naive_chord_chain,
+    naive_chord_separated,
+    naive_is_maximal,
+    naive_weakly_separated,
+)
 
 from weaksep import (
     ChainNotFound,
@@ -33,8 +38,8 @@ from weaksep import (
     reduce_pair,
     unbalanced_witness,
 )
-from weaksep.cliques import _require_maximal
-from weaksep.domains import _lr_chain_of
+from weaksep.cliques import _greedy_maximal, _require_maximal
+from weaksep.domains import _decorated, _lr_chain_of
 from weaksep.ground import _power_set
 
 
@@ -444,6 +449,34 @@ class TestCharacterizeElement:
             assert rset & r2 <= iset & jset
             assert (iset | jset) & r4 <= rset
 
+    @pytest.mark.parametrize(
+        "i, j, n",
+        [([1, 2, 4, 6, 8], [3, 5, 7, 9, 10], 10), ([1, 3, 5, 7], [2, 4, 6, 7], 7)],
+        ids=["complementary-n10", "shared-n7"],
+    )
+    def test_endpoint_regions_lie_in_their_runs(self, i, j, n):
+        # the symmetric difference met by each open arc is empty, with no
+        # endpoint, or lies inside the run that the endpoint names
+        ctx = reduce_pair(sub(i, n), sub(j, n))
+        assert ctx.balanced
+        diff = set(ctx.sym_diff)
+        runs = [{ctx.sym_diff[x - 1] for x in iv.elements()} for iv in ctx.partition.intervals_unrotated()]
+
+        def open_arc(a, b):
+            return {(a + t - 1) % n + 1 for t in range(1, (b - a) % n)}
+
+        for r in build_domain_AIJ(ctx.i, ctx.j):
+            prof = characterize_element(ctx, r)
+            for arc, end in (
+                (open_arc(prof.alpha, prof.beta), prof.right_endpoint),
+                (open_arc(prof.gamma, prof.delta), prof.left_endpoint),
+            ):
+                cell = arc & diff
+                if end is None:
+                    assert not cell
+                else:
+                    assert cell and cell <= runs[end - 1]
+
     def test_unbalanced_context_rejected(self):
         i = sub([1, 2, 4], 6)
         ctx = reduce_pair(i, i.complement())
@@ -480,6 +513,32 @@ class TestChordChain:
             for a, b in zip(chain, chain[1:]):
                 assert a.mask & ~b.mask == 0 and len(b) == len(a) + 1
         assert found
+
+    def test_matches_backtracking_search(self):
+        # every U c V inside [2, n-1], in greedy maximal collections built
+        # over ascending and two shuffled candidate orders
+        rng = random.Random(19)
+        cases = 0
+        for n in range(3, 7):
+            outside = 1 | 1 << (n - 1)
+            orders = [list(range(1 << n))]
+            for _ in range(2):
+                orders.append(rng.sample(orders[0], len(orders[0])))
+            for v in range(1 << n):
+                if v & outside:
+                    continue
+                for u in range(1 << n):
+                    if u & ~v:
+                        continue
+                    needed = {m for s in (u, v) for m in _decorated(s, n)}
+                    for order in orders:
+                        w = Collection.from_masks(_greedy_maximal(needed, order, n, "chord"), n)
+                        expected = naive_chord_chain(set(w.masks), u, v, n)
+                        assert expected is not None
+                        chain = chord_chain(w, Subset(u, n), Subset(v, n))
+                        assert [s.mask for s in chain] == expected
+                        cases += 1
+        assert cases == 3 * (3 + 9 + 27 + 81)
 
     def test_missing_decorated_set_rejected(self):
         w = Collection.from_masks([m for m in range(8) if m != 0b101], 3)

@@ -75,7 +75,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2749
+SOURCE_LINES = 2736
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
