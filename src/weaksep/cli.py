@@ -56,6 +56,21 @@ def _int_from(low: int):
     return parse
 
 
+def _ints(flag: str, text: str, sep: str = ",", count: int | None = None) -> list[int]:
+    """The integers of a flag's text split at sep, exactly count of them if given.
+
+    Anything else raises a ValueError whose message names the flag and quotes the text.
+    """
+    try:
+        values = [int(x) for x in text.split(sep)]
+    except ValueError:
+        values = []
+    if not values or count not in (None, len(values)):
+        what = f"{count} integers" if count else "integers"
+        raise ValueError(f"{flag} expects {what} separated by {sep!r}, got {text!r}")
+    return values
+
+
 @cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -197,12 +212,9 @@ def _cmd_necklace(args) -> tuple[int, bytes]:
     if args.perm is not None:
         if args.k is None:
             raise ValueError("--perm needs --k")
-        images = [int(x) for x in args.perm.split(",")]
-        colors = {}
-        if args.colors:
-            for piece in args.colors.split(","):
-                key, _, val = piece.partition(":")
-                colors[int(key)] = int(val)
+        images = _ints("--perm", args.perm)
+        pairs = args.colors.split(",") if args.colors else []
+        colors = dict(_ints("--colors", piece, ":", 2) for piece in pairs)
         perm = necklaces.DecoratedPermutation.make(images, colors)
         k = args.k
         extra: dict[str, Any] = {}
@@ -267,18 +279,14 @@ def _cmd_octahedron(args) -> tuple[int, bytes]:
             raise ValueError("--a needs --n")
         a = Subset.parse(args.a, args.n)
     elif args.p is not None:
-        p = tuple(int(x) for x in args.p.split(","))
+        p = _ints("--p", args.p)
         if len(p) != 4:
             raise ValueError("--p needs four comma-separated lengths")
+        if min(p) < 1:
+            raise ValueError(f"--p lengths must be at least 1, got {args.p!r}")
         if p[0] + p[2] != p[1] + p[3]:
             raise ValueError("run lengths must satisfy p1+p3 = p2+p4")
-        elements = []
-        pos = 1
-        for idx, length in enumerate(p):
-            if idx % 2 == 0:
-                elements.extend(range(pos, pos + length))
-            pos += length
-        a = Subset.of(elements, sum(p))
+        a = Subset.of([*range(1, p[0] + 1), *range(p[0] + p[1] + 1, sum(p[:3]) + 1)], sum(p))
     else:
         raise ValueError("give either --a with --n, or --p")
     return EXIT_OK, emit_report(octahedron.p4_counts(a).to_json())
@@ -290,7 +298,7 @@ def _cmd_explore(args) -> tuple[int, bytes]:
     if args.split:
         if args.format == "jsonl":
             raise ValueError("--split cannot be combined with --format jsonl")
-        split = tuple(int(x) for x in args.split.split(","))
+        split = tuple(_ints("--split", args.split))
         octahedron._split_bounds(split, args.n)
     if args.seed:
         seed = Collection(Subset.parse(part, args.n) for part in args.seed.split(";"))

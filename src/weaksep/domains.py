@@ -23,6 +23,7 @@ from .cliques import (
 from .ground import (
     GroundSetMismatch,
     Subset,
+    _arc,
     _check_ground_size,
     _check_pair,
     _check_same_ground,
@@ -142,7 +143,7 @@ def boundary_intervals(k: int, n: int) -> Collection:
     """The n cyclic intervals of length k (weakly separated from everything of size k)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Collection(cyclic_interval(i, (i + k - 2) % n + 1, n) for i in range(1, n + 1))
+    return Collection(Subset(_arc(i, i + k - 1, n), n) for i in range(1, n + 1))
 
 
 def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
@@ -317,16 +318,12 @@ def unbalanced_witness(a: Subset) -> UnbalancedBound:
     starts = list(itertools.accumulate(lengths, initial=1))
     av, bv = lengths[0::2], lengths[1::2]
 
-    def interval_mask(lo: int, hi: int) -> int:
-        return cyclic_interval((lo - 1) % n + 1, (hi - 1) % n + 1, n).mask
-
-    witness: set[int] = set()
-    for i in range(1, n + 1):
-        witness.add(interval_mask(i, i + k - 1))
+    # the boundary family is invariant under rotation, so the rotated frame holds it as is
+    witness = set(boundary_intervals(k, n).masks)
     for idx, p in enumerate(lengths):
         s0 = starts[idx]
         for x, y in itertools.combinations(range(s0, s0 + p), 2):
-            witness.add(interval_mask(x - k + s0 + p - y, x - 1) | interval_mask(y, s0 + p - 1))
+            witness.add(_arc(x - k + s0 + p - y, x - 1, n) | _arc(y, s0 + p - 1, n))
 
     # the runs of a_(i+1) and b_(j+1) are adjacent on the circle iff j = i or j = i-1 (mod u)
     chi = tuple(
@@ -343,7 +340,7 @@ def unbalanced_witness(a: Subset) -> UnbalancedBound:
             cross_total += ai + bj - k + 1
             for x in range(s0, s0 + ai):
                 for y in range(t0, t0 + bj):
-                    piece = interval_mask(x, s0 + ai - 1) | interval_mask(y, t0 + bj - 1)
+                    piece = _arc(x, s0 + ai - 1, n) | _arc(y, t0 + bj - 1, n)
                     if piece.bit_count() == k:
                         witness.add(piece)
     bound = 2 * k + sum(comb(x, 2) for x in lengths) + cross_total
@@ -374,23 +371,6 @@ class ElementProfile:
     left_endpoint: int | None
     right_endpoint: int | None
     internal: tuple[int, ...]
-
-
-def _region_masks(alpha: int, beta: int, gamma: int, delta: int, n: int) -> tuple[int, int, int, int]:
-    def open_arc(a: int, b: int) -> int:
-        if (b - a) % n in (0, 1):
-            return 0
-        return cyclic_interval(a % n + 1, (b - 2) % n + 1, n).mask
-
-    def closed_arc(a: int, b: int) -> int:
-        return cyclic_interval(a, b, n).mask
-
-    return (
-        open_arc(alpha, beta),
-        closed_arc(beta, gamma),
-        open_arc(gamma, delta),
-        closed_arc(delta, alpha),
-    )
 
 
 def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
@@ -441,7 +421,11 @@ def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
         od = (delta - alpha - 1) % n + 1
         if ob == 0 or og < ob or od <= og:
             continue
-        reg1, reg2, reg3, reg4 = _region_masks(alpha, beta, gamma, delta, n)
+        # the open arcs (alpha, beta) and (gamma, delta), empty between neighbours
+        reg1 = _arc(alpha + 1, beta - 1, n) if ob > 1 else 0
+        reg2 = _arc(beta, gamma, n)
+        reg3 = _arc(gamma + 1, delta - 1, n) if (delta - gamma) % n > 1 else 0
+        reg4 = _arc(delta, alpha, n)
         if not between(reg1):
             continue
         if rmask & reg2 & ~inter:

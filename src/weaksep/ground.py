@@ -128,31 +128,28 @@ def _check_pair(i: Subset, j: Subset) -> None:
         raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
 
 
+def _arc(a: int, b: int, n: int) -> int:
+    """Mask of the arc a, a+1, ..., b around [n], both ends taken mod n; unchecked."""
+    run = (1 << ((b - a) % n + 1)) - 1
+    a = (a - 1) % n
+    return ((run << a) | (run >> (n - a))) & ((1 << n) - 1)
+
+
 def cyclic_interval(a: int, b: int, n: int) -> Subset:
     """The interval [a, b] = {a, a+1, ..., b} with wraparound modulo n."""
     _check_ground_size(n)
     if not 1 <= a <= n or not 1 <= b <= n:
         raise ValueError(f"interval endpoints ({a}, {b}) outside [1, {n}]")
-    count = (b - a) % n + 1
-    full = (1 << n) - 1
-    run = (1 << count) - 1
-    shifted = ((run << (a - 1)) | (run >> (n - a + 1))) & full
-    return Subset(shifted, n)
-
-
-def _run_starts(mask: int, n: int) -> int:
-    """Bitmask of elements x in S whose cyclic predecessor is not in S."""
-    full = (1 << n) - 1
-    pred_in = ((mask << 1) | (mask >> (n - 1))) & full
-    return mask & ~pred_in
+    return Subset(_arc(a, b, n), n)
 
 
 def is_cyclic_interval(s: Subset) -> bool:
-    """True iff s is [a, b] for some a, b, or s is empty or full (by convention)."""
-    full = (1 << s.n) - 1
-    if s.mask in (0, full):
-        return True
-    return _run_starts(s.mask, s.n).bit_count() == 1
+    """True iff s is [a, b] for some a, b, or s is empty or full (by convention).
+
+    That is, s is chord separated from its complement: every position is
+    labelled, so at most two label changes around the circle mean one run.
+    """
+    return _chord_separated_masks(s.mask, s.complement().mask, s.n)
 
 
 # Mask-level predicate cores.  The empty-set conventions max(emptyset) = -inf

@@ -141,19 +141,7 @@ class GrassmannNecklace:
                 raise GroundSetMismatch(f"necklace of length {n} holds subsets of [{s.n}]")
             if len(s) != k:
                 raise ValueError("necklace sets must share one cardinality")
-        for i in range(1, n + 1):
-            cur = sets[i - 1]
-            nxt = sets[i % n]
-            if i not in cur:
-                if nxt.mask != cur.mask:
-                    raise ValueError(f"transition {i}: set must repeat when {i} is absent")
-            else:
-                gone = cur.mask & ~nxt.mask
-                came = nxt.mask & ~cur.mask
-                if gone == came == 0:
-                    continue
-                if gone != 1 << (i - 1) or came.bit_count() != 1:
-                    raise ValueError(f"transition {i}: must remove {i} and add one element")
+        _transitions(sets)
 
     @property
     def n(self) -> int:
@@ -169,6 +157,30 @@ class GrassmannNecklace:
 
     def to_json(self) -> list[list[int]]:
         return [s.to_json() for s in self.sets]
+
+
+def _transitions(sets: Sequence[Subset]) -> tuple[list[int], dict[int, int]]:
+    """The images and fixed-point colors that the transitions I_i -> I_(i+1) encode.
+
+    i maps to the element that enters; it is fixed when the set repeats,
+    colored +1 when i is absent from I_i and -1 when present.  Raises
+    ValueError on a transition that breaks the necklace rule.
+    """
+    n = len(sets)
+    images: list[int] = []
+    colors: dict[int, int] = {}
+    for i in range(1, n + 1):
+        cur, nxt, bit = sets[i - 1].mask, sets[i % n].mask, 1 << (i - 1)
+        if cur == nxt:
+            images.append(i)
+            colors[i] = -1 if cur & bit else 1
+        elif not cur & bit:
+            raise ValueError(f"transition {i}: set must repeat when {i} is absent")
+        elif cur & ~nxt != bit or (nxt & ~cur).bit_count() != 1:
+            raise ValueError(f"transition {i}: must remove {i} and add one element")
+        else:
+            images.append((nxt & ~cur).bit_length())
+    return images, colors
 
 
 def necklace_from_perm(p: DecoratedPermutation, k: int) -> GrassmannNecklace:
@@ -200,22 +212,7 @@ def necklace_from_perm(p: DecoratedPermutation, k: int) -> GrassmannNecklace:
 
 def perm_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
     """Read the permutation off the transitions; fixed points colored by membership."""
-    n = nk.n
-    images = [0] * n
-    colors: dict[int, int] = {}
-    for i in range(1, n + 1):
-        cur = nk.sets[i - 1]
-        nxt = nk.sets[i % n]
-        if i not in cur:
-            images[i - 1] = i
-            colors[i] = 1
-        elif cur.mask == nxt.mask:
-            images[i - 1] = i
-            colors[i] = -1
-        else:
-            came = nxt.mask & ~cur.mask
-            images[i - 1] = came.bit_length()
-    return DecoratedPermutation.make(tuple(images), colors)
+    return DecoratedPermutation.make(*_transitions(nk.sets))
 
 
 def positroid_contains(nk: GrassmannNecklace, j: Subset) -> bool:
@@ -240,6 +237,26 @@ def domain_in_for_necklace(nk: GrassmannNecklace) -> Collection:
     return Collection.from_masks(out, n)
 
 
+def _pattern_masks(sets: Sequence[Subset], step: int) -> list[int]:
+    """The masks of a cyclic pattern: two or more distinct, pairwise weakly separated
+    sets over one ground set, each ``step`` elements from the next.  Raises ValueError otherwise."""
+    if len(sets) < 2:
+        raise ValueError("pattern needs at least two sets")
+    n = sets[0].n
+    masks = [s.mask for s in sets]
+    if len(set(masks)) != len(masks):
+        raise ValueError("pattern sets must be pairwise distinct")
+    if any(s.n != n for s in sets):
+        raise GroundSetMismatch("pattern mixes ground sets")
+    for a, (x, y) in enumerate(zip(masks, masks[1:] + masks[:1])):
+        if (x ^ y).bit_count() != step:
+            count = "one element" if step == 1 else f"{step} elements"
+            raise ValueError(f"step {a}: symmetric difference must have {count}")
+    if _first_unrelated_pair(masks, n) is not None:
+        raise ValueError("pattern is not weakly separated")
+    return masks
+
+
 @dataclass(frozen=True)
 class SimpleCyclicPattern:
     """A cyclic, pairwise weakly separated sequence of distinct sets with unit steps."""
@@ -247,27 +264,12 @@ class SimpleCyclicPattern:
     sets: tuple[Subset, ...]
 
     def __post_init__(self) -> None:
-        sets = self.sets
-        if len(sets) < 2:
-            raise ValueError("pattern needs at least two sets")
-        n = sets[0].n
-        masks = [s.mask for s in sets]
-        if len(set(masks)) != len(masks):
-            raise ValueError("pattern sets must be pairwise distinct")
-        for s in sets:
-            if s.n != n:
-                raise GroundSetMismatch("pattern mixes ground sets")
-        for a in range(len(masks)):
-            b = (a + 1) % len(masks)
-            if (masks[a] ^ masks[b]).bit_count() != 1:
-                raise ValueError(f"step {a}: symmetric difference must have one element")
-        if _first_unrelated_pair(masks, n) is not None:
-            raise ValueError("pattern is not weakly separated")
+        _pattern_masks(self.sets, 1)
 
     @classmethod
     def make(cls, sets: Iterable[Subset]) -> "SimpleCyclicPattern":
         sets = list(sets)
-        if len(sets) >= 2 and sets[0].mask == sets[-1].mask and sets[0].n == sets[-1].n:
+        if sets and sets[0] == sets[-1]:
             sets = sets[:-1]
         return cls(tuple(sets))
 
@@ -286,21 +288,13 @@ class SimpleCyclicPattern:
 
 def is_generalized_cyclic_pattern(sets: Sequence[Subset]) -> bool:
     """Validity check only: distinct, equal-size, weakly separated, two-element steps."""
-    if len(sets) < 2:
+    if sets and sets[0] == sets[-1]:
+        sets = sets[:-1]
+    try:
+        masks = _pattern_masks(sets, 2)
+    except ValueError:
         return False
-    n = sets[0].n
-    masks = [s.mask for s in sets]
-    if masks[0] == masks[-1]:
-        masks = masks[:-1]
-    if len(set(masks)) != len(masks):
-        return False
-    size = masks[0].bit_count()
-    if any(s.n != n for s in sets) or any(m.bit_count() != size for m in masks):
-        return False
-    for a in range(len(masks)):
-        if (masks[a] ^ masks[(a + 1) % len(masks)]).bit_count() != 2:
-            return False
-    return _first_unrelated_pair(masks, n) is None
+    return len({m.bit_count() for m in masks}) == 1
 
 
 def simple_pattern_split(p: SimpleCyclicPattern) -> tuple[Collection, Collection]:

@@ -41,6 +41,32 @@ def naive_chord_separated(s: set, t: set, n: int) -> bool:
     return True
 
 
+def naive_cyclic_run(a: int, b: int, n: int) -> set:
+    """The elements met walking clockwise around [n] from a to b, both included."""
+    run = [a]
+    while run[-1] != b:
+        run.append(run[-1] % n + 1)
+    return set(run)
+
+
+def naive_is_necklace(sets: list[set], n: int) -> bool:
+    """The Grassmann necklace rule read off its definition, on n plain subsets of [n].
+
+    All sets have one size; I_(i+1) = I_i when i is not in I_i, and otherwise
+    I_(i+1) = I_i - {i} + {j} for some j in [n] (j = i keeps the set).
+    """
+    if len({len(s) for s in sets}) != 1:
+        return False
+    for i in range(1, n + 1):
+        cur, nxt = sets[i - 1], sets[i % n]
+        if i not in cur:
+            if nxt != cur:
+                return False
+        elif not any(nxt == (cur - {i}) | {j} for j in range(1, n + 1)):
+            return False
+    return True
+
+
 def naive_maximal_cliques(adj: list[int]) -> set[frozenset]:
     """All maximal cliques of a graph on at most ~14 vertices, by full enumeration."""
     m = len(adj)

@@ -192,6 +192,21 @@ def test_budget_below_one_rejected(argv, capsys):
             ["octahedron", "--a", "1,2,5,6", "--n", "8", "--p", "1,1,1,1"],
             "error: --p cannot be combined with --a or --n",
         ),
+        (
+            ["necklace", "--perm", "2,x", "--k", "1"],
+            "error: --perm expects integers separated by ',', got '2,x'",
+        ),
+        (
+            ["necklace", "--perm", "1,2", "--k", "1", "--colors", "1"],
+            "error: --colors expects 2 integers separated by ':', got '1'",
+        ),
+        (["octahedron", "--p", "1,x,1,1"], "error: --p expects integers separated by ',', got '1,x,1,1'"),
+        (
+            ["explore", "--n", "6", "--k", "3", "--split", "1,x"],
+            "error: --split expects integers separated by ',', got '1,x'",
+        ),
+        (["octahedron", "--p=2,-1,1,4"], "error: --p lengths must be at least 1, got '2,-1,1,4'"),
+        (["octahedron", "--p=0,1,1,0"], "error: --p lengths must be at least 1, got '0,1,1,0'"),
     ],
 )
 def test_input_errors_exit_2(argv, line, capsys):

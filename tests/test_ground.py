@@ -16,7 +16,7 @@ from weaksep import (
 )
 from weaksep.ground import _whole_grid
 
-from _oracles import naive_chord_separated, naive_weakly_separated
+from _oracles import naive_chord_separated, naive_cyclic_run, naive_weakly_separated
 
 
 def sub(elems, n):
@@ -90,11 +90,17 @@ class TestCyclicInterval:
         assert is_cyclic_interval(Subset((1 << 5) - 1, 5))
 
     def test_every_interval_detected(self):
+        # the runs of consecutive elements, walked on plain sets, plus the empty set
         for n in range(1, 7):
-            intervals = {cyclic_interval(a, b, n).mask for a in range(1, n + 1) for b in range(1, n + 1)}
+            runs = {frozenset(naive_cyclic_run(a, b, n)) for a in range(1, n + 1) for b in range(1, n + 1)}
             for s in all_subsets(n):
-                expected = s.mask in intervals or s.mask == 0 or s.mask == (1 << n) - 1
-                assert is_cyclic_interval(s) == expected
+                assert is_cyclic_interval(s) == (frozenset(s.elements()) in runs or s.mask == 0)
+
+    def test_matches_run_oracle(self):
+        for n in range(1, 9):
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    assert set(cyclic_interval(a, b, n).elements()) == naive_cyclic_run(a, b, n)
 
 
 class TestSurrounds:

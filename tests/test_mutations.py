@@ -258,6 +258,24 @@ class TestMutationDistance:
         assert r.distance == 0 and r.path == ()
         assert sub([1, 2], 4) in r.source and sub([2, 3], 4) in r.source
 
+    def test_weakly_separated_pair_gets_least_completion(self):
+        # source and target are the least maximal collection, as a sorted mask
+        # tuple, among the maximal cliques of the grid graph that hold both sets
+        pairs = 0
+        for n in range(2, 7):
+            for k in range(1, n):
+                cliques = [
+                    tuple(sorted(c.masks)) for c in enumerate_maximal_cliques(build_compat_graph(grid(n, k)))
+                ]
+                for i, j in itertools.product(grid(n, k).masks, repeat=2):
+                    if not is_weakly_separated(Subset(i, n), Subset(j, n)):
+                        continue
+                    r = mutation_distance(Subset(i, n), Subset(j, n))
+                    least = min(c for c in cliques if i in c and j in c)
+                    assert tuple(sorted(r.source.masks)) == least and r.target == r.source
+                    pairs += 1
+        assert pairs == 1106
+
     def test_path_witnesses_distance(self):
         i, j = sub([1, 2, 4], 6), sub([3, 5, 6], 6)
         r = mutation_distance(i, j)

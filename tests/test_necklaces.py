@@ -27,6 +27,7 @@ from weaksep import (
     tau_kn,
 )
 from weaksep import necklaces
+from _oracles import naive_is_necklace
 from weaksep.domains import lr_chain, lr_domain
 from math import comb
 
@@ -189,6 +190,23 @@ class TestPermFromNecklace:
     def test_invalid_transition_rejected(self):
         with pytest.raises(ValueError):
             GrassmannNecklace((sub([1, 2], 4), sub([3, 4], 4), sub([3, 4], 4), sub([1, 4], 4)))
+
+    def test_accepts_exactly_the_definition(self):
+        # every sequence of n subsets of [n], n <= 4, against the rule on plain
+        # sets; each accepted necklace survives the trip through its permutation
+        accepted = 0
+        for n in range(1, 5):
+            subsets = [Subset(m, n) for m in range(1 << n)]
+            for row in itertools.product(subsets, repeat=n):
+                try:
+                    nk = GrassmannNecklace(row)
+                except ValueError:
+                    nk = None
+                assert (nk is not None) == naive_is_necklace([set(s.elements()) for s in row], n)
+                if nk is not None:
+                    accepted += 1
+                    assert necklace_from_perm(perm_from_necklace(nk), nk.k) == nk
+        assert accepted == 88
 
     def test_round_trip_canonical(self):
         for k in range(1, 6):

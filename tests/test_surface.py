@@ -75,7 +75,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2736
+SOURCE_LINES = 2719
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
@@ -125,3 +125,10 @@ def test_only_ground_lists_masks():
         if path.name != "ground.py":
             text = path.read_text()
             assert not [s for s in listing if s in text], path.name
+
+
+def test_only_ground_rotates_masks():
+    # Subset.rotate and ground._arc are the only modular rotations of a mask
+    for path in sorted(Path(weaksep.__file__).parent.glob("*.py")):
+        if path.name != "ground.py":
+            assert ">> (n -" not in path.read_text(), path.name

@@ -79,11 +79,22 @@ CASES = [
         "transition 1: set must repeat when 1 is absent",
     ),
     (
+        lambda: GrassmannNecklace(seq(3, [1, 2], [2, 3], [1, 2])),
+        ValueError,
+        "transition 2: must remove 2 and add one element",
+    ),
+    (
         lambda: positroid_contains(necklace_from_perm(tau_kn(1, 3), 1), sub([1], 4)),
         GroundSetMismatch,
         "subset of [4] against a necklace over [3]",
     ),
     (lambda: SimpleCyclicPattern(seq(3, [1])), ValueError, "pattern needs at least two sets"),
+    (lambda: SimpleCyclicPattern(seq(3, [1], [1])), ValueError, "pattern sets must be pairwise distinct"),
+    (
+        lambda: SimpleCyclicPattern(seq(3, [1], [2])),
+        ValueError,
+        "step 0: symmetric difference must have one element",
+    ),
     (
         lambda: SimpleCyclicPattern((sub([1], 3), sub([1, 2], 4))),
         GroundSetMismatch,
