@@ -181,8 +181,6 @@ def _purity_domain(args) -> Collection:
 def _cmd_purity(args) -> tuple[int, bytes]:
     domain = _purity_domain(args)
     if args.format == "jsonl":
-        if len(domain) == 0:
-            return EXIT_OK, b""
         cliques = enumerate_maximal_cliques(build_compat_graph(domain, "weak"))
         return EXIT_OK, _emit_collections((c.masks for c in cliques), domain.masks, domain.n)
     return EXIT_OK, emit_report(purity_report(domain, "weak").to_json())
@@ -299,15 +297,14 @@ def _cmd_explore(args) -> tuple[int, bytes]:
         if args.format == "jsonl":
             raise ValueError("--split cannot be combined with --format jsonl")
         split = tuple(_ints("--split", args.split))
-        octahedron._split_bounds(split, args.n)
+        octahedron._split_windows(split, args.n)
     if args.seed:
         seed = Collection(Subset.parse(part, args.n) for part in args.seed.split(";"))
         if any(m.bit_count() != args.k for m in seed.masks):
             raise ValueError(f"every seed set must have --k {args.k} elements")
     else:
-        seed = mutations._grid_completion(
-            Subset.of(range(1, args.k + 1), args.n), Subset.of(range(1, args.k + 1), args.n)
-        )
+        first = Subset.of(range(1, args.k + 1), args.n)
+        seed = mutations._grid_completion(first, first)
     graph = mutations.explore_mutation_graph(seed, budget=args.budget)
     code = EXIT_OK if graph.complete else EXIT_BUDGET
     if args.format == "jsonl":

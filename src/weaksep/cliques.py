@@ -148,8 +148,6 @@ class CompatGraph:
 
 def build_compat_graph(domain: Collection, relation: str = "weak") -> CompatGraph:
     """Materialize the graph whose edges are exactly the related pairs."""
-    if len(domain) == 0:
-        raise ValueError("domain is empty")
     pred = _relation_predicate(relation, domain.n)
     masks = domain.masks
     m = len(masks)
@@ -452,8 +450,6 @@ class PurityReport:
 
 def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
     """Enumerate all maximal cliques of the domain and decide purity."""
-    if len(domain) == 0:
-        return PurityReport(0, {})
     g = build_compat_graph(domain, relation)
     counts = [0] * (len(g) + 1)
 

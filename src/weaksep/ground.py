@@ -8,7 +8,6 @@ Gale order.  All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
@@ -111,9 +110,17 @@ class Subset:
 
 
 def _whole_grid(n: int, k: int) -> Iterator[int]:
-    """Masks of the k-subsets of [n], in lexicographic order, refused above the cap before any is listed."""
+    """Masks of the k-subsets of [n] in ascending (colex) order, refused above the cap before any is listed."""
     _check_domain_size(comb(n, k), f"C({n},{k})")
-    return (sum(c) for c in itertools.combinations([1 << i for i in range(n)], k))
+
+    def colex(x: int) -> Iterator[int]:
+        for _ in range(comb(n, k)):
+            yield x
+            low = x & -x  # Gosper's hack: the lowest run of ones moves its top bit up, the rest down
+            ripple = x + low
+            x = ripple | (x ^ ripple) >> low.bit_length() + 1
+
+    return colex((1 << k) - 1)
 
 
 def _check_same_ground(a: Subset, b: Subset) -> None:

@@ -20,10 +20,11 @@ from typing import Iterable
 
 from .cliques import (
     Collection,
+    NotMaximal,
     _bron_kerbosch,
+    _greedy_maximal,
     _require_maximal,
     build_compat_graph,
-    complete_to_maximal,
 )
 from .domains import _grid_rank, build_domain_AIJ
 from .ground import (
@@ -142,20 +143,11 @@ class _Grid(dict):
         for a, c in itertools.combinations([i + 1 for i in range(n) if x >> i & 1], 2):
             ba, bc = 1 << (a - 1), 1 << (c - 1)
             s = x & ~ba & ~bc
-            inside = []
-            for b in range(a + 1, c):
-                bb = 1 << (b - 1)
-                if not s & bb:
-                    inside.append((b, bb, self[s | ba | bb] | self[s | bb | bc]))
-            if not inside:
-                continue
             for d in (*range(c + 1, n + 1), *range(1, a)):
-                bd = 1 << (d - 1)
-                if not s & bd:
-                    # S+{c,d} and S+{d,a}; every b adds its own S+{a,b} and S+{b,c}
-                    around = self[s | bc | bd] | self[s | bd | ba]
-                    for b, bb, beside in inside:
-                        sides = around | beside
+                for b in range(a + 1, c):
+                    bb, bd = 1 << (b - 1), 1 << (d - 1)
+                    if not s & (bb | bd):
+                        sides = self[s | ba | bb] | self[s | bb | bc] | self[s | bc | bd] | self[s | bd | ba]
                         near |= sides
                         squares.append((sides, (s, a, b, c, d, s | bb | bd)))
         out = self.table[pos] = (near, tuple(squares), {})
@@ -217,8 +209,7 @@ def _check_applicable(c: Collection, m: SquareMove) -> None:
     """
     n, s = c.n, m.s.mask
     if m.s.n == n and all(1 <= v <= n for v in (m.a, m.b, m.c, m.d)):
-        removed = s | 1 << (m.a - 1) | 1 << (m.c - 1)
-        added = s | 1 << (m.b - 1) | 1 << (m.d - 1)
+        removed, added = m.removed.mask, m.added.mask
         k = removed.bit_count()
         # a collection off the grid of m's sets holds none of them
         if added.bit_count() == k and {x.bit_count() for x in c.masks} == {k}:
@@ -234,6 +225,8 @@ def _check_applicable(c: Collection, m: SquareMove) -> None:
 def _check_maximal(c: Collection) -> _Grid:
     """The grid of a maximal weakly separated collection; raises NotMaximal for any other."""
     sizes = {m.bit_count() for m in c.masks}
+    if not sizes:
+        raise NotMaximal("the empty collection is not maximal")
     if len(sizes) != 1:
         raise ValueError("collection mixes cardinalities; square moves need one grid")
     n, k = c.n, sizes.pop()
@@ -456,6 +449,4 @@ def _walk_back(node: int, side: dict) -> tuple[list[tuple], int]:
 
 
 def _grid_completion(i: Subset, j: Subset) -> Collection:
-    n, k = i.n, len(i)
-    grid = _whole_grid(n, k)  # refused above the cap before anything is built
-    return complete_to_maximal(Collection.from_masks({i.mask, j.mask}, n), Collection.from_masks(grid, n))
+    return Collection.from_masks(_greedy_maximal({i.mask, j.mask}, _whole_grid(i.n, len(i)), i.n), i.n)

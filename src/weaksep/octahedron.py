@@ -10,7 +10,6 @@ four-interval complementary pair reproduces the closed-form distance values.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -24,32 +23,27 @@ ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
 SHIFT = (-1, 1, -1, 1)
 
 
-def _split_bounds(split: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
+def _split_windows(split: tuple[int, int, int, int], n: int) -> tuple[int, ...]:
     if len(split) != 4 or any(x < 1 for x in split):
         raise ValueError(f"split must be four positive integers, got {split}")
     if sum(split) != n:
         raise ValueError(f"split {split} does not sum to the ground size {n}")
-    return (0, *accumulate(split))
+    return tuple(((1 << x) - 1) << lo for x, lo in zip(split, (0, *accumulate(split))))
 
 
-def _counts(mask: int, bounds: tuple[int, ...]) -> tuple[int, int, int, int]:
-    counts = []
-    for t in range(4):
-        lo, hi = bounds[t], bounds[t + 1]
-        window = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-        counts.append((mask & window).bit_count())
-    return tuple(counts)
+def _counts(mask: int, windows: tuple[int, ...]) -> tuple[int, int, int, int]:
+    return tuple((mask & w).bit_count() for w in windows)
 
 
 def phi_subset(s: Subset, split: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Interval-intersection counts of one subset under the 4-way split of [n]."""
-    return _counts(s.mask, _split_bounds(split, s.n))
+    return _counts(s.mask, _split_windows(split, s.n))
 
 
 def phi(c: Collection, split: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
     """Projections of every member, in the collection's canonical order."""
-    bounds = _split_bounds(split, c.n)
-    return [_counts(m, bounds) for m in c.masks]
+    windows = _split_windows(split, c.n)
+    return [_counts(m, windows) for m in c.masks]
 
 
 def _position(apex: tuple[int, ...], orientation: int, v: tuple[int, ...]) -> str:
@@ -188,16 +182,16 @@ class MoveProjection:
     sign: int | None
 
 
-def _shift_sign(a: int, b: int, c: int, d: int, bounds: tuple[int, ...]) -> int | None:
+def _shift_sign(a: int, b: int, c: int, d: int, windows: tuple[int, ...]) -> int | None:
     """The sign of the shift when a, b, c, d sit in four distinct intervals, else None.
 
-    The sign reads {interval(a), interval(c)} as a set, so all four labellings
-    of one square agree.
+    The sign is +1 when {a, c} lies in the first and third intervals, so all
+    four labellings of one square agree.
     """
-    cells = [bisect_left(bounds, x) for x in (a, b, c, d)]
-    if len(set(cells)) != 4:
+    ac = 1 << (a - 1) | 1 << (c - 1)
+    if _counts(ac | 1 << (b - 1) | 1 << (d - 1), windows) != (1, 1, 1, 1):
         return None
-    return 1 if {cells[0], cells[2]} == {1, 3} else -1
+    return 1 if ac & (windows[0] | windows[2]) == ac else -1
 
 
 def move_projection_effect(
@@ -210,7 +204,7 @@ def move_projection_effect(
     added member lands on a projection already present.
     """
     _check_applicable(c, m)
-    sign = _shift_sign(m.a, m.b, m.c, m.d, _split_bounds(split, c.n))
+    sign = _shift_sign(m.a, m.b, m.c, m.d, _split_windows(split, c.n))
     return MoveProjection("unchanged", None) if sign is None else MoveProjection("shift", sign)
 
 
@@ -223,13 +217,13 @@ def check_projection_laws(
     its nodes are maximal, so nothing is checked or encoded again.  Returns
     ``(moves_checked, consistent)``; every move of every node is counted.
     """
-    bounds = _split_bounds(split, graph.n)
+    windows = _split_windows(split, graph.n)
     grid = graph.grid
     points: dict[int, list[tuple[int, ...]]] = {}
 
     def project(node: int) -> list[tuple[int, ...]]:
         if node not in points:
-            points[node] = [_counts(m, bounds) for m in grid.masks(node)]
+            points[node] = [_counts(m, windows) for m in grid.masks(node)]
         return points[node]
 
     checked = 0
@@ -238,11 +232,11 @@ def check_projection_laws(
         consistent &= _interior_pair(project(node)) is None
         for child, (s, a, b, c, d, added) in _neighbors(grid, node):
             checked += 1
-            sign = _shift_sign(a, b, c, d, bounds)
+            sign = _shift_sign(a, b, c, d, windows)
             if sign is None:
                 consistent &= set(project(node)) == set(project(child))
             else:
-                src = _counts(s | 1 << (a - 1) | 1 << (c - 1), bounds)
-                dst = _counts(added, bounds)
+                src = _counts(s | 1 << (a - 1) | 1 << (c - 1), windows)
+                dst = _counts(added, windows)
                 consistent &= all(dst[t] - src[t] == sign * SHIFT[t] for t in range(4))
     return checked, consistent

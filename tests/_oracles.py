@@ -186,6 +186,50 @@ def naive_square_moves(sets: list[set], n: int) -> set[tuple]:
     return out
 
 
+def naive_squares(x: set, n: int) -> list[tuple]:
+    """The squares of the set x in listing order, as (S, a, b, c, d, added, sides) with sets.
+
+    Read off the definition: x = S+{a,c} with a < c, b strictly between a and
+    c, d met walking clockwise from c round to a, and S disjoint from
+    {a, b, c, d}.  Listed by (a, c), then d along that walk, then b
+    ascending.  ``sides`` is [S+{a,b}, S+{b,c}, S+{c,d}, S+{d,a}].
+    """
+    out = []
+    for a, c in itertools.combinations(sorted(x), 2):
+        s = frozenset(x) - {a, c}
+        d = c % n + 1
+        while d != a:
+            for b in range(a + 1, c):
+                if b not in s and d not in s:
+                    sides = [s | {a, b}, s | {b, c}, s | {c, d}, s | {d, a}]
+                    out.append((s, a, b, c, d, s | {b, d}, sides))
+            d = d % n + 1
+    return out
+
+
+def naive_interval_index(x: int, split: tuple) -> int:
+    """Which of the four consecutive intervals of [n] under the split holds x, from 0.
+
+    Interval t is the elements after the first split[0] + ... + split[t-1]
+    and up to the next split[t].
+    """
+    start = 0
+    for t, length in enumerate(split):
+        if start < x <= start + length:
+            return t
+        start += length
+    raise ValueError(f"{x} lies outside the split {split}")
+
+
+def naive_shift_sign(a: int, b: int, c: int, d: int, split: tuple) -> int | None:
+    """None unless a, b, c, d lie in four distinct intervals; then +1 when a and c
+    lie in the first and third, -1 when they lie in the second and fourth."""
+    cells = [naive_interval_index(x, split) for x in (a, b, c, d)]
+    if len(set(cells)) != 4:
+        return None
+    return 1 if {cells[0], cells[2]} == {0, 2} else -1
+
+
 def pyramid_decomposition(apex: tuple, orientation: int, v: tuple) -> tuple | None:
     """Nonnegative integers (t1, t2, t3, t4) with v = apex + orientation * sum t_e * edge_e, if any.
 

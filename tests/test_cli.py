@@ -115,8 +115,9 @@ class TestPurity:
         assert rep.max_size == 11 and rep.to_json() == report
 
     def test_empty_domain_in_both_formats(self):
-        code, report = invoke_json(["purity", "--n", "4", "--k", "5"])
-        assert code == EXIT_OK and report["clique_count"] == 0
+        code, payload = invoke(["purity", "--n", "4", "--k", "5"])
+        assert code == EXIT_OK
+        assert payload == b'{"clique_count":0,"clique_sizes":{},"domain_size":0,"pure":true,"rank":null}\n'
         code, payload = invoke(["purity", "--n", "4", "--k", "5", "--format", "jsonl"])
         assert code == EXIT_OK and payload == b""
 

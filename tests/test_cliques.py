@@ -22,7 +22,14 @@ from weaksep import (
     unbalanced_witness,
 )
 from weaksep import cliques
-from weaksep.cliques import CompatGraph, _branch_and_bound, _bron_kerbosch, _co_components, _degree_ordered
+from weaksep.cliques import (
+    CompatGraph,
+    PurityReport,
+    _branch_and_bound,
+    _bron_kerbosch,
+    _co_components,
+    _degree_ordered,
+)
 from weaksep.ground import _weakly_separated_masks, _whole_grid
 
 from _oracles import naive_co_components, naive_maximal_cliques, plain_bron_kerbosch
@@ -100,9 +107,14 @@ class TestBuildCompatGraph:
         g = build_compat_graph(coll([[2]], 5), "weak")
         assert g.adj == (0,)
 
-    def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError):
-            build_compat_graph(Collection.from_masks([], 4), "weak")
+    def test_empty_domain_has_no_vertices(self):
+        empty = Collection.from_masks([], 4)
+        for relation in cliques.RELATIONS:
+            g = build_compat_graph(empty, relation)
+            assert len(g) == 0 and g.adj == () and g.vertices == empty
+            assert purity_report(empty, relation) == PurityReport(0, {})
+            assert enumerate_maximal_cliques(g) == []
+            assert max_clique_size(g) == 0
 
     def test_unknown_relation(self):
         with pytest.raises(ValueError):

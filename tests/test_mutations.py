@@ -4,7 +4,13 @@ import os
 import random
 
 import pytest
-from _oracles import naive_is_maximal, naive_square_moves, naive_weakly_separated, plain_bron_kerbosch
+from _oracles import (
+    naive_is_maximal,
+    naive_square_moves,
+    naive_squares,
+    naive_weakly_separated,
+    plain_bron_kerbosch,
+)
 
 from weaksep import (
     BigInstance,
@@ -26,6 +32,7 @@ from weaksep import (
     purity_report,
 )
 from weaksep import mutations
+from weaksep.ground import _whole_grid
 from weaksep.mutations import _grid, _maximal_collections_containing, _neighbors
 
 
@@ -359,11 +366,31 @@ class TestGrid:
                 assert (s < t) == (u > v)
 
     def test_bits_follow_ascending_mask_rank(self):
-        for n, k in ((5, 2), (7, 3), (8, 4)):
-            masks = sorted(sub(c, n).mask for c in itertools.combinations(range(1, n + 1), k))
-            grid = mutations._Grid(n, k)
-            top = len(masks) - 1
-            assert [grid[m] for m in masks] == [1 << (top - r) for r in range(len(masks))]
+        # the grid lister and the grid bits share one numbering: listed set i is bit N-1-i
+        for n in range(1, 10):
+            for k in range(n + 1):
+                masks = list(_whole_grid(n, k))
+                assert masks == sorted(sub(c, n).mask for c in itertools.combinations(range(1, n + 1), k))
+                grid = mutations._Grid(n, k)
+                top = len(masks) - 1
+                assert [grid[m] for m in masks] == [1 << (top - r) for r in range(len(masks))]
+
+    def test_entries_list_the_squares_of_the_definition(self):
+        # squares, their order and their side bits, for every set of every grid with n <= 8
+        for n in range(1, 9):
+            for k in range(n + 1):
+                grid = mutations._Grid(n, k)
+                for combo in itertools.combinations(range(1, n + 1), k):
+                    x = sub(combo, n).mask
+                    near, squares, _ = grid.entry(grid[x].bit_length() - 1)
+                    expected = naive_squares(set(combo), n)
+                    assert [(elements(m[0], n), *m[1:5], elements(m[5], n)) for _, m in squares] == [
+                        sq[:6] for sq in expected
+                    ], (n, combo)
+                    assert [sides for sides, _ in squares] == [
+                        grid.node(sub(side, n).mask for side in sq[6]) for sq in expected
+                    ], (n, combo)
+                    assert near == grid.node({sub(side, n).mask for sq in expected for side in sq[6]})
 
     def test_foreign_mask_rejected(self):
         grid = mutations._Grid(6, 3)

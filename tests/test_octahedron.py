@@ -23,7 +23,7 @@ from weaksep import mutations, octahedron
 from weaksep.mutations import MutationGraph, _grid
 from weaksep.octahedron import ALPHA, SHIFT, _position, check_projection_laws
 
-from _oracles import naive_no_interior, pyramid_decomposition
+from _oracles import naive_interval_index, naive_no_interior, naive_shift_sign, pyramid_decomposition
 
 
 def sub(elems, n):
@@ -73,6 +73,14 @@ class TestPhi:
             for m in range(1 << 7):
                 s = Subset(m, 7)
                 assert sum(phi_subset(s, split)) == len(s)
+
+    def test_matches_interval_oracle(self):
+        for n in range(4, 9):
+            for split in splits_of(n):
+                for m in range(1 << n):
+                    s = Subset(m, n)
+                    cells = [naive_interval_index(x, split) for x in s.elements()]
+                    assert phi_subset(s, split) == tuple(map(cells.count, range(4))), (m, split)
 
     def test_collection_order(self):
         c = Collection([sub([3, 5, 6], 6), sub([1, 2, 4], 6)])
@@ -232,6 +240,18 @@ class TestMoveProjection:
                 after = set(phi(apply_square_move(seed, move), split))
                 assert before == after
         assert found
+
+    def test_shift_sign_matches_interval_oracle(self):
+        # every cyclically ordered quadruple is a rotation of an increasing one
+        for n in range(4, 9):
+            for split in splits_of(n):
+                windows = octahedron._split_windows(split, n)
+                for p in itertools.combinations(range(1, n + 1), 4):
+                    for r in range(4):
+                        a, b, c, d = p[r:] + p[:r]
+                        assert octahedron._shift_sign(a, b, c, d, windows) == naive_shift_sign(
+                            a, b, c, d, split
+                        ), (a, b, c, d, split)
 
     def test_inapplicable_move_rejected(self):
         c = complete_to_maximal(Collection([sub([1, 3], 4)]), grid(4, 2))

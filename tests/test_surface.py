@@ -75,7 +75,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2719
+SOURCE_LINES = 2704
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],

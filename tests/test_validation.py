@@ -9,11 +9,13 @@ from weaksep import (
     DecoratedPermutation,
     GrassmannNecklace,
     GroundSetMismatch,
+    NotMaximal,
     SimpleCyclicPattern,
     Subset,
     chord_chain,
     cluster_distance,
     complete_to_maximal,
+    explore_mutation_graph,
     find_square_moves,
     is_generalized_cyclic_pattern,
     lr_chain,
@@ -59,6 +61,16 @@ CASES = [
         lambda: find_square_moves(Collection.from_masks([1, 3], 3)),
         ValueError,
         "collection mixes cardinalities; square moves need one grid",
+    ),
+    (
+        lambda: find_square_moves(Collection.from_masks([], 4)),
+        NotMaximal,
+        "the empty collection is not maximal",
+    ),
+    (
+        lambda: explore_mutation_graph(Collection.from_masks([], 5)),
+        NotMaximal,
+        "the empty collection is not maximal",
     ),
     (lambda: tau_kn(5, 4), ValueError, "need n >= 1 and 0 <= k <= n, got k=5, n=4"),
     (lambda: DecoratedPermutation.make([1, 2], {1: 2, 2: 1}), ValueError, "colors must be +1 or -1"),
