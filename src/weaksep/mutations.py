@@ -96,7 +96,7 @@ class _Grid(dict):
         self.n, self.k = n, k
         self.top = comb(n, k) - 1
         self.at: dict[int, int] = {}  # bit position -> set
-        # bit position -> (near, squares, {held: flips}); see ``entry`` and ``flips``
+        # bit position -> (near, squares, {held: flips}); see ``entry`` and ``_neighbors``
         self.table: dict[int, tuple[int, tuple, dict[int, tuple]]] = {}
 
     def __missing__(self, x: int) -> int:
@@ -153,20 +153,6 @@ class _Grid(dict):
         out = self.table[pos] = (near, tuple(squares), {})
         return out
 
-    def flips(self, pos: int, held: int) -> tuple[tuple[int, tuple], ...]:
-        """The moves of the set at bit ``pos`` in a node holding the side sets ``held``.
-
-        Each is (removed bit ^ added bit, move), for the squares whose sides
-        ``held`` covers, in ``squares`` order; the tuple is kept under
-        ``held`` in the set's table entry.
-        """
-        _, squares, known = self.entry(pos)
-        bit = 1 << pos
-        flips = known[held] = tuple(
-            (bit ^ self[move[5]], move) for sides, move in squares if held & sides == sides
-        )
-        return flips
-
 
 @functools.lru_cache(maxsize=_GRIDS)
 def _grid(n: int, k: int) -> _Grid:
@@ -179,9 +165,10 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     No maximality contract here; callers guarantee it.  A move applies when
     the node has all its side bits, and the child flips the bits of the
     removed and the added set.  Members are walked from the high bit down,
-    that is in ascending mask order, each with its moves in ``squares`` order,
-    looked up in the member's ``grid.table`` entry by the side sets the node
-    holds.
+    that is in ascending mask order, each with its moves in ``squares`` order.
+    A member's moves depend only on the side sets the node holds, so they
+    are kept as flips (removed bit ^ added bit, move) under that pattern in
+    the member's ``grid.table`` entry, built on the pattern's first visit.
     """
     out = []
     append = out.append
@@ -189,23 +176,30 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     rest = node
     while rest:
         pos = rest.bit_length() - 1
-        rest ^= 1 << pos
-        near, _, known = table[pos] if pos in table else grid.entry(pos)
+        bit = 1 << pos
+        rest ^= bit
+        near, squares, known = table[pos] if pos in table else grid.entry(pos)
         held = node & near
         flips = known.get(held)
         if flips is None:
-            flips = grid.flips(pos, held)
+            # a plain loop: a comprehension here would make grid, bit and held closure cells
+            flips = []
+            for sides, move in squares:
+                if held & sides == sides:
+                    flips.append((bit ^ grid[move[5]], move))
+            flips = known[held] = tuple(flips)
         for flip, move in flips:
             append((node ^ flip, move))
     return out
 
 
-def _check_applicable(c: Collection, m: SquareMove) -> None:
-    """Raise ValueError unless c holds m's removed set and ``_neighbors`` lists m's exchange.
+def _check_applicable(c: Collection, m: SquareMove) -> tuple[_Grid, int]:
+    """The grid of c and the child node of m's exchange.
 
-    The one applicability rule: a listed move with the same s and the same
-    child fixes {a, c} and {b, d}, so exactly the four labellings of a
-    listed square are accepted.
+    Raises ValueError unless c holds m's removed set and ``_neighbors`` lists
+    the exchange.  The one applicability rule: a listed move with the same s
+    and the same child fixes {a, c} and {b, d}, so exactly the four
+    labellings of a listed square are accepted.
     """
     n, s = c.n, m.s.mask
     if m.s.n == n and all(1 <= v <= n for v in (m.a, m.b, m.c, m.d)):
@@ -218,7 +212,7 @@ def _check_applicable(c: Collection, m: SquareMove) -> None:
             # without the held removed set, the inverse square would give the same child
             child = node ^ bit ^ grid[added]
             if node & bit and any(move[0] == s and nxt == child for nxt, move in _neighbors(grid, node)):
-                return
+                return grid, child
     raise ValueError("move is not applicable to this collection")
 
 
@@ -246,15 +240,12 @@ def find_square_moves(c: Collection) -> list[SquareMove]:
 
 def apply_square_move(c: Collection, m: SquareMove) -> Collection:
     """Exchange the move's diagonal; the result is again maximal weakly separated."""
-    _check_applicable(c, m)
-    removed, added = m.removed.mask, m.added.mask
+    grid, child = _check_applicable(c, m)
+    masks = grid.masks(child)
     if __debug__:
-        assert all(
-            _weakly_separated_masks(added, x) for x in c.masks if x != removed
-        ), "exchange broke weak separation"
-    return Collection.from_masks(
-        tuple(x for x in c.masks if x != removed) + (added,), c.n
-    )
+        added = m.added.mask
+        assert all(_weakly_separated_masks(added, x) for x in masks), "exchange broke weak separation"
+    return Collection._canonical(masks, c.n)
 
 
 @dataclass(frozen=True)
@@ -321,9 +312,9 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
 class DistanceResult:
     """Outcome of a mutation-distance search.
 
-    ``distance`` is None exactly when the budget ran out before certainty;
-    ``upper_bound`` then carries the best unconfirmed candidate, if any was
-    seen.  Otherwise applying ``path`` to ``source`` yields ``target``.
+    ``distance`` is None exactly when the budget ran out before the two
+    sides met; path, source and target are then empty.  Otherwise applying
+    ``path`` to ``source`` yields ``target``.
     """
 
     distance: int | None
@@ -331,21 +322,17 @@ class DistanceResult:
     source: Collection | None
     target: Collection | None
     nodes_explored: int
-    upper_bound: int | None = None
 
     @property
     def budget_exhausted(self) -> bool:
         return self.distance is None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "distance": "budget-exhausted" if self.distance is None else self.distance,
             "nodes_explored": self.nodes_explored,
             "path": [m.to_json() for m in self.path],
         }
-        if self.distance is None:
-            out["upper_bound"] = self.upper_bound
-        return out
 
 
 def _maximal_collections_containing(s: Subset, grid: _Grid) -> list[int]:
@@ -369,8 +356,10 @@ def mutation_distance(
 
     Bidirectional layered BFS over the implicit graph: sources are all maximal
     collections containing i, targets all containing j.  Layers are expanded
-    whole (smaller frontier first) and the search only stops once the explored
-    radii cover the best meeting sum, which makes the distance exact.
+    whole, smaller frontier first.  A node met while one side grows to depth
+    d has depth sum at most d plus the other side's depth, so the first layer
+    where the sides meet holds the distance: the least depth sum met there,
+    ties going to the largest int, which is the smallest tuple.
     """
     _check_pair(i, j)
     n, k = i.n, len(i)
@@ -383,47 +372,37 @@ def mutation_distance(
         return DistanceResult(0, (), both, both, 0)
 
     grid = _grid(n, k)
-    # per side, 0 from i and 1 from j: node -> (parent, move, depth); roots have parent None
+    # per side, 0 from i and 1 from j: node -> (parent, move, depth); roots have parent None.
+    # No collection holds both i and j, so the seeds of the two sides never meet.
     root = (None, None, 0)
     sides = [dict.fromkeys(_maximal_collections_containing(x, grid), root) for x in (i, j)]
-    frontiers = [list(side) for side in sides]
+    frontiers = list(sides)
     depths = [0, 0]
     best: int | None = None
-    meet: int | None = None
-
-    def scan(fresh: Iterable[int]) -> None:
-        # the meeting node is the smallest tuple, so the largest int, of least sum
-        nonlocal best, meet
-        for node in fresh:
-            if node in sides[0] and node in sides[1]:
-                total = sides[0][node][2] + sides[1][node][2]
-                if best is None or total < best or (total == best and node > meet):
-                    best, meet = total, node
-
-    scan(sides[0].keys() & sides[1].keys())
-    while best is None or sum(depths) < best:
+    while best is None:
         # the smaller non-empty frontier grows; a tie grows the j side
         live = [s for s in (1, 0) if frontiers[s]]
         if not live:
-            break
+            raise RuntimeError(
+                "both frontiers exhausted without meeting; the mutation graph "
+                "components of the two endpoints are disjoint"
+            )
         grow = min(live, key=lambda s: len(frontiers[s]))
         if sum(map(len, sides)) >= budget:
-            return DistanceResult(None, (), None, None, sum(map(len, sides)), best)
-        side, depth = sides[grow], depths[grow] + 1
+            return DistanceResult(None, (), None, None, sum(map(len, sides)))
+        side, other, depth = sides[grow], sides[1 - grow], depths[grow] + 1
         layer: dict[int, tuple] = {}
         # descending ints are ascending tuples, the canonical expansion order
         for node in sorted(frontiers[grow], reverse=True):
             for child, move in _neighbors(grid, node):
                 if child not in side and child not in layer:
                     layer[child] = (node, move, depth)
+                    if child in other:
+                        total = depth + other[child][2]
+                        if best is None or total < best or (total == best and child > meet):
+                            best, meet = total, child
         side.update(layer)
         frontiers[grow], depths[grow] = layer, depth
-        scan(layer)
-    if meet is None:
-        raise RuntimeError(
-            "both frontiers exhausted without meeting; the mutation graph "
-            "components of the two endpoints are disjoint"
-        )
 
     (to_meet, src), (from_meet, dst) = (_walk_back(meet, side) for side in sides)
     path = tuple(SquareMove(Subset(m[0], n), *m[1:5]) for m in reversed(to_meet)) + tuple(

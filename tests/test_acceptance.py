@@ -23,7 +23,6 @@ from weaksep import (
     boundary_intervals,
     build_compat_graph,
     build_domain_AIJ,
-    characterize_element,
     chord_chain,
     circle_partition,
     cluster_distance,
@@ -45,7 +44,6 @@ from weaksep import (
     purity_report,
     rank_formula,
     reduce_pair,
-    tau_kn,
     unbalanced_witness,
 )
 from weaksep.necklaces import DecoratedPermutation

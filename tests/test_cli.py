@@ -227,7 +227,8 @@ class TestMutdist:
         code, report = invoke_json(
             ["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6", "--budget", "2"]
         )
-        assert code == EXIT_BUDGET and report["distance"] == "budget-exhausted"
+        assert code == EXIT_BUDGET
+        assert report == {"distance": "budget-exhausted", "nodes_explored": 20, "path": []}
 
     def test_big_gate(self, capsys):
         code, payload = invoke(["mutdist", "--n", "8", "--i", "1,2,5,6", "--j", "3,4,7,8"])

@@ -11,10 +11,8 @@ from _oracles import (
 )
 
 from weaksep import (
-    ChainNotFound,
     Collection,
     NotMaximal,
-    ProfileNotFound,
     Subset,
     boundary_intervals,
     build_compat_graph,
@@ -23,7 +21,6 @@ from weaksep import (
     chord_chain,
     circle_partition,
     cluster_distance,
-    complete_to_maximal,
     cyclic_interval,
     enumerate_maximal_cliques,
     is_balanced,

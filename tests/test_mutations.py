@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import os
 import random
@@ -33,7 +34,7 @@ from weaksep import (
 )
 from weaksep import mutations
 from weaksep.ground import _whole_grid
-from weaksep.mutations import _grid, _maximal_collections_containing, _neighbors
+from weaksep.mutations import DistanceResult, _grid, _maximal_collections_containing, _neighbors
 
 
 def sub(elems, n):
@@ -55,6 +56,16 @@ def explored(n, k, budget=mutations.DEFAULT_BUDGET):
 
 def elements(mask, n):
     return frozenset(i + 1 for i in range(n) if mask >> i & 1)
+
+
+def non_separated_pairs(top):
+    """Every unordered pair of same-size subsets, n <= top, that is not weakly separated."""
+    for n in range(2, top + 1):
+        for k in range(1, n):
+            for i, j in itertools.combinations(_whole_grid(n, k), 2):
+                s, t = Subset(i, n), Subset(j, n)
+                if not is_weakly_separated(s, t):
+                    yield s, t
 
 
 SMALL = coll([[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]], 4)
@@ -305,6 +316,27 @@ class TestMutationDistance:
         assert r.budget_exhausted and r.distance is None
         assert r.to_json()["distance"] == "budget-exhausted"
 
+    def test_result_carries_no_upper_bound(self):
+        # the search stops at the first meeting, so it never holds an unconfirmed candidate
+        assert "upper_bound" not in {f.name for f in dataclasses.fields(DistanceResult)}
+
+    def test_budget_sweep_is_exact_or_exhausted(self):
+        # every budget up to the unbudgeted count gives the full answer or a
+        # bare exhausted result that explored at least the budget
+        pairs = calls = 0
+        for s, t in non_separated_pairs(6):
+            full = mutation_distance(s, t)
+            whole = (full.distance, full.path, full.source, full.target, full.nodes_explored)
+            for budget in range(1, full.nodes_explored + 1):
+                r = mutation_distance(s, t, budget=budget)
+                got = (r.distance, r.path, r.source, r.target, r.nodes_explored)
+                if got != whole:
+                    assert got[:4] == (None, (), None, None), (s, t, budget)
+                    assert r.nodes_explored >= budget, (s, t, budget)
+                calls += 1
+            pairs += 1
+        assert (pairs, calls) == (78, 1543)
+
     def test_big_instance_gate(self):
         with pytest.raises(BigInstance):
             mutation_distance(sub([1, 2, 5, 6], 8), sub([3, 4, 7, 8], 8))
@@ -435,6 +467,10 @@ CLOSURES = [(6, 3), (7, 3), pytest.param(8, 4, marks=pytest.mark.skipif(
 
 
 class TestMoveTable:
+    def test_neighbors_reads_no_closure_cells(self):
+        # a comprehension in the hot loop would turn its locals into cells
+        assert _neighbors.__code__.co_cellvars == ()
+
     @pytest.mark.parametrize("n, k", CLOSURES)
     def test_lookups_match_a_direct_scan(self, n, k):
         # the warm grid answers from its table, a fresh one fills it; both
@@ -480,6 +516,17 @@ class TestSeeding:
                 assert len(seeds) == len(set(seeds)), (n, combo)
                 expected = {table.node(masks) for masks in full if s.mask in masks}
                 assert set(seeds) == expected, (n, combo)
+
+    def test_non_separated_pairs_share_no_seed(self):
+        # a collection holding both i and j is weakly separated, so the two
+        # sides of mutation_distance never meet among their seeds
+        pairs = 0
+        for s, t in non_separated_pairs(7):
+            table = _grid(s.n, len(s))
+            seeds = set(_maximal_collections_containing(s, table))
+            assert seeds.isdisjoint(_maximal_collections_containing(t, table)), (s, t)
+            pairs += 1
+        assert pairs == 456
 
 
 @pytest.mark.skipif(os.environ.get("WEAKSEP_LONG") != "1", reason="runs under WEAKSEP_LONG=1")

@@ -3,13 +3,11 @@ import itertools
 import pytest
 
 from weaksep import (
-    Collection,
     DecoratedPermutation,
     GrassmannNecklace,
     SimpleCyclicPattern,
     Subset,
     block_reversal_permutation,
-    boundary_intervals,
     build_compat_graph,
     canonical_permutation,
     circle_partition,
@@ -28,7 +26,6 @@ from weaksep import (
 )
 from weaksep import necklaces
 from _oracles import naive_is_necklace
-from weaksep.domains import lr_chain, lr_domain
 from math import comb
 
 

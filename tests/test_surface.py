@@ -1,6 +1,6 @@
 """Pins of the public surface and the code size: the package's exported names,
-the CLI options, a ceiling on the lines of ``src/weaksep/*.py``, and the one
-module that lists candidate sets.
+the CLI options, a ceiling on the lines of ``src/weaksep/*.py``, the one
+module that lists candidate sets, and no unused imports.
 
 The first three should only shrink.  A change that adds or removes a name or an
 option, or grows the source past the ceiling, edits the pin here on purpose
@@ -8,6 +8,7 @@ and says so in CHANGES.md.
 """
 
 import argparse
+import ast
 import types
 from pathlib import Path
 
@@ -75,7 +76,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2704
+SOURCE_LINES = 2683
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
@@ -132,3 +133,24 @@ def test_only_ground_rotates_masks():
     for path in sorted(Path(weaksep.__file__).parent.glob("*.py")):
         if path.name != "ground.py":
             assert ">> (n -" not in path.read_text(), path.name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports are its exports, so it is left out
+    root = Path(weaksep.__file__).parent
+    paths = [p for p in root.glob("*.py") if p.name != "__init__.py"]
+    for folder in (Path(__file__).parent, root.parent.parent / "demos"):
+        paths += folder.glob("*.py")
+    assert [bad for path in sorted(paths) for bad in _unused_imports(path)] == []
