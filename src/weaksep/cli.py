@@ -263,7 +263,7 @@ def _cmd_chord(args) -> tuple[int, bytes]:
         u = Subset.parse(args.u, args.n)
         v = Subset.parse(args.v, args.n)
         needed = {m for s in (u, v) for m in domains._decorated(s.mask, args.n)}
-        w = Collection.from_masks(cliques._greedy_maximal(needed, dom.masks, args.n, "chord"), args.n)
+        w = Collection.from_masks(cliques._greedy_maximal(needed, dom.masks, "chord"), args.n)
         report["chain"] = [s.to_json() for s in domains.chord_chain(w, u, v)]
         report["witness_collection"] = w.to_json()
     return EXIT_OK, emit_report(report)

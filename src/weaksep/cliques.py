@@ -102,19 +102,17 @@ class Collection:
         return [Subset(m, self.n).to_json() for m in self.masks]
 
 
-def _relation_predicate(relation: str, n: int) -> Callable[[int, int], bool]:
+def _relation_predicate(relation: str) -> Callable[[int, int], bool]:
     if relation == "weak":
         return _weakly_separated_masks
     if relation == "chord":
-        return lambda a, b: _chord_separated_masks(a, b, n)
+        return _chord_separated_masks
     raise ValueError(f"unknown relation {relation!r}; expected one of {RELATIONS}")
 
 
-def _first_unrelated_pair(
-    masks: Sequence[int], n: int, relation: str = "weak"
-) -> tuple[int, int] | None:
+def _first_unrelated_pair(masks: Sequence[int], relation: str = "weak") -> tuple[int, int] | None:
     """The first pair (a, b), a before b in ``masks``, that the relation rejects."""
-    pred = _relation_predicate(relation, n)
+    pred = _relation_predicate(relation)
     for idx, a in enumerate(masks):
         for b in masks[idx + 1:]:
             if not pred(a, b):
@@ -122,14 +120,14 @@ def _first_unrelated_pair(
     return None
 
 
-def _require_maximal(masks: Sequence[int], n: int, rank: int, relation: str = "weak") -> None:
+def _require_maximal(masks: Sequence[int], rank: int, relation: str = "weak") -> None:
     """Raise NotMaximal unless the masks are pairwise related and exactly ``rank`` many.
 
     The one maximality rule.  It holds in a pure domain of that rank: every
     related collection there lies in a maximal one of exactly ``rank`` sets.
     """
     word = "weakly" if relation == "weak" else relation
-    if _first_unrelated_pair(masks, n, relation) is not None:
+    if _first_unrelated_pair(masks, relation) is not None:
         raise NotMaximal(f"collection is not {word} separated")
     if len(masks) != rank:
         raise NotMaximal(f"collection is not maximal {word} separated: {len(masks)} sets, not {rank}")
@@ -148,7 +146,7 @@ class CompatGraph:
 
 def build_compat_graph(domain: Collection, relation: str = "weak") -> CompatGraph:
     """Materialize the graph whose edges are exactly the related pairs."""
-    pred = _relation_predicate(relation, domain.n)
+    pred = _relation_predicate(relation)
     masks = domain.masks
     m = len(masks)
     adj = [0] * m
@@ -460,14 +458,12 @@ def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
     return PurityReport(len(domain), {size: c for size, c in enumerate(counts) if c})
 
 
-def _greedy_maximal(
-    masks: Iterable[int], candidates: Iterable[int], n: int, relation: str = "weak"
-) -> list[int]:
+def _greedy_maximal(masks: Iterable[int], candidates: Iterable[int], relation: str = "weak") -> list[int]:
     """Grow pairwise related masks to a maximal collection, trying each candidate once, in order.
 
     In ascending mask order that is the lexicographically least one holding the masks.
     """
-    related = _relation_predicate(relation, n)
+    related = _relation_predicate(relation)
     chosen = list(masks)
     member = set(chosen)
     # one pass: a candidate passed over stays unaddable as chosen grows, and
@@ -495,11 +491,11 @@ def complete_to_maximal(partial: Collection, domain: Collection) -> Collection:
     for m in partial.masks:
         if m not in domain_set:
             raise ValueError(f"partial collection member {Subset(m, partial.n)} not in domain")
-    bad = _first_unrelated_pair(partial.masks, partial.n)
+    bad = _first_unrelated_pair(partial.masks)
     if bad is not None:
         a, b = bad
         raise ValueError(
             f"partial collection is not weakly separated: "
             f"{Subset(a, partial.n)} vs {Subset(b, partial.n)}"
         )
-    return Collection.from_masks(_greedy_maximal(partial.masks, domain.masks, domain.n), domain.n)
+    return Collection.from_masks(_greedy_maximal(partial.masks, domain.masks), domain.n)

@@ -249,7 +249,7 @@ def lr_chain(w: Collection, n: int) -> tuple[tuple[int, ...], ...]:
     if not all((m ^ m >> n) & 1 for m in w.masks):
         raise ValueError("collection has members outside the left/right domain")
     # the left/right domain is pure of rank C(n,2)+n+1
-    _require_maximal(w.masks, w.n, comb(n, 2) + n + 1)
+    _require_maximal(w.masks, comb(n, 2) + n + 1)
     return _lr_chain_of(w.masks, n, {})
 
 
@@ -477,7 +477,7 @@ def chord_chain(w: Collection, u: Subset, v: Subset) -> list[Subset]:
         if not members.issuperset(_decorated(mask, n)):
             raise ValueError("an endpoint is missing one of its four decorated variants")
     # the chord separated power set is pure (Galashin)
-    _require_maximal(w.masks, n, _chord_rank(n), "chord")
+    _require_maximal(w.masks, _chord_rank(n), "chord")
 
     mask, chain = u.mask, [u]
     while mask != v.mask:

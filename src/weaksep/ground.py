@@ -153,10 +153,10 @@ def cyclic_interval(a: int, b: int, n: int) -> Subset:
 def is_cyclic_interval(s: Subset) -> bool:
     """True iff s is [a, b] for some a, b, or s is empty or full (by convention).
 
-    That is, s is chord separated from its complement: every position is
-    labelled, so at most two label changes around the circle mean one run.
+    That is, s is chord separated from its complement: s or its complement
+    avoids the span of the other, so one of the two is a linear run.
     """
-    return _chord_separated_masks(s.mask, s.complement().mask, s.n)
+    return _chord_separated_masks(s.mask, s.complement().mask)
 
 
 # Mask-level predicate cores.  The empty-set conventions max(emptyset) = -inf
@@ -181,31 +181,10 @@ def _weakly_separated_masks(smask: int, tmask: int) -> bool:
     return tc <= sc and _surrounds_masks(tmask, smask)
 
 
-def _chord_separated_masks(smask: int, tmask: int, n: int) -> bool:
-    # Circular scan of S\T and T\S: chord separated iff the labels form at
-    # most two blocks of alternation around the circle.
-    amask = smask & ~tmask
-    bmask = tmask & ~smask
-    if amask == 0 or bmask == 0:
-        return True
-    changes = 0
-    first = prev = -1
-    for i in range(n):
-        bit = 1 << i
-        if amask & bit:
-            label = 0
-        elif bmask & bit:
-            label = 1
-        else:
-            continue
-        if first < 0:
-            first = label
-        elif label != prev:
-            changes += 1
-        prev = label
-    if first != prev:
-        changes += 1
-    return changes <= 2
+def _chord_separated_masks(smask: int, tmask: int) -> bool:
+    # Some arc holds S\T and misses T\S: a wrapping arc leaves T\S's span free
+    # of S\T, and a plain one has S\T's span free of T\S.
+    return _surrounds_masks(smask, tmask) or _surrounds_masks(tmask, smask)
 
 
 def surrounds(i: Subset, j: Subset) -> bool:
@@ -226,7 +205,7 @@ def is_weakly_separated(s: Subset, t: Subset) -> bool:
 def is_chord_separated(s: Subset, t: Subset) -> bool:
     """True iff no cyclically ordered a, b, c, d has a, c in S\\T and b, d in T\\S."""
     _check_same_ground(s, t)
-    return _chord_separated_masks(s.mask, t.mask, s.n)
+    return _chord_separated_masks(s.mask, t.mask)
 
 
 def gale_leq(a: Subset, b: Subset, base: int) -> bool:

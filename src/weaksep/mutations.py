@@ -196,18 +196,17 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
 def _check_applicable(c: Collection, m: SquareMove) -> tuple[_Grid, int]:
     """The grid of c and the child node of m's exchange.
 
-    Raises ValueError unless c holds m's removed set and ``_neighbors`` lists
-    the exchange.  The one applicability rule: a listed move with the same s
-    and the same child fixes {a, c} and {b, d}, so exactly the four
-    labellings of a listed square are accepted.
+    Raises NotMaximal unless c is maximal, as ``find_square_moves`` does, and
+    ValueError unless c holds m's removed set and ``_neighbors`` lists the
+    exchange.  The one applicability rule: a listed move with the same s and
+    the same child fixes {a, c} and {b, d}, so exactly the four labellings of
+    a listed square are accepted.
     """
+    grid = _check_maximal(c)
     n, s = c.n, m.s.mask
     if m.s.n == n and all(1 <= v <= n for v in (m.a, m.b, m.c, m.d)):
         removed, added = m.removed.mask, m.added.mask
-        k = removed.bit_count()
-        # a collection off the grid of m's sets holds none of them
-        if added.bit_count() == k and {x.bit_count() for x in c.masks} == {k}:
-            grid = _grid(n, k)
+        if removed.bit_count() == added.bit_count() == grid.k:
             node, bit = grid.node(c.masks), grid[removed]
             # without the held removed set, the inverse square would give the same child
             child = node ^ bit ^ grid[added]
@@ -225,7 +224,7 @@ def _check_maximal(c: Collection) -> _Grid:
         raise ValueError("collection mixes cardinalities; square moves need one grid")
     n, k = c.n, sizes.pop()
     # the grid is pure (Oh-Postnikov-Speyer)
-    _require_maximal(c.masks, n, _grid_rank(n, k))
+    _require_maximal(c.masks, _grid_rank(n, k))
     return _grid(n, k)
 
 
@@ -428,4 +427,4 @@ def _walk_back(node: int, side: dict) -> tuple[list[tuple], int]:
 
 
 def _grid_completion(i: Subset, j: Subset) -> Collection:
-    return Collection.from_masks(_greedy_maximal({i.mask, j.mask}, _whole_grid(i.n, len(i)), i.n), i.n)
+    return Collection.from_masks(_greedy_maximal({i.mask, j.mask}, _whole_grid(i.n, len(i))), i.n)

@@ -242,17 +242,16 @@ def _pattern_masks(sets: Sequence[Subset], step: int) -> list[int]:
     sets over one ground set, each ``step`` elements from the next.  Raises ValueError otherwise."""
     if len(sets) < 2:
         raise ValueError("pattern needs at least two sets")
-    n = sets[0].n
+    if any(s.n != sets[0].n for s in sets):
+        raise GroundSetMismatch("pattern mixes ground sets")
     masks = [s.mask for s in sets]
     if len(set(masks)) != len(masks):
         raise ValueError("pattern sets must be pairwise distinct")
-    if any(s.n != n for s in sets):
-        raise GroundSetMismatch("pattern mixes ground sets")
     for a, (x, y) in enumerate(zip(masks, masks[1:] + masks[:1])):
         if (x ^ y).bit_count() != step:
             count = "one element" if step == 1 else f"{step} elements"
             raise ValueError(f"step {a}: symmetric difference must have {count}")
-    if _first_unrelated_pair(masks, n) is not None:
+    if _first_unrelated_pair(masks) is not None:
         raise ValueError("pattern is not weakly separated")
     return masks
 

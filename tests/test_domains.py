@@ -529,7 +529,7 @@ class TestChordChain:
                         continue
                     needed = {m for s in (u, v) for m in _decorated(s, n)}
                     for order in orders:
-                        w = Collection.from_masks(_greedy_maximal(needed, order, n, "chord"), n)
+                        w = Collection.from_masks(_greedy_maximal(needed, order, "chord"), n)
                         expected = naive_chord_chain(set(w.masks), u, v, n)
                         assert expected is not None
                         chain = chord_chain(w, Subset(u, n), Subset(v, n))
@@ -590,7 +590,7 @@ class TestMaximalityRule:
         candidates = [elements(m, n) for m in domain.masks]
         for masks in maximality_cases(domain, relation, related, random.Random(seed)):
             try:
-                _require_maximal(masks, n, rank, relation)
+                _require_maximal(masks, rank, relation)
                 listed = True
             except NotMaximal:
                 listed = False

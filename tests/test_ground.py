@@ -102,6 +102,16 @@ class TestCyclicInterval:
                 for b in range(1, n + 1):
                     assert set(cyclic_interval(a, b, n).elements()) == naive_cyclic_run(a, b, n)
 
+    def test_wide_ground_runs(self):
+        # every run is an interval; a run of length 3..n-2 without its second element is not
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            n = rng.randint(5, 64)
+            a = rng.randint(1, n)
+            run = naive_cyclic_run(a, (a + rng.randint(2, n - 3) - 1) % n + 1, n)
+            assert is_cyclic_interval(Subset.of(run, n))
+            assert not is_cyclic_interval(Subset.of(run - {a % n + 1}, n))
+
 
 class TestSurrounds:
     def test_examples(self):
@@ -177,12 +187,26 @@ class TestChordSeparation:
         assert not is_chord_separated(sub([1, 2, 4], 6), sub([3, 5, 6], 6))
 
     def test_matches_oracle_exhaustive(self):
-        for n in range(1, 6):
+        for n in range(1, 9):
             for s in all_subsets(n):
                 for t in all_subsets(n):
                     assert is_chord_separated(s, t) == naive_chord_separated(
                         set(s.elements()), set(t.elements()), n
                     )
+
+    def test_matches_oracle_wide_ground(self):
+        # S xor T thinned to density 1/2..1/16, so both verdicts occur at every width
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            n = rng.randint(8, 64)
+            diff = rng.getrandbits(n)
+            for _ in range(rng.randint(0, 3)):
+                diff &= rng.getrandbits(n)
+            s = Subset(rng.getrandbits(n), n)
+            t = Subset(s.mask ^ diff, n)
+            assert is_chord_separated(s, t) == naive_chord_separated(
+                set(s.elements()), set(t.elements()), n
+            ), (s, t)
 
     def test_equal_size_equivalence(self):
         for n in range(1, 7):

@@ -29,6 +29,7 @@ from weaksep import (
     explore_mutation_graph,
     find_square_moves,
     is_weakly_separated,
+    move_projection_effect,
     mutation_distance,
     purity_report,
 )
@@ -173,19 +174,36 @@ class TestApplySquareMove:
             apply_square_move(broken, m)
 
     def test_non_cyclic_labelling_rejected(self):
-        # 1, 3, 2, 4 are not cyclically ordered, though every set the
-        # labelling names is present
-        m = SquareMove(Subset(0, 4), 1, 3, 2, 4)
-        c = coll([[1, 2], [1, 3], [2, 3], [2, 4], [1, 4]], 4)
+        # a, c, b, d of a real move are not cyclically ordered
+        m = find_square_moves(SMALL)[0]
+        relabelled = SquareMove(m.s, m.a, m.c, m.b, m.d)
         with pytest.raises(ValueError, match="move is not applicable to this collection"):
-            apply_square_move(c, m)
+            apply_square_move(SMALL, relabelled)
 
     def test_mixed_sizes_rejected(self):
         # every set the move names is present, but {1} puts the collection on no grid
         m = find_square_moves(SMALL)[0]
         mixed = Collection([*SMALL, Subset.of([1], 4)])
-        with pytest.raises(ValueError, match="move is not applicable to this collection"):
+        with pytest.raises(ValueError, match="collection mixes cardinalities; square moves need one grid"):
             apply_square_move(mixed, m)
+
+    @pytest.mark.parametrize(
+        "sets, n, m",
+        [
+            # every set the move names is present, but {1,3} and {2,4} cross
+            ([[1, 2], [1, 3], [2, 3], [2, 4], [1, 4]], 4, SquareMove(Subset(0, 4), 1, 3, 2, 4)),
+            # {1,3} and {3,5} are not weakly separated
+            ([[1, 3], [1, 2], [2, 3], [3, 4], [1, 4], [3, 5]], 6, SquareMove(Subset(0, 6), 1, 2, 3, 4)),
+            # separated, but five sets where a maximal collection of the grid has nine
+            ([[1, 3], [1, 2], [2, 3], [3, 4], [1, 4]], 6, SquareMove(Subset(0, 6), 1, 2, 3, 4)),
+        ],
+    )
+    def test_non_maximal_rejected(self, sets, n, m):
+        c = coll(sets, n)
+        with pytest.raises(NotMaximal):
+            apply_square_move(c, m)
+        with pytest.raises(NotMaximal):
+            move_projection_effect(c, m, (1, 1, 1, n - 3))
 
     def test_four_labellings_apply_alike(self):
         for node in (Collection.from_masks(t, 6) for t in explored(6, 3).nodes):

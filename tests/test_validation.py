@@ -112,6 +112,13 @@ CASES = [
         GroundSetMismatch,
         "pattern mixes ground sets",
     ),
+    pytest.param(
+        # one mask over two ground sets is a ground mismatch, not a repeated set
+        lambda: SimpleCyclicPattern((Subset(1, 3), Subset(1, 4))),
+        GroundSetMismatch,
+        "pattern mixes ground sets",
+        id="pattern of one mask over two ground sets",
+    ),
     (lambda: SimpleCyclicPattern(CROSSING_CYCLE), ValueError, "pattern is not weakly separated"),
 ]
 
