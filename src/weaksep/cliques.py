@@ -9,11 +9,16 @@ Bron-Kerbosch memoises each branch by its candidate and excluded sets, keyed
 ``~(P << m | X)``: a branch met again replays its recorded visits, in order,
 instead of recursing.  Records name their children by key, so the memo holds
 each subtree once; it lives for one call and is cleared whenever it holds
-``_BRANCHES`` (4,000) records, about a megabyte on graphs of 110 vertices.  The
+``_BRANCHES`` (4,000) records, about a megabyte on graphs of 110 vertices.
+Purity needs only the number of maximal cliques of each size, so it walks the
+same recursion without visits: each branch returns its census as one int whose
+base-2^digit digits count the cliques per size, memoised under ``P << m | X``,
+and a branch met again costs one add.  Moon and Moser's bound of 3^(m/3)
+maximal cliques on m vertices sets the digit width, so no digit carries.  The
 maximum splits the graph into the components of its complement, whose maxima
 add up, and runs the branch and bound on each part of more than one vertex,
-relabelled once by non-increasing degree, ties by index.  Enumeration stays
-unsplit, in the domain's own order, so it still checks the maximum.
+relabelled once by non-increasing degree, ties by index.  Enumeration and the
+census stay unsplit, in the domain's own order, so they still check the maximum.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ def build_compat_graph(domain: Collection, relation: str = "weak") -> CompatGrap
     return CompatGraph(domain, tuple(adj))
 
 
-# the Bron-Kerbosch memo is cleared when it holds this many branch records
+# the Bron-Kerbosch and census memos are cleared when they hold this many branch records
 _BRANCHES = 4000
 
 
@@ -172,8 +177,8 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
     the lowest index, which fixes the recursion tree and the visit order.  A
     child with at most two candidates is settled in its caller's loop: one
     candidate, or two adjacent ones, make one clique, two non-adjacent ones a
-    clique each, in the order the recursion would visit them.  Weight 1 gives
-    clique sizes; weights must not be negative.
+    clique each, in the order the recursion would visit them.  Weights must
+    not be negative.
 
     A branch does the same work wherever its (P, X) pair comes up, so each one
     is recorded under the key ``~(P << m | X)``, negative so that it stands
@@ -297,6 +302,92 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
     # the closures name each other, so drop them rather than leave a cycle that
     # holds adj, weight, visit and the memo until a full collection
     expand = replay = None
+
+
+def _clique_census(adj: Sequence[int], digit: int) -> int:
+    """The maximal cliques counted by size, as the int whose base-2^digit digit r counts size r.
+
+    ``_bron_kerbosch``'s recursion, with its folding, pivot and settling of
+    short branches, so the same cliques.  A branch returns its census relative
+    to the size it entered with, 0 if a vertex of X extends it: its children's
+    censuses are summed one size above what it folded and shifted once.  A
+    child is memoised under ``P << m | X``, cleared at ``_BRANCHES`` records,
+    so a repeat costs a lookup and an add.  Every digit of every partial sum
+    counts distinct maximal cliques, so a digit wider than the largest count
+    never carries.
+    """
+    m = len(adj)
+    memo: dict[int, int] = {}
+    one, two = 1 << digit, 1 << 2 * digit  # one or two vertices more
+
+    def census(p: int, x: int) -> int:
+        # p is never empty; as in _bron_kerbosch's expand
+        top = p.bit_count() - 1
+        pivot, best, forced, own = -1, -1, 0, 0
+        q = p
+        while q:
+            u = (q & -q).bit_length() - 1
+            q &= q - 1
+            d = (p & adj[u]).bit_count()
+            if d == top:
+                forced |= 1 << u
+                own += 1
+                x &= adj[u]
+            elif d > best:
+                best, pivot = d, u
+        rest = p & ~forced
+        if not rest:
+            return 0 if x else 1 << digit * own
+        q = x
+        while q:
+            u = (q & -q).bit_length() - 1
+            q &= q - 1
+            d = (p & adj[u]).bit_count()
+            if d > top:
+                return 0
+            if d > best or (d == best and u < pivot):
+                best, pivot = d, u
+        total = 0  # relative to own + 1, the size each child enters with
+        p = rest
+        cand = p & ~adj[pivot]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            row = adj[v]
+            inner = p & row
+            xv = x & row
+            if inner.bit_count() > 2:
+                key = inner << m | xv
+                sub = memo.get(key)
+                if sub is None:
+                    sub = census(inner, xv)
+                    if len(memo) >= _BRANCHES:
+                        memo.clear()
+                    memo[key] = sub
+                total += sub
+            elif not inner:
+                if not xv:
+                    total += 1
+            else:
+                u, w = (inner & -inner).bit_length() - 1, inner.bit_length() - 1
+                if u == w:
+                    if not xv & adj[u]:
+                        total += one
+                elif adj[u] >> w & 1:
+                    if not xv & adj[u] & adj[w]:
+                        total += two
+                else:
+                    if not xv & adj[u]:
+                        total += one
+                    if not xv & adj[w]:
+                        total += one
+            p &= ~(1 << v)
+            x |= 1 << v
+        return total << digit * (own + 1)
+
+    out = census((1 << m) - 1, 0) if m else 0
+    census = None  # it names itself, a cycle that would hold adj and the memo
+    return out
 
 
 def enumerate_maximal_cliques(g: CompatGraph) -> list[Collection]:
@@ -447,15 +538,16 @@ class PurityReport:
 
 
 def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
-    """Enumerate all maximal cliques of the domain and decide purity."""
+    """Count the domain's maximal cliques by size, without listing them, and decide purity.
+
+    An m-vertex graph has at most 3^(m/3) < 2^(17m/32) maximal cliques (Moon
+    and Moser 1965), so census digits of ``m * 17 // 32 + 2`` bits never carry.
+    """
     g = build_compat_graph(domain, relation)
-    counts = [0] * (len(g) + 1)
-
-    def count(size: int) -> None:
-        counts[size] += 1
-
-    _bron_kerbosch(g.adj, [1] * len(g), count)
-    return PurityReport(len(domain), {size: c for size, c in enumerate(counts) if c})
+    digit = len(g) * 17 // 32 + 2
+    census, low = _clique_census(g.adj, digit), (1 << digit) - 1
+    sizes = {r: c for r in range(len(g) + 1) if (c := census >> digit * r & low)}
+    return PurityReport(len(domain), sizes)
 
 
 def _greedy_maximal(masks: Iterable[int], candidates: Iterable[int], relation: str = "weak") -> list[int]:

@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, exact integer equalities throughout.
 
 Each test prints a single pass line with its elapsed time (visible under
-``pytest -s``) and enforces the stated runtime ceiling.  Three long-running
-extras (the power-set chord census at n=6, the 14-element exact cluster
-distance checked by Bron-Kerbosch as well, and the 16-element move-distance
+``pytest -s``) and enforces the stated runtime ceiling.  Two long-running
+extras (the power-set chord census at n=6 and the 16-element move-distance
 case) are gated behind WEAKSEP_LONG=1.
 """
 
@@ -154,21 +153,12 @@ def test_criterion_05_cluster_distances():
 
 
 def test_criterion_05_fourteen_element_distance():
-    with _Timer(5, 60, "pair (4,3,3,4), n=14: max 32 by branch and bound, distance 18"):
+    with _Timer(5, 60, "pair (4,3,3,4), n=14: max 32 by branch and bound and the census, distance 18"):
         i = sub([1, 2, 3, 4, 8, 9, 10], 14)
         assert cluster_distance(i, i.complement(), "exact").value == 18
         dom = build_domain_AIJ(i, i.complement())
         assert max_clique_size(build_compat_graph(dom, "weak")) == 32 == unbalanced_witness(i).bound
-
-
-@pytest.mark.skipif(not LONG, reason="14-element exact distance runs under WEAKSEP_LONG=1")
-def test_criterion_05_long_fourteen_element_distance():
-    with _Timer(5, None, "pair (4,3,3,4), n=14: max 32 by branch and bound and BK, distance 18"):
-        i = sub([1, 2, 3, 4, 8, 9, 10], 14)
-        assert cluster_distance(i, i.complement(), "exact").value == 18
-        dom = build_domain_AIJ(i, i.complement())
-        assert max_clique_size(build_compat_graph(dom, "weak")) == 32 == unbalanced_witness(i).bound
-        assert purity_report(dom).max_size == 32
+        assert purity_report(dom).clique_sizes == {32: 11356900}
 
 
 def test_criterion_06_general_pair_rank():

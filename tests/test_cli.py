@@ -465,7 +465,9 @@ class TestOnceOnlyVerbs:
         graph = counted("graph", cliques.build_compat_graph)
         monkeypatch.setattr(cliques, "build_compat_graph", graph)
         monkeypatch.setattr(cli, "build_compat_graph", graph)
+        # a clique pass lists the cliques (`lr --chains`) or only counts them (`chord`)
         monkeypatch.setattr(cliques, "_bron_kerbosch", counted("bk", cliques._bron_kerbosch))
+        monkeypatch.setattr(cliques, "_clique_census", counted("bk", cliques._clique_census))
         code, _ = invoke(argv)
         assert code == EXIT_OK and calls == {"graph": 1, "bk": 1}
 

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from weaksep import (
     circle_partition,
     complete_to_maximal,
     enumerate_maximal_cliques,
+    lr_domain,
     max_clique_size,
     purity_report,
     unbalanced_witness,
@@ -27,10 +29,11 @@ from weaksep.cliques import (
     PurityReport,
     _branch_and_bound,
     _bron_kerbosch,
+    _clique_census,
     _co_components,
     _degree_ordered,
 )
-from weaksep.ground import _weakly_separated_masks, _whole_grid
+from weaksep.ground import _power_set, _weakly_separated_masks, _whole_grid
 
 from _oracles import naive_co_components, naive_maximal_cliques, plain_bron_kerbosch
 
@@ -268,13 +271,31 @@ class TestWeightedBronKerbosch:
         assert seen == [full]
 
 
+def census_sizes(adj):
+    """``_clique_census`` at ``purity_report``'s digit width, read back as size -> count."""
+    digit = len(adj) * 17 // 32 + 2
+    census = _clique_census(tuple(adj), digit)
+    out, size = {}, 0
+    while census:
+        census, count = divmod(census, 1 << digit)
+        if count:
+            out[size] = count
+        size += 1
+    return out
+
+
+def size_counts(bitsets):
+    return dict(Counter(r.bit_count() for r in bitsets))
+
+
 def same_visits(g: CompatGraph) -> int:
-    """Both kernels visit the same multiset of vertex bitsets; returns how many."""
+    """Both kernels visit the same multiset of vertex bitsets, which the census counts by size; returns how many."""
     weight = [1 << v for v in range(len(g))]
     fast, plain = [], []
     _bron_kerbosch(g.adj, weight, fast.append)
     plain_bron_kerbosch(g.adj, weight, plain.append)
     assert sorted(fast) == sorted(plain)
+    assert census_sizes(g.adj) == size_counts(plain)
     return len(fast)
 
 
@@ -305,6 +326,8 @@ class TestFoldAgainstPlainKernel:
                     fast, replayed, _ = traced_visits(adj, weight)
                     plain_bron_kerbosch(adj, weight, plain.append)
                     assert sorted(fast) == sorted(plain), (m, edges, weight)
+                # the unit weights, visited last, give the clique sizes
+                assert census_sizes(adj) == dict(Counter(plain)), (m, edges)
                 graphs += 1
                 # e.g. a root vertex folded, then two candidates whose children
                 # share P and X: 25 graphs on five vertices and 991 on six
@@ -356,7 +379,8 @@ def unbalanced_ten():
 
 class TestBranchMemo:
     # a memo that keeps only its latest record, one cleared every five
-    # records, and the default; the visits and their order must not depend on it
+    # records, and the default; the visits, their order and the census must
+    # not depend on it
     BOUNDS = (0, 1, 5, cliques._BRANCHES)
 
     def graphs(self):
@@ -379,6 +403,7 @@ class TestBranchMemo:
                 bitsets, replayed, reexpanded = traced_visits(g.adj, weight)
                 sizes, _, _ = traced_visits(g.adj, [1] * m)
                 assert sorted(bitsets) == sorted(plain), (m, bound)
+                assert census_sizes(g.adj) == size_counts(plain), (m, bound)
                 # both weightings replay the same records, so the visits pair up
                 assert sizes == [r.bit_count() for r in bitsets], (m, bound)
                 runs.append(bitsets)
@@ -390,12 +415,44 @@ class TestBranchMemo:
             assert all(run == runs[0] for run in runs), m
 
     def test_twelve_pair_census(self):
-        # runs (2,4,4,2): 90 sets, many repeated branches
-        i = sub([1, 6, 7, 8, 9, 12], 12)
-        dom = build_domain_AIJ(i, i.complement())
-        report = purity_report(dom)
-        assert len(dom) == 90 and report.clique_sizes == {26: 162264}
-        assert max_clique_size(build_compat_graph(dom)) == 26
+        # runs (2,4,4,2): 90 sets, many repeated branches; runs (3,3,3,3): 76 sets
+        for elems, size, rank, count in (([1, 6, 7, 8, 9, 12], 90, 26, 162264), ([1, 2, 3, 7, 8, 9], 76, 24, 73984)):
+            i = sub(elems, 12)
+            dom = build_domain_AIJ(i, i.complement())
+            report = purity_report(dom)
+            assert len(dom) == size and report.clique_sizes == {rank: count}
+            assert max_clique_size(build_compat_graph(dom)) == rank
+
+
+class TestCliqueCensus:
+    def test_random_graphs_match_plain_kernel(self):
+        rng = random.Random(17)
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for m in (1, 2, 3, 7, 12, rng.randint(13, 40), 40):
+                adj = random_graph(rng, m, density)
+                plain = []
+                plain_bron_kerbosch(adj, [1 << v for v in range(m)], plain.append)
+                assert census_sizes(adj) == size_counts(plain), (density, m)
+
+    def test_lr_and_chord_domains(self):
+        graphs = [build_compat_graph(lr_domain(n)) for n in range(1, 7)]
+        graphs += [build_compat_graph(Collection.from_masks(_power_set(n), n), "chord") for n in range(1, 6)]
+        for g in graphs:
+            same_visits(g)
+
+    def test_moon_moser_extremes_do_not_carry(self, monkeypatch):
+        # complete multipartite graphs with parts of three, and one part of
+        # two or four, have the most maximal cliques of any graph on m
+        # vertices (Moon and Moser 1965): one vertex from each part.
+        # purity_report reads them at its own digit width
+        for t in range(1, 34):
+            for parts, count in (([3] * t, 3**t), ([3] * t + [2], 2 * 3**t), ([3] * (t - 1) + [4], 4 * 3 ** (t - 1))):
+                m = sum(parts)
+                if m > 100:
+                    continue
+                g = CompatGraph(Collection.from_masks(range(m), 7), tuple(join([[0] * k for k in parts], 0)))
+                monkeypatch.setattr(cliques, "build_compat_graph", lambda domain, relation: g)
+                assert purity_report(g.vertices).clique_sizes == {len(parts): count}, parts
 
 
 def test_kernels_leave_no_reference_cycles():
@@ -406,6 +463,7 @@ def test_kernels_leave_no_reference_cycles():
     adj = _degree_ordered(g.adj)
     calls = [
         lambda: _bron_kerbosch(g.adj, [1] * len(g), [].append),
+        lambda: _clique_census(g.adj, len(g)),
         lambda: _branch_and_bound(adj, (1 << 40) - 1),
         lambda: purity_report(dom),
         lambda: enumerate_maximal_cliques(g),

@@ -76,7 +76,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2656
+SOURCE_LINES = 2748
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
