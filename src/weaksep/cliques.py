@@ -190,7 +190,8 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
     their order stay the same.  Repeats come from anywhere in the tree, so the
     memo spans the whole call; since records name their children instead of
     holding their visits, clearing it whenever it holds ``_BRANCHES`` records
-    bounds its memory.
+    bounds its memory.  A visit may raise to stop the enumeration; the
+    exception passes through unchanged.
     """
     m = len(adj)
     low = (1 << m) - 1
@@ -297,11 +298,13 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
             x |= 1 << v
         remember(key, record)
 
-    if m:
-        expand(0, low, 0, ~(low << m))
-    # the closures name each other, so drop them rather than leave a cycle that
-    # holds adj, weight, visit and the memo until a full collection
-    expand = replay = None
+    try:
+        if m:
+            expand(0, low, 0, ~(low << m))
+    finally:
+        # the closures name each other, so drop them, also when a visit raises,
+        # rather than leave a cycle that holds adj, weight, visit and the memo
+        expand = replay = None
 
 
 def _clique_census(adj: Sequence[int], digit: int) -> int:
@@ -537,17 +540,20 @@ class PurityReport:
         }
 
 
-def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
-    """Count the domain's maximal cliques by size, without listing them, and decide purity.
+def _clique_sizes(adj: Sequence[int]) -> dict[int, int]:
+    """The maximal cliques counted by size, as size -> count, without listing them.
 
     An m-vertex graph has at most 3^(m/3) < 2^(17m/32) maximal cliques (Moon
     and Moser 1965), so census digits of ``m * 17 // 32 + 2`` bits never carry.
     """
-    g = build_compat_graph(domain, relation)
-    digit = len(g) * 17 // 32 + 2
-    census, low = _clique_census(g.adj, digit), (1 << digit) - 1
-    sizes = {r: c for r in range(len(g) + 1) if (c := census >> digit * r & low)}
-    return PurityReport(len(domain), sizes)
+    digit = len(adj) * 17 // 32 + 2
+    census, low = _clique_census(adj, digit), (1 << digit) - 1
+    return {r: c for r in range(len(adj) + 1) if (c := census >> digit * r & low)}
+
+
+def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
+    """Count the domain's maximal cliques by size, without listing them, and decide purity."""
+    return PurityReport(len(domain), _clique_sizes(build_compat_graph(domain, relation).adj))
 
 
 def _greedy_maximal(masks: Iterable[int], candidates: Iterable[int], relation: str = "weak") -> list[int]:

@@ -304,7 +304,8 @@ def unbalanced_witness(a: Subset) -> UnbalancedBound:
     """Construct the explicit witness collection meeting the closed-form bound.
 
     Three families over the canonically rotated circle: per-run suffix pairs,
-    cross-run suffix pairs for qualifying non-adjacent run pairs, and the
+    cross-run suffix pairs for every qualifying non-adjacent pair of an odd
+    and an even run, whichever comes first on the circle, and the
     boundary intervals.  The result is rotated back to the input coordinates.
     Requires the set and its complement to be non-separated (at least four runs).
     """
@@ -332,7 +333,7 @@ def unbalanced_witness(a: Subset) -> UnbalancedBound:
     )
     cross_total = 0
     for i in range(u):
-        for j in range(i + 1, u):
+        for j in range(u):
             if not chi[i][j]:
                 continue
             s0, t0 = starts[2 * i], starts[2 * j + 1]

@@ -6,8 +6,10 @@ one int with a bit per grid set (``_Grid``), from seeding to the explored
 graph; nodes are decoded to sorted mask tuples only at the public boundary.
 Each grid keeps one table entry per set: its squares, flat, and the moves
 they give for each pattern of held side sets, so expanding a node is one
-lookup per member.  Exploration is breadth-first with canonical-order
-frontiers, so node streams, distances, and witness paths are deterministic.
+lookup per member with a square; the cyclic intervals have none and never
+move.  Seeding stops at the budget and counts the seeds past it by census.
+Exploration is breadth-first with canonical-order frontiers, so node
+streams, distances, and witness paths are deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .cliques import (
     Collection,
     NotMaximal,
     _bron_kerbosch,
+    _clique_sizes,
     _greedy_maximal,
     _require_maximal,
     build_compat_graph,
@@ -88,7 +91,9 @@ class _Grid(dict):
     moves of each pattern of side sets a node has held, so ``_neighbors``
     scans a set's squares once per pattern, not once per node.
     It grows only with the patterns met and lives as long as the grid, which
-    the ``_GRIDS``-entry LRU of ``_grid`` bounds.
+    the ``_GRIDS``-entry LRU of ``_grid`` bounds.  ``idle`` holds the bits
+    whose built entry has no square, so that ``_neighbors`` skips them; once
+    every entry is built these are exactly the cyclic intervals.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -98,6 +103,7 @@ class _Grid(dict):
         self.at: dict[int, int] = {}  # bit position -> set
         # bit position -> (near, squares, {held: flips}); see ``entry`` and ``_neighbors``
         self.table: dict[int, tuple[int, tuple, dict[int, tuple]]] = {}
+        self.idle = 0
 
     def __missing__(self, x: int) -> int:
         if x.bit_count() != self.k or x >> self.n:
@@ -150,6 +156,8 @@ class _Grid(dict):
                         sides = self[s | ba | bb] | self[s | bb | bc] | self[s | bc | bd] | self[s | bd | ba]
                         near |= sides
                         squares.append((sides, (s, a, b, c, d, s | bb | bd)))
+        if not squares:
+            self.idle |= 1 << pos
         out = self.table[pos] = (near, tuple(squares), {})
         return out
 
@@ -165,7 +173,8 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     No maximality contract here; callers guarantee it.  A move applies when
     the node has all its side bits, and the child flips the bits of the
     removed and the added set.  Members are walked from the high bit down,
-    that is in ascending mask order, each with its moves in ``squares`` order.
+    that is in ascending mask order, each with its moves in ``squares`` order;
+    members in ``grid.idle`` have no square, list no move and are skipped.
     A member's moves depend only on the side sets the node holds, so they
     are kept as flips (removed bit ^ added bit, move) under that pattern in
     the member's ``grid.table`` entry, built on the pattern's first visit.
@@ -173,7 +182,7 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
     out = []
     append = out.append
     table = grid.table
-    rest = node
+    rest = node & ~grid.idle
     while rest:
         pos = rest.bit_length() - 1
         bit = 1 << pos
@@ -334,17 +343,32 @@ class DistanceResult:
         }
 
 
-def _maximal_collections_containing(s: Subset, grid: _Grid) -> list[int]:
+class _Full(Exception):
+    """Raised by a seeding visit past its cap."""
+
+
+def _maximal_collections_containing(s: Subset, grid: _Grid, cap: int) -> list[int] | int:
     """Every maximal weakly separated collection of the grid that contains s, as nodes.
 
     These are exactly the maximal cliques of the graph on all same-size
     subsets compatible with s: a maximal clique missing s could absorb it, so
     every one of them contains it.  They come in Bron-Kerbosch visit order.
+    If there are more than ``cap``, the visit past it stops the enumeration
+    and only their number, from the clique census, is returned.
     """
     g = build_compat_graph(build_domain_AIJ(s, s), "weak")
     found: list[int] = []
-    # weighted by grid bits, each clique is visited as its finished node
-    _bron_kerbosch(g.adj, list(map(grid.__getitem__, g.vertices.masks)), found.append)
+
+    def visit(node: int) -> None:
+        if len(found) >= cap:
+            raise _Full
+        found.append(node)
+
+    try:
+        # weighted by grid bits, each clique is visited as its finished node
+        _bron_kerbosch(g.adj, list(map(grid.__getitem__, g.vertices.masks)), visit)
+    except _Full:
+        return sum(_clique_sizes(g.adj).values())
     return found
 
 
@@ -371,10 +395,18 @@ def mutation_distance(
         return DistanceResult(0, (), both, both, 0)
 
     grid = _grid(n, k)
+    # side j may seed what side i leaves of the budget; seeds past it are only counted
+    seeds, total = [], 0
+    for x in (i, j):
+        found = _maximal_collections_containing(x, grid, budget - total)
+        seeds.append(found)
+        total += found if isinstance(found, int) else len(found)
+    if total >= budget:
+        return DistanceResult(None, (), None, None, total)
     # per side, 0 from i and 1 from j: node -> (parent, move, depth); roots have parent None.
     # No collection holds both i and j, so the seeds of the two sides never meet.
     root = (None, None, 0)
-    sides = [dict.fromkeys(_maximal_collections_containing(x, grid), root) for x in (i, j)]
+    sides = [dict.fromkeys(found, root) for found in seeds]
     frontiers = list(sides)
     depths = [0, 0]
     best: int | None = None

@@ -2,11 +2,12 @@
 
 Everything here works on plain Python sets and brute force, deliberately
 sharing no code with the package: definition-level scans for the separation
-predicates and full subset enumeration for maximal cliques.  The two
+predicates and full subset enumeration for maximal cliques.  The three
 exceptions are ``plain_bron_kerbosch``, the unfolded kernel that the library's
 enumeration replaced, kept so that the two can be compared on graphs too
-large for brute force, and ``naive_chord_chain``, the backtracking search
-that the library's chord chain walk replaced.
+large for brute force, ``naive_chord_chain``, the backtracking search
+that the library's chord chain walk replaced, and ``all_member_neighbors``,
+the node expansion that the library's skip of square-less members replaced.
 """
 
 import itertools
@@ -126,6 +127,27 @@ def plain_bron_kerbosch(adj, weight, visit) -> None:
 
     if adj:
         expand(0, (1 << len(adj)) - 1, 0)
+
+
+def all_member_neighbors(grid, node) -> list[tuple]:
+    """The (child, move) pairs of a node of a ``mutations._Grid``, from every member.
+
+    The expansion loop that ``mutations._neighbors`` ran before it skipped the
+    members without a square: each member, from the high bit down, reads its
+    table entry and lists the moves of the side pattern the node holds.
+    """
+    out = []
+    rest = node
+    while rest:
+        pos = rest.bit_length() - 1
+        bit = 1 << pos
+        rest ^= bit
+        near, squares, known = grid.entry(pos)
+        held = node & near
+        if held not in known:
+            known[held] = tuple((bit ^ grid[move[5]], move) for sides, move in squares if held & sides == sides)
+        out += [(node ^ flip, move) for flip, move in known[held]]
+    return out
 
 
 def naive_no_interior(sets: list[set], split: tuple) -> tuple[int, int] | None:

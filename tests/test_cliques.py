@@ -34,6 +34,7 @@ from weaksep.cliques import (
     _degree_ordered,
 )
 from weaksep.ground import _power_set, _weakly_separated_masks, _whole_grid
+from weaksep.mutations import _grid, _maximal_collections_containing
 
 from _oracles import naive_co_components, naive_maximal_cliques, plain_bron_kerbosch
 
@@ -455,14 +456,29 @@ class TestCliqueCensus:
                 assert purity_report(g.vertices).clique_sizes == {len(parts): count}, parts
 
 
+def stopped_enumeration(adj, stop):
+    """Run Bron-Kerbosch until its visit raises, after ``stop`` visits."""
+    seen = []
+
+    def visit(r):
+        if len(seen) == stop:
+            raise LookupError
+        seen.append(r)
+
+    with pytest.raises(LookupError):
+        _bron_kerbosch(adj, [1] * len(adj), visit)
+
+
 def test_kernels_leave_no_reference_cycles():
-    # the recursive closures are dropped on return, so a call leaves nothing
-    # for the cycle collector to find
+    # the recursive closures are dropped on return, also when a visit raises,
+    # so a call leaves nothing for the cycle collector to find
     dom = unbalanced_ten()
     g = build_compat_graph(dom)
     adj = _degree_ordered(g.adj)
     calls = [
         lambda: _bron_kerbosch(g.adj, [1] * len(g), [].append),
+        lambda: stopped_enumeration(g.adj, 10),
+        lambda: _maximal_collections_containing(sub([1, 2, 5, 6], 8), _grid(8, 4), 10),
         lambda: _clique_census(g.adj, len(g)),
         lambda: _branch_and_bound(adj, (1 << 40) - 1),
         lambda: purity_report(dom),

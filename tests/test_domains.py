@@ -384,6 +384,24 @@ class TestUnbalancedWitness:
                         assert is_weakly_separated(Subset(masks[x], n), Subset(masks[y], n))
                 assert max_clique_size(build_compat_graph(dom)) >= ub.bound
 
+    def test_bound_is_an_orbit_invariant(self):
+        # rotation, reflection and complement keep the domain's clique number,
+        # so they keep the bound; the witness realises it
+        assert unbalanced_witness(sub([1, 4, 6, 7], 8)).bound == unbalanced_witness(sub([1, 3, 4, 6], 8)).bound == 11
+        for n in (4, 6, 8, 10):
+            for a in k_subsets(n, n // 2):
+                if circle_partition(a).u < 2:
+                    continue
+                ub = unbalanced_witness(a)
+                mirror = Subset.of([n + 1 - x for x in a.elements()], n)
+                assert [unbalanced_witness(b).bound for b in (a.rotate(1), mirror, a.complement())] == [ub.bound] * 3, a
+                dom = build_domain_AIJ(a, a.complement())
+                masks = ub.witness.masks
+                assert len(masks) == ub.bound and set(masks) <= set(dom.masks), a
+                assert all(is_weakly_separated(Subset(x, n), Subset(y, n)) for x, y in itertools.combinations(masks, 2)), a
+                if n <= 8:
+                    assert ub.bound <= max_clique_size(build_compat_graph(dom)), a
+
 
 class TestCharacterizeElement:
     def ctx10(self):

@@ -1,11 +1,16 @@
 import collections
 import dataclasses
 import itertools
+import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from _oracles import (
+    all_member_neighbors,
     naive_is_maximal,
     naive_square_moves,
     naive_squares,
@@ -36,6 +41,9 @@ from weaksep import (
 from weaksep import mutations
 from weaksep.ground import _whole_grid
 from weaksep.mutations import DistanceResult, _grid, _maximal_collections_containing, _neighbors
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sub(elems, n):
@@ -355,6 +363,37 @@ class TestMutationDistance:
             pairs += 1
         assert (pairs, calls) == (78, 1543)
 
+    def test_seeding_budget_boundaries(self):
+        # 390 seeds per side: a budget the 780 seeds reach ends the search
+        # before its first layer, with all 780 counted whether built or not
+        i, j = sub([1, 2, 5, 6], 8), sub([3, 4, 7, 8], 8)
+        for budget, nodes in [(0, 780), (389, 780), (390, 780), (391, 780), (779, 780), (780, 780), (781, 1104)]:
+            r = mutation_distance(i, j, budget=budget, big=True)
+            assert r.to_json() == {"distance": "budget-exhausted", "nodes_explored": nodes, "path": []}, budget
+        r = mutation_distance(i, j, big=True)
+        assert (r.distance, r.nodes_explored) == (6, 4356)
+
+    def test_seeding_stops_at_the_budget(self):
+        # the (3,2,2,3) pair at n = 10 has 244,037 seeds per side; the search
+        # builds at most the budget's worth and counts the rest by census.
+        # Building them all grows a fresh process by about 60 MB.  (Under
+        # tracemalloc the census's big-int sums run some 30 times slower.)
+        script = (
+            "import json, resource\n"
+            "from weaksep import Subset, mutation_distance\n"
+            "i = Subset.of([1, 2, 3, 6, 7], 10)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "r = mutation_distance(i, i.complement(), budget=20000, big=True)\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(json.dumps([r.to_json(), grown]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report, grown_kb = json.loads(done.stdout)
+        assert report == {"distance": "budget-exhausted", "nodes_explored": 488074, "path": []}
+        assert grown_kb < 8 << 10
+
     def test_big_instance_gate(self):
         with pytest.raises(BigInstance):
             mutation_distance(sub([1, 2, 5, 6], 8), sub([3, 4, 7, 8], 8))
@@ -521,6 +560,27 @@ class TestMoveTable:
         assert table_entries(grid) == entries
 
 
+class TestIdleMembers:
+    def test_idle_bits_are_the_cyclic_intervals(self):
+        # the intervals, and only they, have no square; a fresh grid marks none
+        for n in range(4, 10):
+            for k in range(2, n - 1):
+                g = mutations._Grid(n, k)
+                assert g.idle == 0
+                for x in _whole_grid(n, k):
+                    g.entry(g[x].bit_length() - 1)
+                assert g.idle == g.node(boundary_intervals(k, n).masks), (n, k)
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (8, 4)])
+    def test_neighbors_match_an_all_member_scan(self, n, k):
+        graph = explored(n, k)
+        fresh = mutations._Grid(n, k)
+        for node, masks in zip(graph.ints, graph.nodes):
+            assert _neighbors(graph.grid, node) == all_member_neighbors(fresh, fresh.node(masks)), masks
+        # every set lies in an explored node, so every entry is built
+        assert graph.grid.idle == graph.grid.node(boundary_intervals(k, n).masks)
+
+
 class TestSeeding:
     def test_seeds_are_the_grid_collections_holding_the_set(self):
         # seeds come out of the enumeration as finished grid nodes; they must
@@ -530,7 +590,7 @@ class TestSeeding:
             full = [c.masks for c in enumerate_maximal_cliques(build_compat_graph(grid(n, k)))]
             for combo in itertools.combinations(range(1, n + 1), k):
                 s = sub(combo, n)
-                seeds = _maximal_collections_containing(s, table)
+                seeds = _maximal_collections_containing(s, table, mutations.DEFAULT_BUDGET)
                 assert len(seeds) == len(set(seeds)), (n, combo)
                 expected = {table.node(masks) for masks in full if s.mask in masks}
                 assert set(seeds) == expected, (n, combo)
@@ -541,10 +601,21 @@ class TestSeeding:
         pairs = 0
         for s, t in non_separated_pairs(7):
             table = _grid(s.n, len(s))
-            seeds = set(_maximal_collections_containing(s, table))
-            assert seeds.isdisjoint(_maximal_collections_containing(t, table)), (s, t)
+            seeds = set(_maximal_collections_containing(s, table, mutations.DEFAULT_BUDGET))
+            assert seeds.isdisjoint(_maximal_collections_containing(t, table, mutations.DEFAULT_BUDGET)), (s, t)
             pairs += 1
         assert pairs == 456
+
+    def test_seeds_past_the_cap_are_counted(self):
+        # at the cap the seeds are all built; below it, only counted
+        for n, k in ((6, 3), (7, 3)):
+            table = _grid(n, k)
+            for combo in itertools.combinations(range(1, n + 1), k):
+                s = sub(combo, n)
+                seeds = _maximal_collections_containing(s, table, mutations.DEFAULT_BUDGET)
+                assert _maximal_collections_containing(s, table, len(seeds)) == seeds, (n, combo)
+                for cap in (-1, 0, len(seeds) - 1):
+                    assert _maximal_collections_containing(s, table, cap) == len(seeds), (n, combo, cap)
 
 
 @pytest.mark.skipif(os.environ.get("WEAKSEP_LONG") != "1", reason="runs under WEAKSEP_LONG=1")
@@ -554,7 +625,7 @@ class TestBigGrid:
         i = sub([1, 2, 3, 6, 7], 10)
         grid = _grid(10, 5)
         for s in (i, i.complement()):
-            seeds = _maximal_collections_containing(s, grid)
+            seeds = _maximal_collections_containing(s, grid, mutations.DEFAULT_BUDGET)
             assert len(seeds) == len(set(seeds)) == 244037
             assert purity_report(build_domain_AIJ(s, s)).clique_count == 244037
 
@@ -565,7 +636,7 @@ class TestBigGrid:
         g = build_compat_graph(build_domain_AIJ(s, s))
         plain: list[int] = []
         plain_bron_kerbosch(g.adj, list(map(grid.__getitem__, g.vertices.masks)), plain.append)
-        seeds = _maximal_collections_containing(s, grid)
+        seeds = _maximal_collections_containing(s, grid, mutations.DEFAULT_BUDGET)
         assert len(plain) == 244037 and sorted(seeds) == sorted(plain)
 
     def test_four_of_eight_graph_matches_clique_census(self):
