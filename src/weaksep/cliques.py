@@ -4,7 +4,7 @@ A domain plus a pairwise predicate becomes a graph; maximal weakly separated
 collections are its maximal cliques.  Enumeration (Bron-Kerbosch with
 pivoting, forced candidates folded, branches of at most two candidates read
 off without recursing) and maximum-clique size (branch and bound with
-greedy-coloring bounds) are coded independently to cross-validate.
+greedy colour classes as bitsets) are coded independently to cross-validate.
 Bron-Kerbosch memoises each branch by its candidate and excluded sets, keyed
 ``~(P << m | X)``: a branch met again replays its recorded visits, in order,
 instead of recursing.  Records name their children by key, so the memo holds
@@ -24,6 +24,7 @@ census stay unsplit, in the domain's own order, so they still check the maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ground import (
@@ -432,39 +433,42 @@ def _co_components(adj: Sequence[int]) -> list[int]:
 
 
 def _branch_and_bound(adj: Sequence[int], p: int) -> int:
-    """The largest clique inside the vertex set ``p``, by greedy-coloring bounds."""
-    best = 0
+    """The largest clique inside the vertex set ``p``, by greedy-coloring bounds.
 
-    def coloring(p: int) -> tuple[list[int], list[int]]:
-        order: list[int] = []
-        bound: list[int] = []
-        color = 0
-        uncolored = p
-        while uncolored:
-            color += 1
-            q = uncolored
-            while q:
-                v = (q & -q).bit_length() - 1
-                q &= ~adj[v]
-                q &= q - 1
-                uncolored &= ~(1 << v)
-                order.append(v)
-                bound.append(color)
-        return order, bound
+    A branch colours its candidates greedily, lowest index first, into
+    classes of one bitset each (San Segundo et al. 2011), then branches from
+    the highest colour down, highest index first within a class, until the
+    colour cannot lift it past the best: Tomita et al.'s order (WALCOM 2010).
+    """
+    best = 0
+    rest = [~(row | 1 << v) for v, row in enumerate(adj)]  # v's non-neighbours, which may join its class
 
     def expand(size: int, p: int) -> None:
         nonlocal best
-        order, bound = coloring(p)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= best:
-                return
-            v = order[i]
-            nxt = p & adj[v]
-            if nxt:
-                expand(size + 1, nxt)
-            elif size + 1 > best:
-                best = size + 1
-            p &= ~(1 << v)
+        classes = []
+        uncolored = p
+        while uncolored:
+            cls, q = 0, uncolored
+            while q:
+                b = q & -q
+                cls |= b
+                q &= rest[b.bit_length() - 1]
+            uncolored &= ~cls
+            classes.append(cls)
+        for color in range(len(classes), 0, -1):
+            cls = classes[color - 1]
+            while cls:
+                if size + color <= best:
+                    return
+                v = cls.bit_length() - 1
+                b = 1 << v
+                cls ^= b
+                nxt = p & adj[v]
+                if nxt:
+                    expand(size + 1, nxt)
+                elif size + 1 > best:
+                    best = size + 1
+                p ^= b
 
     expand(0, p)
     expand = None  # it names itself, a cycle that would hold adj until a full collection
@@ -476,21 +480,14 @@ def _degree_ordered(adj: Sequence[int]) -> list[int]:
 
     The greedy colouring then meets high-degree vertices first, which
     tightens its bound, as in Tomita et al. (WALCOM 2010) and San Segundo et
-    al. (2011).
+    al. (2011).  Each row's binary digits, lowest first, are picked in that order.
     """
     m = len(adj)
+    if m <= 1:
+        return list(adj)
     by_degree = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
-    label = [0] * m
-    for i, v in enumerate(by_degree):
-        label[v] = i
-    out = []
-    for v in by_degree:
-        row, q = 0, adj[v]
-        while q:
-            row |= 1 << label[(q & -q).bit_length() - 1]
-            q &= q - 1
-        out.append(row)
-    return out
+    pick, digits = itemgetter(*by_degree), f"0{m}b"
+    return [int("".join(pick(format(adj[v], digits)[::-1]))[::-1], 2) for v in by_degree]
 
 
 def max_clique_size(g: CompatGraph) -> int:

@@ -163,22 +163,20 @@ def is_cyclic_interval(s: Subset) -> bool:
 # and min(emptyset) = +inf are built in: an empty side satisfies any bound.
 
 def _surrounds_masks(imask: int, jmask: int) -> bool:
-    imj = imask & ~jmask
+    # I \ J misses the span of J \ I, the bits from its lowest to its highest
     jmi = jmask & ~imask
-    if jmi == 0:
-        return True
-    lo = (jmi & -jmi).bit_length() - 1
-    hi = jmi.bit_length() - 1
-    between = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
-    return imj & between == 0
+    return not jmi or not imask & ~jmask & (1 << jmi.bit_length()) - (jmi & -jmi)
 
 
 def _weakly_separated_masks(smask: int, tmask: int) -> bool:
-    sc = smask.bit_count()
-    tc = tmask.bit_count()
-    if sc <= tc and _surrounds_masks(smask, tmask):
-        return True
-    return tc <= sc and _surrounds_masks(tmask, smask)
+    # The smaller set surrounds the larger.  The differences differ in size by
+    # |S| - |T|, so the smaller difference must miss the span of the other.  An
+    # empty difference's span reads as bit 0, but only an empty one meets it.
+    s, t = smask & ~tmask, tmask & ~smask
+    sc, tc = s.bit_count(), t.bit_count()
+    return (sc <= tc and not s & (1 << t.bit_length()) - (t & -t)) or (
+        tc <= sc and not t & (1 << s.bit_length()) - (s & -s)
+    )
 
 
 def _chord_separated_masks(smask: int, tmask: int) -> bool:

@@ -495,6 +495,34 @@ def test_kernels_leave_no_reference_cycles():
         gc.enable()
 
 
+class TestDegreeOrdered:
+    @staticmethod
+    def check(adj):
+        """``_degree_ordered`` is ``permuted`` under the degree order, ties by index."""
+        m = len(adj)
+        by_degree = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
+        label = [0] * m
+        for i, v in enumerate(by_degree):
+            label[v] = i
+        out = _degree_ordered(adj)
+        assert out == permuted(adj, label)
+        assert [row.bit_count() for row in out] == sorted((row.bit_count() for row in adj), reverse=True)
+
+    def test_up_to_two_vertices(self):
+        # itemgetter of one index returns a string, of none it raises
+        for adj in ([], [0], [0, 0], [2, 1]):
+            self.check(adj)
+
+    def test_random_graphs_wider_than_a_word(self):
+        rng = random.Random(27)
+        for density in (0.05, 0.5, 0.95):
+            for m in (3, 63, 64, 65, rng.randint(66, 120), 120):
+                self.check(random_graph(rng, m, density))
+
+    def test_unbalanced_pair_domain_ten(self):
+        self.check(list(build_compat_graph(unbalanced_ten()).adj))
+
+
 class TestMaxCliqueSize:
     def test_paper_maxima(self):
         d1 = build_domain_AIJ(sub([1, 2, 4], 6), sub([3, 5, 6], 6))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -141,12 +142,38 @@ class TestWeakSeparation:
                 assert is_weakly_separated(s, s)
 
     def test_matches_oracle_exhaustive(self):
-        for n in range(1, 6):
+        for n in range(1, 9):
             for s in all_subsets(n):
                 for t in all_subsets(n):
                     assert is_weakly_separated(s, t) == naive_weakly_separated(
                         set(s.elements()), set(t.elements())
                     )
+
+    def test_matches_oracle_wide_ground(self):
+        # S xor T thinned to density 1/2..1/16, then T taken as S xor that,
+        # S with it, S without it, S rotated (equal sizes) or S itself, so
+        # mixed and equal sizes meet both verdicts, nested and equal sets
+        # the one they always get
+        rng = random.Random(20261020)
+        verdicts = Counter()
+        for trial in range(3000):
+            n = rng.randint(8, 64)
+            diff = rng.getrandbits(n)
+            for _ in range(rng.randint(0, 3)):
+                diff &= rng.getrandbits(n)
+            s = Subset(rng.getrandbits(n), n)
+            kind = trial % 5
+            t = (
+                Subset(s.mask ^ diff, n),
+                Subset(s.mask | diff, n),
+                Subset(s.mask & ~diff, n),
+                s.rotate(rng.randrange(n)),
+                s,
+            )[kind]
+            verdict = is_weakly_separated(s, t)
+            assert verdict == naive_weakly_separated(set(s.elements()), set(t.elements())), (s, t)
+            verdicts[kind, verdict] += 1
+        assert sorted(verdicts) == [(0, False), (0, True), (1, True), (2, True), (3, False), (3, True), (4, True)]
 
     def test_symmetry(self):
         for n in range(1, 7):

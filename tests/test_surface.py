@@ -76,7 +76,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2787
+SOURCE_LINES = 2782
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
