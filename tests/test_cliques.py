@@ -30,6 +30,7 @@ from weaksep.cliques import (
     _branch_and_bound,
     _bron_kerbosch,
     _clique_census,
+    _clique_sizes,
     _co_components,
     _degree_ordered,
 )
@@ -441,6 +442,31 @@ class TestCliqueCensus:
         for g in graphs:
             same_visits(g)
 
+    def test_relabelled_census_matches_given_order(self):
+        # _clique_sizes counts on the graph relabelled by ascending degree,
+        # census_sizes in the given order
+        rng = random.Random(28)
+        graphs = [[], [0], [0, 0], [2, 1]]
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            graphs += [random_graph(rng, m, density) for m in (3, 7, 12, rng.randint(13, 40), 40)]
+        for n in (4, 6, 8):
+            graphs += [list(build_compat_graph(dom).adj) for dom in complementary_pair_domains(n)]
+        assert len(graphs) == 4 + 25 + 1 + 7 + 31
+        for adj in graphs:
+            plain = []
+            plain_bron_kerbosch(adj, [1 << v for v in range(len(adj))], plain.append)
+            assert _clique_sizes(adj) == census_sizes(adj) == size_counts(plain), adj
+
+    def test_relabelled_pair_domains(self):
+        # five seeded relabellings each of runs (4,1,1,4) at n=10 and (3,3,3,3) at n=12
+        rng = random.Random(29)
+        i = sub([1, 2, 3, 7, 8, 9], 12)
+        for dom, sizes in ((unbalanced_ten(), {21: 6740, 22: 46018}), (build_domain_AIJ(i, i.complement()), {24: 73984})):
+            adj = build_compat_graph(dom).adj
+            m = len(adj)
+            for trial in range(5):
+                assert _clique_sizes(permuted(adj, rng.sample(range(m), m))) == sizes, (m, trial)
+
     def test_moon_moser_extremes_do_not_carry(self, monkeypatch):
         # complete multipartite graphs with parts of three, and one part of
         # two or four, have the most maximal cliques of any graph on m
@@ -474,7 +500,7 @@ def test_kernels_leave_no_reference_cycles():
     # so a call leaves nothing for the cycle collector to find
     dom = unbalanced_ten()
     g = build_compat_graph(dom)
-    adj = _degree_ordered(g.adj)
+    adj = _degree_ordered(g.adj, True)
     calls = [
         lambda: _bron_kerbosch(g.adj, [1] * len(g), [].append),
         lambda: stopped_enumeration(g.adj, 10),
@@ -498,15 +524,16 @@ def test_kernels_leave_no_reference_cycles():
 class TestDegreeOrdered:
     @staticmethod
     def check(adj):
-        """``_degree_ordered`` is ``permuted`` under the degree order, ties by index."""
+        """``_degree_ordered`` is ``permuted`` under the degree order, either way, ties by index."""
         m = len(adj)
-        by_degree = sorted(range(m), key=lambda v: (-adj[v].bit_count(), v))
-        label = [0] * m
-        for i, v in enumerate(by_degree):
-            label[v] = i
-        out = _degree_ordered(adj)
-        assert out == permuted(adj, label)
-        assert [row.bit_count() for row in out] == sorted((row.bit_count() for row in adj), reverse=True)
+        for descending, sign in ((True, -1), (False, 1)):
+            by_degree = sorted(range(m), key=lambda v: (sign * adj[v].bit_count(), v))
+            label = [0] * m
+            for i, v in enumerate(by_degree):
+                label[v] = i
+            out = _degree_ordered(adj, descending)
+            assert out == permuted(adj, label), descending
+            assert [row.bit_count() for row in out] == sorted((row.bit_count() for row in adj), reverse=descending)
 
     def test_up_to_two_vertices(self):
         # itemgetter of one index returns a string, of none it raises
@@ -600,7 +627,7 @@ def checked_split(adj):
 
 def unsplit_max(adj):
     """The branch and bound on all vertices at once, as before the split."""
-    return _branch_and_bound(_degree_ordered(adj), (1 << len(adj)) - 1)
+    return _branch_and_bound(_degree_ordered(adj, True), (1 << len(adj)) - 1)
 
 
 class TestJoinSplit:
@@ -664,7 +691,34 @@ class TestJoinSplit:
             assert max_clique_size(g) == unsplit_max(g.adj), dom
 
 
+def dihedral_orbits(n):
+    """The non-separated complementary pairs of half-size sets, by orbit of rotation and reflection.
+
+    A_{I,J} is A_{J,I}, so each pair is named by its set holding 1.
+    """
+    orbits = {}
+    for a in (Subset.of(c, n) for c in itertools.combinations(range(1, n + 1), n // 2) if 1 in c):
+        if circle_partition(a).u < 2:
+            continue
+        images = [b.rotate(r) for b in (a, Subset.of([n + 1 - x for x in a.elements()], n)) for r in range(n)]
+        key = min(b.mask if 1 in b.elements() else b.complement().mask for b in images)
+        orbits.setdefault(key, []).append(a)
+    return list(orbits.values())
+
+
 class TestPurityReport:
+    def test_orbit_invariance(self):
+        # rotation and reflection only relabel a domain's graph, so every
+        # member of an orbit has one census
+        for n in (4, 6, 8):
+            for orbit in dihedral_orbits(n):
+                sizes = [purity_report(build_domain_AIJ(a, a.complement())).clique_sizes for a in orbit]
+                assert all(s == sizes[0] for s in sizes), orbit
+        orbit = next(o for o in dihedral_orbits(10) if sub([1, 2, 3, 5, 10], 10) in o)
+        assert len(orbit) == 10
+        for a in orbit:
+            assert purity_report(build_domain_AIJ(a, a.complement())).clique_sizes == {21: 6740, 22: 46018}, a
+
     def test_grassmannian_rank(self):
         full = Collection(Subset.of(c, 6) for c in itertools.combinations(range(1, 7), 3))
         rep = purity_report(full, "weak")
