@@ -4,12 +4,12 @@ The mutation graph is implicit: nodes are canonical collections, edges are
 single square moves.  Inside the engine a collection of the C(n,k) grid is
 one int with a bit per grid set (``_Grid``), from seeding to the explored
 graph; nodes are decoded to sorted mask tuples only at the public boundary.
-Each grid keeps one table entry per set: its squares, flat, and the moves
-they give for each pattern of held side sets, so expanding a node is one
-lookup per member with a square; the cyclic intervals have none and never
-move.  Seeding stops at the budget and counts the seeds past it by census.
-Exploration is breadth-first with canonical-order frontiers, so node
-streams, distances, and witness paths are deterministic.
+Each grid keeps one table entry per set: its squares, flat, and the (flip,
+move) pairs of each pattern of held side sets, so expanding a node is one
+lookup per member with a square and a child is ``node ^ flip``; the cyclic
+intervals have no square.  Seeding stops at the budget and counts the rest by
+census; a seed layer moves only its side's set.  Exploration is breadth-first
+with canonical-order frontiers, so streams, distances and paths are deterministic.
 """
 
 from __future__ import annotations
@@ -167,22 +167,21 @@ def _grid(n: int, k: int) -> _Grid:
     return _Grid(n, k)
 
 
-def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
-    """Every applicable square move of a node, as (child, move) pairs.
+def _neighbors(grid: _Grid, node: int, members: int = -1) -> list[tuple[int, tuple]]:
+    """The applicable square moves of the node's members in ``members``, as (flip, move) pairs.
 
     No maximality contract here; callers guarantee it.  A move applies when
-    the node has all its side bits, and the child flips the bits of the
-    removed and the added set.  Members are walked from the high bit down,
-    that is in ascending mask order, each with its moves in ``squares`` order;
-    members in ``grid.idle`` have no square, list no move and are skipped.
-    A member's moves depend only on the side sets the node holds, so they
-    are kept as flips (removed bit ^ added bit, move) under that pattern in
-    the member's ``grid.table`` entry, built on the pattern's first visit.
+    the node has all its side bits; its child is ``node ^ flip``, flip being
+    the bits of the removed and the added set.  The pairs are the table's own
+    tuples, so none is built per child.  Members are walked from the high bit
+    down, that is in ascending mask order, each with its moves in ``squares``
+    order; idle members (no square) and those outside ``members`` are skipped.
+    A member's moves depend only on the side sets the node holds, so they are
+    kept under that pattern in its ``grid.table`` entry, built on first visit.
     """
     out = []
-    append = out.append
     table = grid.table
-    rest = node & ~grid.idle
+    rest = node & members & ~grid.idle
     while rest:
         pos = rest.bit_length() - 1
         bit = 1 << pos
@@ -197,8 +196,7 @@ def _neighbors(grid: _Grid, node: int) -> list[tuple[int, tuple]]:
                 if held & sides == sides:
                     flips.append((bit ^ grid[move[5]], move))
             flips = known[held] = tuple(flips)
-        for flip, move in flips:
-            append((node ^ flip, move))
+        out += flips
     return out
 
 
@@ -206,10 +204,11 @@ def _check_applicable(c: Collection, m: SquareMove) -> tuple[_Grid, int]:
     """The grid of c and the child node of m's exchange.
 
     Raises NotMaximal unless c is maximal, as ``find_square_moves`` does, and
-    ValueError unless c holds m's removed set and ``_neighbors`` lists the
-    exchange.  The one applicability rule: a listed move with the same s and
-    the same child fixes {a, c} and {b, d}, so exactly the four labellings of
-    a listed square are accepted.
+    ValueError unless ``_neighbors`` lists the exchange among the moves of a
+    held removed set.  The one applicability rule: a listed move with the same
+    s and the same child fixes {a, c} and {b, d}, so exactly the four
+    labellings of a listed square are accepted.  A listed move removes a held
+    set, so only one of m's removed set gives that child: its entry decides.
     """
     grid = _check_maximal(c)
     n, s = c.n, m.s.mask
@@ -217,10 +216,9 @@ def _check_applicable(c: Collection, m: SquareMove) -> tuple[_Grid, int]:
         removed, added = m.removed.mask, m.added.mask
         if removed.bit_count() == added.bit_count() == grid.k:
             node, bit = grid.node(c.masks), grid[removed]
-            # without the held removed set, the inverse square would give the same child
-            child = node ^ bit ^ grid[added]
-            if node & bit and any(move[0] == s and nxt == child for nxt, move in _neighbors(grid, node)):
-                return grid, child
+            flip = bit ^ grid[added]
+            if any(move[0] == s and f == flip for f, move in _neighbors(grid, node, bit)):
+                return grid, node ^ flip
     raise ValueError("move is not applicable to this collection")
 
 
@@ -302,8 +300,8 @@ def explore_mutation_graph(seed: Collection, budget: int = DEFAULT_BUDGET) -> Mu
     while frontier:
         layer = set()
         for node in frontier:
-            for child, _ in _neighbors(grid, node):
-                if child in done:
+            for flip, _ in _neighbors(grid, node):
+                if (child := node ^ flip) in done:
                     edges += 1
                 elif child not in visited:
                     layer.add(child)
@@ -382,7 +380,10 @@ def mutation_distance(
     whole, smaller frontier first.  A node met while one side grows to depth
     d has depth sum at most d plus the other side's depth, so the first layer
     where the sides meet holds the distance: the least depth sum met there,
-    ties going to the largest int, which is the smallest tuple.
+    ties going to the largest int, which is the smallest tuple.  Seeds are all
+    listed before the BFS, so a seed layer moves only its side's set: any
+    other move keeps the set and leads to a seed; the kept children, and so
+    every parent, meet, path and count, are those of an all-member scan.
     """
     _check_pair(i, j)
     n, k = i.n, len(i)
@@ -422,11 +423,12 @@ def mutation_distance(
         if sum(map(len, sides)) >= budget:
             return DistanceResult(None, (), None, None, sum(map(len, sides)))
         side, other, depth = sides[grow], sides[1 - grow], depths[grow] + 1
+        members = grid[(i, j)[grow].mask] if depths[grow] == 0 else -1
         layer: dict[int, tuple] = {}
         # descending ints are ascending tuples, the canonical expansion order
         for node in sorted(frontiers[grow], reverse=True):
-            for child, move in _neighbors(grid, node):
-                if child not in side and child not in layer:
+            for flip, move in _neighbors(grid, node, members):
+                if (child := node ^ flip) not in side and child not in layer:
                     layer[child] = (node, move, depth)
                     if child in other:
                         total = depth + other[child][2]
@@ -450,12 +452,10 @@ def mutation_distance(
 
 def _walk_back(node: int, side: dict) -> tuple[list[tuple], int]:
     moves = []
-    cur = node
-    while side[cur][0] is not None:
-        parent, move, _ = side[cur]
+    while side[node][0] is not None:
+        node, move, _ = side[node]
         moves.append(move)
-        cur = parent
-    return moves, cur
+    return moves, node
 
 
 def _grid_completion(i: Subset, j: Subset) -> Collection:

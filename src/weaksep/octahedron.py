@@ -230,11 +230,11 @@ def check_projection_laws(
     consistent = True
     for node in graph.ints:
         consistent &= _interior_pair(project(node)) is None
-        for child, (s, a, b, c, d, added) in _neighbors(grid, node):
+        for flip, (s, a, b, c, d, added) in _neighbors(grid, node):
             checked += 1
             sign = _shift_sign(a, b, c, d, windows)
             if sign is None:
-                consistent &= set(project(node)) == set(project(child))
+                consistent &= set(project(node)) == set(project(node ^ flip))
             else:
                 src = _counts(s | 1 << (a - 1) | 1 << (c - 1), windows)
                 dst = _counts(added, windows)

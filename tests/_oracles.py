@@ -6,8 +6,10 @@ predicates and full subset enumeration for maximal cliques.  The three
 exceptions are ``plain_bron_kerbosch``, the unfolded kernel that the library's
 enumeration replaced, kept so that the two can be compared on graphs too
 large for brute force, ``naive_chord_chain``, the backtracking search
-that the library's chord chain walk replaced, and ``all_member_neighbors``,
-the node expansion that the library's skip of square-less members replaced.
+that the library's chord chain walk replaced, ``all_member_neighbors``,
+the node expansion that the library's skip of square-less members replaced,
+and ``all_member_distance``, the distance search that moved every member of
+its seed layers.
 """
 
 import itertools
@@ -130,7 +132,7 @@ def plain_bron_kerbosch(adj, weight, visit) -> None:
 
 
 def all_member_neighbors(grid, node) -> list[tuple]:
-    """The (child, move) pairs of a node of a ``mutations._Grid``, from every member.
+    """The (flip, move) pairs of a node of a ``mutations._Grid``, from every member.
 
     The expansion loop that ``mutations._neighbors`` ran before it skipped the
     members without a square: each member, from the high bit down, reads its
@@ -146,8 +148,48 @@ def all_member_neighbors(grid, node) -> list[tuple]:
         held = node & near
         if held not in known:
             known[held] = tuple((bit ^ grid[move[5]], move) for sides, move in squares if held & sides == sides)
-        out += [(node ^ flip, move) for flip, move in known[held]]
+        out += known[held]
     return out
+
+
+def all_member_distance(grid, seeds, budget) -> tuple:
+    """The bidirectional BFS that ``mutations.mutation_distance`` ran before seed layers moved one set.
+
+    ``seeds`` holds both sides' seed nodes, listed whole; every layer, the
+    seed layers too, is expanded by ``all_member_neighbors``.  Returns
+    (distance, path, source, target, nodes_explored), the path as (s, a, b,
+    c, d) tuples from source to target and the two ends as nodes.
+    """
+    sides = [dict.fromkeys(found, (None, None, 0)) for found in seeds]
+    frontiers, depths, best = list(sides), [0, 0], None
+    while best is None:
+        grow = min([s for s in (1, 0) if frontiers[s]], key=lambda s: len(frontiers[s]))
+        if sum(map(len, sides)) >= budget:
+            return None, (), None, None, sum(map(len, sides))
+        side, other, depth = sides[grow], sides[1 - grow], depths[grow] + 1
+        layer = {}
+        for node in sorted(frontiers[grow], reverse=True):
+            for flip, move in all_member_neighbors(grid, node):
+                child = node ^ flip
+                if child not in side and child not in layer:
+                    layer[child] = (node, move, depth)
+                    if child in other:
+                        total = depth + other[child][2]
+                        if best is None or total < best or (total == best and child > meet):
+                            best, meet = total, child
+        side.update(layer)
+        frontiers[grow], depths[grow] = layer, depth
+    ends, halves = [], []
+    for side in sides:
+        node, moves = meet, []
+        while side[node][0] is not None:
+            node, move, _ = side[node]
+            moves.append(move[:5])
+        ends.append(node)
+        halves.append(moves)
+    # the target side's moves run backwards: b, c, d, a become a, b, c, d
+    back = [(s, d, a, b, c) if d < b else (s, b, c, d, a) for s, a, b, c, d in halves[1]]
+    return best, (*reversed(halves[0]), *back), ends[0], ends[1], sum(map(len, sides))
 
 
 def naive_no_interior(sets: list[set], split: tuple) -> tuple[int, int] | None:

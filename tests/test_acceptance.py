@@ -284,7 +284,8 @@ def test_criterion_09_necklaces():
                 while frontier:
                     nxt = []
                     for node in frontier:
-                        for child, _ in _neighbors(grid, node):
+                        for flip, _ in _neighbors(grid, node):
+                            child = node ^ flip
                             if child in nodes and child not in seen:
                                 seen.add(child)
                                 nxt.append(child)

@@ -266,7 +266,7 @@ class TestInternalErrors:
     def test_disjoint_frontiers(self, monkeypatch, capsys):
         # with no square moves the two seed sets, which share no collection,
         # can never meet, so mutation_distance raises its own RuntimeError
-        monkeypatch.setattr(mutations, "_neighbors", lambda grid, node: [])
+        monkeypatch.setattr(mutations, "_neighbors", lambda grid, node, members=-1: [])
         argv = ["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6"]
         message = (
             "both frontiers exhausted without meeting; the mutation graph "

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from _oracles import (
+    all_member_distance,
     all_member_neighbors,
     naive_is_maximal,
     naive_square_moves,
@@ -156,9 +157,9 @@ class TestFindSquareMoves:
         for n, k in ((6, 3), (7, 3)):
             grid = _grid(n, k)
             for node in explored(n, k).nodes:
-                for child, (s, a, b, c, d, to) in _neighbors(grid, grid.node(node)):
+                for flip, (s, a, b, c, d, to) in _neighbors(grid, grid.node(node)):
                     removed = s | 1 << (a - 1) | 1 << (c - 1)
-                    assert set(grid.masks(child)) == set(node) - {removed} | {to}
+                    assert set(grid.masks(grid.node(node) ^ flip)) == set(node) - {removed} | {to}
 
 
 class TestApplySquareMove:
@@ -506,12 +507,12 @@ class TestGrid:
 
 
 def scanned_neighbors(grid, node):
-    """The moves of a node by a direct scan of its members' squares, in ascending mask order."""
+    """The (flip, move) pairs of a node by a direct scan of its members' squares, in mask order."""
     out = []
     for x in grid.masks(node):
         for sides, move in grid.entry(grid[x].bit_length() - 1)[1]:
             if node & sides == sides:
-                out.append((node ^ grid[x] ^ grid[move[5]], move))
+                out.append((grid[x] ^ grid[move[5]], move))
     return out
 
 
@@ -579,6 +580,56 @@ class TestIdleMembers:
             assert _neighbors(graph.grid, node) == all_member_neighbors(fresh, fresh.node(masks)), masks
         # every set lies in an explored node, so every entry is built
         assert graph.grid.idle == graph.grid.node(boundary_intervals(k, n).masks)
+
+
+def dihedral_orbit_members(n, k):
+    """One non-separated pair of k-sets of [n] per orbit of the dihedral group, the least in it."""
+    def images(mask):
+        turns = [(mask << r | mask >> n - r) & (1 << n) - 1 for r in range(n)]
+        return turns + [sum(1 << n - 1 - i for i in range(n) if t >> i & 1) for t in turns]
+
+    for i, j in itertools.combinations(_whole_grid(n, k), 2):
+        s, t = Subset(i, n), Subset(j, n)
+        if not is_weakly_separated(s, t) and [i, j] == min(map(sorted, zip(images(i), images(j)))):
+            yield s, t
+
+
+class TestSeedLayer:
+    """A seed layer moves only its side's set; the search is that of an all-member scan."""
+
+    @pytest.mark.parametrize("n, k", [(6, 3), (7, 3)])
+    def test_seed_children_are_those_that_drop_the_set(self, n, k):
+        grid = _grid(n, k)
+        dropped = 0
+        for x in _whole_grid(n, k):
+            bit = grid[x]
+            for seed in _maximal_collections_containing(Subset(x, n), grid, 10**6):
+                listed = [(seed ^ flip, move) for flip, move in _neighbors(grid, seed, bit)]
+                every = [(seed ^ flip, move) for flip, move in _neighbors(grid, seed)]
+                assert listed == [(child, move) for child, move in every if not child & bit], (x, seed)
+                dropped += len(listed)
+        assert dropped > 0
+
+    @staticmethod
+    def assert_matches_all_member_search(s, t, big=False):
+        grid = _grid(s.n, len(s))
+        seeds = [_maximal_collections_containing(x, grid, 10**6) for x in (s, t)]
+        r = mutation_distance(s, t, big=big)
+        path = tuple((m.s.mask, m.a, m.b, m.c, m.d) for m in r.path)
+        got = (r.distance, path, grid.node(r.source.masks), grid.node(r.target.masks), r.nodes_explored)
+        assert got == all_member_distance(grid, seeds, 10**6), (s, t)
+
+    def test_distances_match_an_all_member_search_to_n7(self):
+        pairs = list(non_separated_pairs(7))
+        for s, t in pairs:
+            self.assert_matches_all_member_search(s, t)
+        assert len(pairs) == 456
+
+    def test_distances_match_an_all_member_search_on_n8_orbits(self):
+        pairs = list(dihedral_orbit_members(8, 4))
+        for s, t in pairs:
+            self.assert_matches_all_member_search(s, t, big=True)
+        assert len(pairs) == 65
 
 
 class TestSeeding:

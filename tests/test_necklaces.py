@@ -332,7 +332,8 @@ class TestNecklacePurity:
                 while frontier:
                     nxt = []
                     for node in frontier:
-                        for child, _ in _neighbors(grid, node):
+                        for flip, _ in _neighbors(grid, node):
+                            child = node ^ flip
                             if child in node_set and child not in seen:
                                 seen.add(child)
                                 nxt.append(child)
