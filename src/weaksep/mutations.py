@@ -8,8 +8,8 @@ Each grid keeps one table entry per set: its squares, flat, and the (flip,
 move) pairs of each pattern of held side sets, so expanding a node is one
 lookup per member with a square and a child is ``node ^ flip``; the cyclic
 intervals have no square.  Seeding stops at the budget and counts the rest by
-census; a seed layer moves only its side's set.  Exploration is breadth-first
-with canonical-order frontiers, so streams, distances and paths are deterministic.
+census, a complementary pair's once; a seed layer moves only its side's set.
+Breadth-first layers run in canonical order: streams, distances, paths are deterministic.
 """
 
 from __future__ import annotations
@@ -376,14 +376,17 @@ def mutation_distance(
     """Minimum number of square moves from a collection holding i to one holding j.
 
     Bidirectional layered BFS over the implicit graph: sources are all maximal
-    collections containing i, targets all containing j.  Layers are expanded
-    whole, smaller frontier first.  A node met while one side grows to depth
-    d has depth sum at most d plus the other side's depth, so the first layer
-    where the sides meet holds the distance: the least depth sum met there,
-    ties going to the largest int, which is the smallest tuple.  Seeds are all
-    listed before the BFS, so a seed layer moves only its side's set: any
-    other move keeps the set and leads to a seed; the kept children, and so
-    every parent, meet, path and count, are those of an all-member scan.
+    collections containing i, targets all containing j.  Side j may seed what
+    side i leaves of the budget; seeds past it are only counted.  Complement
+    maps the seeds of i one-to-one onto those of [n] - i, so a complementary
+    side j takes side i's count once that reaches half the budget.  Layers are
+    expanded whole, smaller frontier first.  A node met while one side grows
+    to depth d has depth sum at most d plus the other side's depth, so the
+    first layer where the sides meet holds the distance: the least depth sum
+    met there, ties going to the largest int, which is the smallest tuple.
+    Seeds are all listed before the BFS, so a seed layer moves only its side's
+    set: any other move keeps the set and leads to a seed; the kept children,
+    and so every parent, meet, path and count, are those of an all-member scan.
     """
     _check_pair(i, j)
     n, k = i.n, len(i)
@@ -396,21 +399,18 @@ def mutation_distance(
         return DistanceResult(0, (), both, both, 0)
 
     grid = _grid(n, k)
-    # side j may seed what side i leaves of the budget; seeds past it are only counted
     seeds, total = [], 0
     for x in (i, j):
-        found = _maximal_collections_containing(x, grid, budget - total)
+        twin = seeds and i.mask ^ j.mask == (1 << n) - 1 and 2 * total >= budget
+        found = total if twin else _maximal_collections_containing(x, grid, budget - total)
         seeds.append(found)
         total += found if isinstance(found, int) else len(found)
     if total >= budget:
         return DistanceResult(None, (), None, None, total)
     # per side, 0 from i and 1 from j: node -> (parent, move, depth); roots have parent None.
     # No collection holds both i and j, so the seeds of the two sides never meet.
-    root = (None, None, 0)
-    sides = [dict.fromkeys(found, root) for found in seeds]
-    frontiers = list(sides)
-    depths = [0, 0]
-    best: int | None = None
+    sides = [dict.fromkeys(found, (None, None, 0)) for found in seeds]
+    frontiers, depths, best = list(sides), [0, 0], None
     while best is None:
         # the smaller non-empty frontier grows; a tie grows the j side
         live = [s for s in (1, 0) if frontiers[s]]

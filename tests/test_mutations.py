@@ -669,6 +669,76 @@ class TestSeeding:
                     assert _maximal_collections_containing(s, table, cap) == len(seeds), (n, combo, cap)
 
 
+class TestTwinSeeds:
+    """Complement maps the seeds of i one-to-one onto those of [n] - i, so a twin side is only counted."""
+
+    def test_complements_have_as_many_seeds(self):
+        classes = 0
+        for n in (2, 4, 6, 8):
+            table, full = _grid(n, n // 2), (1 << n) - 1
+            for x in _whole_grid(n, n // 2):
+                if x < x ^ full:
+                    s, t = Subset(x, n), Subset(x ^ full, n)
+                    count = len(_maximal_collections_containing(s, table, 10**6))
+                    assert len(_maximal_collections_containing(t, table, 10**6)) == count, s
+                    # past a smaller cap both are counted by census
+                    assert _maximal_collections_containing(s, table, count // 2) == count, s
+                    assert _maximal_collections_containing(t, table, count // 2) == count, s
+                    classes += 1
+        assert classes == 49
+        i = sub([1, 2, 3, 6, 7], 10)
+        table = _grid(10, 5)
+        assert [_maximal_collections_containing(s, table, 0) for s in (i, i.complement())] == [244037] * 2
+
+    def test_budgets_around_the_seed_counts_match_an_independent_seeding(self):
+        # every complementary orbit to n = 8 and every other orbit whose sides
+        # have unequal seed counts, seeded from the plain kernel on the whole
+        # grid; budgets straddle side i's count c and the twin total 2c
+        twins = others = 0
+        for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (8, 4)):
+            table, whole = _grid(n, k), build_compat_graph(grid(n, k))
+            every: list[int] = []
+            plain_bron_kerbosch(whole.adj, list(map(table.__getitem__, whole.vertices.masks)), every.append)
+            for s, t in dihedral_orbit_members(n, k):
+                seeds = [[w for w in every if w & table[x.mask]] for x in (s, t)]
+                twin = s.mask ^ t.mask == (1 << n) - 1
+                if not twin and len(seeds[0]) == len(seeds[1]):
+                    continue
+                twins, others = twins + twin, others + (not twin)
+                c = len(seeds[0])
+                for budget in (c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1):
+                    r = mutation_distance(s, t, budget=budget, big=True)
+                    path = tuple((m.s.mask, m.a, m.b, m.c, m.d) for m in r.path)
+                    ends = tuple(None if e is None else table.node(e.masks) for e in (r.source, r.target))
+                    got = (r.distance, path, *ends, r.nodes_explored)
+                    assert got == all_member_distance(table, seeds, budget), (s, t, budget)
+        assert (twins, others) == (9, 78)
+
+    def test_a_twin_past_the_budget_is_seeded_once(self, monkeypatch):
+        calls = []
+
+        def counted(s, grid, cap):
+            calls.append(s)
+            return _maximal_collections_containing(s, grid, cap)
+
+        monkeypatch.setattr(mutations, "_maximal_collections_containing", counted)
+        i = sub([1, 2, 3, 6, 7], 10)
+        r = mutation_distance(i, i.complement(), budget=20000, big=True)
+        assert (r.to_json(), calls) == ({"distance": "budget-exhausted", "nodes_explored": 488074, "path": []}, [i])
+        # 390 seeds per side: under the budget a twin is still listed
+        s, t = sub([1, 2, 5, 6], 8), sub([3, 4, 7, 8], 8)
+        for budget, seeded in [(780, [s]), (781, [s, t])]:
+            calls.clear()
+            mutation_distance(s, t, budget=budget, big=True)
+            assert calls == seeded, budget
+        # a pair that is not complementary seeds both sides, however small the budget
+        s, t = sub([1, 2, 3, 6, 7], 10), sub([3, 4, 5, 8, 9], 10)
+        for budget in (0, 20000):
+            calls.clear()
+            r = mutation_distance(s, t, budget=budget, big=True)
+            assert calls == [s, t] and r.budget_exhausted, budget
+
+
 @pytest.mark.skipif(os.environ.get("WEAKSEP_LONG") != "1", reason="runs under WEAKSEP_LONG=1")
 class TestBigGrid:
     def test_ten_four_run_pair_seed_count(self):
