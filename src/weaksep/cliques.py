@@ -16,15 +16,17 @@ base-2^digit digits count the cliques per size, memoised under ``P << m | X``,
 and a branch met again costs one add.  Moon and Moser's bound of 3^(m/3)
 maximal cliques on m vertices sets the digit width, so no digit carries.  The
 maximum splits the graph into the components of its complement, whose maxima
-add up, and runs the branch and bound on each part of more than one vertex,
-relabelled by non-increasing degree.  The census runs unsplit, relabelled by
-non-decreasing degree, enumeration in the domain's order: both check the maximum.
+add up, and runs the branch and bound on each part of three or more vertices,
+relabelled by non-increasing degree; given automorphisms, its root drops each
+searched vertex's orbit.  The census runs unsplit, relabelled by non-decreasing
+degree, enumeration in the domain's order: both check the maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ground import (
@@ -432,18 +434,23 @@ def _co_components(adj: Sequence[int]) -> list[int]:
     return parts
 
 
-def _branch_and_bound(adj: Sequence[int], p: int) -> int:
+def _branch_and_bound(adj: Sequence[int], p: int, orbit: Callable[[int], int] | None = None) -> int:
     """The largest clique inside the vertex set ``p``, by greedy-coloring bounds.
 
     A branch colours its candidates greedily, lowest index first, into
     classes of one bitset each (San Segundo et al. 2011), then branches from
     the highest colour down, highest index first within a class, until the
     colour cannot lift it past the best: Tomita et al.'s order (WALCOM 2010).
+
+    ``orbit(v)``, if given, is v's orbit as a bitset under a group of automorphisms
+    that each map ``p`` onto or off itself, as for a join part.  Once the root has
+    searched v it drops v's whole orbit, members still waiting in its classes
+    too: p stays a union of orbits, so an image of v has a best clique as large.
     """
     best = 0
     rest = [~(row | 1 << v) for v, row in enumerate(adj)]  # v's non-neighbours, which may join its class
 
-    def expand(size: int, p: int) -> None:
+    def expand(size: int, p: int, orbit: Callable[[int], int] | None = None) -> None:
         nonlocal best
         classes = []
         uncolored = p
@@ -463,44 +470,70 @@ def _branch_and_bound(adj: Sequence[int], p: int) -> int:
                 v = cls.bit_length() - 1
                 b = 1 << v
                 cls ^= b
+                if not p & b:
+                    continue  # the root dropped it with the orbit of a vertex it searched
                 nxt = p & adj[v]
                 if nxt:
                     expand(size + 1, nxt)
                 elif size + 1 > best:
                     best = size + 1
-                p ^= b
+                p &= ~orbit(v) if orbit else ~b
 
-    expand(0, p)
+    expand(0, p, orbit)
     expand = None  # it names itself, a cycle that would hold adj until a full collection
     return best
 
 
-def _degree_ordered(adj: Sequence[int], descending: bool) -> list[int]:
-    """The graph relabelled by degree, highest first if ``descending`` else lowest first, ties by index.
+def _degree_order(adj: Sequence[int], descending: bool) -> list[int]:
+    """The vertices by degree, highest first if ``descending`` else lowest first, ties by index."""
+    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count() if descending else adj[v].bit_count(), v))
 
-    Descending, the colouring meets high-degree vertices first and bounds tighter
-    (Tomita et al. 2010); ascending, the census meets fewer branches (Eppstein et
-    al. 2010).  Each row's binary digits, lowest first, are picked in that order.
-    """
+
+def _relabelled(adj: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The graph with vertex ``order[t]`` renamed t: each row's binary digits, lowest first, picked in that order."""
     m = len(adj)
     if m <= 1:
         return list(adj)
-    by_degree = sorted(range(m), key=lambda v: (-adj[v].bit_count() if descending else adj[v].bit_count(), v))
-    pick, digits = itemgetter(*by_degree), f"0{m}b"
-    return [int("".join(pick(format(adj[v], digits)[::-1]))[::-1], 2) for v in by_degree]
+    pick, digits = itemgetter(*order), f"0{m}b"
+    return [int("".join(pick(format(adj[v], digits)[::-1]))[::-1], 2) for v in order]
 
 
-def max_clique_size(g: CompatGraph) -> int:
+def _degree_ordered(adj: Sequence[int], descending: bool) -> list[int]:
+    """The graph relabelled by ``_degree_order``.
+
+    Descending, the colouring meets high-degree vertices first and bounds tighter
+    (Tomita et al. 2010); ascending, the census meets fewer branches (Eppstein et
+    al. 2010).
+    """
+    return _relabelled(adj, _degree_order(adj, descending))
+
+
+def max_clique_size(g: CompatGraph, symmetries: Sequence[Callable[[int], int]] = ()) -> int:
     """Exact maximum-clique size: the sum of the maxima of the graph's join parts.
 
-    The parts are the complement's components.  A one-vertex part (a universal
-    vertex) adds 1; every other part runs the branch and bound alone.  The
-    enumerator stays unsplit, so the two answers still cross-check each other.
+    The parts are the complement's components.  A part of one vertex (a
+    universal vertex) or two (a non-edge) adds 1; every other part runs the
+    branch and bound alone, its root pruned by the orbits of the ``symmetries``
+    that fix it: maps of vertex masks that with the identity form a group of
+    automorphisms.  Without them the search is plain, and the enumerator stays
+    unsplit, so the answers cross-check each other.
     """
     # edges between parts are complete, so the global degree order restricted
     # to a part is the part's own degree order
-    adj = _degree_ordered(g.adj, True)
-    return sum(1 if part.bit_count() == 1 else _branch_and_bound(adj, part) for part in _co_components(adj))
+    order = _degree_order(g.adj, True)
+    adj, masks = _relabelled(g.adj, order), [g.vertices.masks[v] for v in order] if symmetries else []
+    index = {mask: 1 << t for t, mask in enumerate(masks)}
+
+    def largest(part: int) -> int:
+        # an automorphism permutes the parts, so it fixes this one or moves it off itself
+        kept = [f for f in symmetries if index[f(masks[(part & -part).bit_length() - 1])] & part]
+
+        def orbit(v: int) -> int:
+            return reduce(or_, (index[f(masks[v])] for f in kept), 1 << v)
+
+        return _branch_and_bound(adj, part, orbit if kept else None)
+
+    return sum(1 if part.bit_count() <= 2 else largest(part) for part in _co_components(adj))
 
 
 @dataclass(frozen=True)

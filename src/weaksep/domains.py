@@ -27,6 +27,7 @@ from .ground import (
     _check_ground_size,
     _check_pair,
     _check_same_ground,
+    _pair_symmetries,
     _power_set,
     _weakly_separated_masks,
     _whole_grid,
@@ -207,7 +208,7 @@ def cluster_distance(i: Subset, j: Subset, method: str = "exact") -> ClusterDist
     if method == "exact":
         m, n = len(i), i.n
         g = build_compat_graph(build_domain_AIJ(i, j), "weak")
-        return ClusterDistance(_grid_rank(n, m) - max_clique_size(g), True)
+        return ClusterDistance(_grid_rank(n, m) - max_clique_size(g, _pair_symmetries(i.mask, j.mask, n)), True)
     ctx = reduce_pair(i, j)
     assert ctx.partition is not None
     return ClusterDistance(_distance_form(ctx.k, ctx.partition.lengths), ctx.balanced)

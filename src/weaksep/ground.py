@@ -9,8 +9,9 @@ Gale order.  All values are immutable and all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_GROUND = 64
 
@@ -101,12 +102,8 @@ class Subset:
 
     def rotate(self, r: int) -> "Subset":
         """Shift every element by r positions around the circle (r may be negative)."""
-        n = self.n
-        r %= n
-        if r == 0:
-            return self
-        full = (1 << n) - 1
-        return Subset(((self.mask << r) | (self.mask >> (n - r))) & full, n)
+        r %= self.n
+        return Subset(_rotated(self.mask, r, self.n), self.n) if r else self
 
 
 def _whole_grid(n: int, k: int) -> Iterator[int]:
@@ -135,11 +132,41 @@ def _check_pair(i: Subset, j: Subset) -> None:
         raise ValueError(f"cardinalities differ: {len(i)} vs {len(j)}")
 
 
+def _rotated(mask: int, r: int, n: int) -> int:
+    """The mask with every element moved r places up around [n], 0 <= r < n; unchecked."""
+    return ((mask << r) | (mask >> (n - r))) & ((1 << n) - 1)
+
+
 def _arc(a: int, b: int, n: int) -> int:
     """Mask of the arc a, a+1, ..., b around [n], both ends taken mod n; unchecked."""
-    run = (1 << ((b - a) % n + 1)) - 1
-    a = (a - 1) % n
-    return ((run << a) | (run >> (n - a))) & ((1 << n) - 1)
+    return _rotated((1 << ((b - a) % n + 1)) - 1, (a - 1) % n, n)
+
+
+def _pair_symmetries(i: int, j: int, n: int) -> list[Callable[[int], int]]:
+    """The maps of masks other than the identity that send the pair {I, J}, of one size, onto itself.
+
+    The candidates are the n rotations, each with and without the reflection
+    x -> n+1-x and, when |I| = n/2, with and without complement.  They keep weak
+    separation between sets of one size, so a kept map is an automorphism of
+    A_{I,J}'s graph; with the identity the kept maps are the pair's stabilizer,
+    a group.  I's image is walked one shift per step, J's taken only on a hit.
+    """
+    found = []
+    for flip in (0, (1 << n) - 1) if 2 * i.bit_count() == n else (0,):
+        for mirror in (False, True) if n > 2 else (False,):  # below 3 the reflection is a rotation
+            a, b = _image(n, 0, mirror, flip, i), _image(n, 0, mirror, flip, j)
+            for r in range(n):
+                if a in (i, j) and {a, _rotated(b, r, n)} == {i, j} and (r or mirror or flip):
+                    found.append(partial(_image, n, r, mirror, flip))
+                a = _rotated(a, 1, n)
+    return found
+
+
+def _image(n: int, r: int, mirror: bool, flip: int, mask: int) -> int:
+    """The mask reflected by x -> n+1-x if ``mirror``, moved r places up, then xor ``flip``; unchecked."""
+    if mirror:  # the digits lowest first, read as a numeral of n digits, put bit t at bit n-1-t
+        mask = int(bin(mask)[:1:-1], 2) << n - mask.bit_length()
+    return _rotated(mask, r, n) ^ flip
 
 
 def cyclic_interval(a: int, b: int, n: int) -> Subset:

@@ -99,6 +99,25 @@ def naive_co_components(adj: list[int]) -> set[frozenset]:
     return set(group.values())
 
 
+def naive_pair_stabilizer(i: set, j: set, n: int) -> set[tuple]:
+    """The maps x -> r ± x of [n], with complement when |I| = n/2, that send {I, J} onto itself.
+
+    Each map is named by its images of {1}, ..., {n} and of the empty set, as
+    sets; the identity is left out, and maps that act alike are named once.
+    """
+    everything, found = set(range(1, n + 1)), set()
+    for r, sign in itertools.product(range(n), (1, -1)):
+        for flip in (False, True) if 2 * len(i) == n else (False,):
+            def image(s):
+                out = {(sign * (x - 1) + r) % n + 1 for x in s}
+                return everything - out if flip else out
+
+            if {frozenset(image(i)), frozenset(image(j))} == {frozenset(i), frozenset(j)}:
+                found.add(tuple(frozenset(image(s)) for s in [{x} for x in range(1, n + 1)] + [set()]))
+    found.discard(tuple(frozenset(s) for s in [{x} for x in range(1, n + 1)] + [set()]))
+    return found
+
+
 def plain_bron_kerbosch(adj, weight, visit) -> None:
     """Bron-Kerbosch with pivoting and no folding: every candidate is branched on.
 

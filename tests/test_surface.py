@@ -76,7 +76,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2782
+SOURCE_LINES = 2843
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
