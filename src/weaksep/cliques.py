@@ -1,10 +1,11 @@
 """Canonical collections, compatibility graphs, and exact clique machinery.
 
-A domain plus a pairwise predicate becomes a graph; maximal weakly separated
-collections are its maximal cliques.  Enumeration (Bron-Kerbosch with
-pivoting, forced candidates folded, branches of at most two candidates read
-off without recursing) and maximum-clique size (branch and bound with
-greedy colour classes as bitsets) are coded independently to cross-validate.
+A domain plus a pairwise relation becomes a graph, each vertex's row built
+by one walk over the elements; maximal weakly separated collections are its
+maximal cliques.  Enumeration (Bron-Kerbosch with pivoting, forced candidates
+folded, branches of at most two candidates read off without recursing) and
+maximum-clique size (branch and bound with greedy colour classes as bitsets)
+are coded independently to cross-validate.
 Bron-Kerbosch memoises each branch by its candidate and excluded sets, keyed
 ``~(P << m | X)``: a branch met again replays its recorded visits, in order,
 instead of recursing.  Records name their children by key, so the memo holds
@@ -34,6 +35,7 @@ from .ground import (
     Subset,
     _check_ground_size,
     _chord_separated_masks,
+    _separated_rows,
     _weakly_separated_masks,
 )
 
@@ -153,18 +155,17 @@ class CompatGraph:
 
 
 def build_compat_graph(domain: Collection, relation: str = "weak") -> CompatGraph:
-    """Materialize the graph whose edges are exactly the related pairs."""
-    pred = _relation_predicate(relation)
-    masks = domain.masks
-    m = len(masks)
-    adj = [0] * m
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if pred(mi, masks[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return CompatGraph(domain, tuple(adj))
+    """Materialize the graph whose edges are exactly the related pairs.
+
+    Row S is one walk of ``ground._separated_rows`` over the elements, which
+    labels every other set T with A at x in S\\T and B at x in T\\S: T is chord
+    separated from S iff the labels form at most three runs, one difference
+    surrounding the other, and weakly iff moreover they avoid ABA when |T| < |S|
+    and BAB when |T| > |S|, since the smaller difference must miss the other's
+    span and |S\\T| - |T\\S| = |S| - |T|.  No pair predicate is called.
+    """
+    _relation_predicate(relation)  # refuses an unknown relation
+    return CompatGraph(domain, tuple(_separated_rows(domain.masks, domain.n, relation == "weak")))
 
 
 # one bound, in branch records, for both memos below; the n = 10 seeding graph fills neither
@@ -508,32 +509,39 @@ def _degree_ordered(adj: Sequence[int], descending: bool) -> list[int]:
     return _relabelled(adj, _degree_order(adj, descending))
 
 
-def max_clique_size(g: CompatGraph, symmetries: Sequence[Callable[[int], int]] = ()) -> int:
+def max_clique_size(
+    g: CompatGraph, symmetries: Sequence[Callable[[int], int]] | Callable[[], Sequence[Callable[[int], int]]] = ()
+) -> int:
     """Exact maximum-clique size: the sum of the maxima of the graph's join parts.
 
     The parts are the complement's components.  A part of one vertex (a
     universal vertex) or two (a non-edge) adds 1; every other part runs the
     branch and bound alone, its root pruned by the orbits of the ``symmetries``
     that fix it: maps of vertex masks that with the identity form a group of
-    automorphisms.  Without them the search is plain, and the enumerator stays
+    automorphisms, or a function that lists them, called only if some part
+    is searched.  Without them the search is plain, and the enumerator stays
     unsplit, so the answers cross-check each other.
     """
     # edges between parts are complete, so the global degree order restricted
     # to a part is the part's own degree order
     order = _degree_order(g.adj, True)
-    adj, masks = _relabelled(g.adj, order), [g.vertices.masks[v] for v in order] if symmetries else []
+    adj = _relabelled(g.adj, order)
+    parts = _co_components(adj)
+    searched = [part for part in parts if part.bit_count() > 2]
+    maps = (symmetries() if callable(symmetries) else symmetries) if searched else ()
+    masks = [g.vertices.masks[v] for v in order] if maps else []
     index = {mask: 1 << t for t, mask in enumerate(masks)}
 
     def largest(part: int) -> int:
         # an automorphism permutes the parts, so it fixes this one or moves it off itself
-        kept = [f for f in symmetries if index[f(masks[(part & -part).bit_length() - 1])] & part]
+        kept = [f for f in maps if index[f(masks[(part & -part).bit_length() - 1])] & part]
 
         def orbit(v: int) -> int:
             return reduce(or_, (index[f(masks[v])] for f in kept), 1 << v)
 
         return _branch_and_bound(adj, part, orbit if kept else None)
 
-    return sum(1 if part.bit_count() <= 2 else largest(part) for part in _co_components(adj))
+    return len(parts) - len(searched) + sum(map(largest, searched))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .cliques import (
@@ -208,7 +209,8 @@ def cluster_distance(i: Subset, j: Subset, method: str = "exact") -> ClusterDist
     if method == "exact":
         m, n = len(i), i.n
         g = build_compat_graph(build_domain_AIJ(i, j), "weak")
-        return ClusterDistance(_grid_rank(n, m) - max_clique_size(g, _pair_symmetries(i.mask, j.mask, n)), True)
+        maps = partial(_pair_symmetries, i.mask, j.mask, n)  # listed only if a join part is searched
+        return ClusterDistance(_grid_rank(n, m) - max_clique_size(g, maps), True)
     ctx = reduce_pair(i, j)
     assert ctx.partition is not None
     return ClusterDistance(_distance_form(ctx.k, ctx.partition.lengths), ctx.balanced)

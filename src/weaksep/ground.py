@@ -3,7 +3,10 @@
 Everything downstream (domains, clique searches, necklaces, mutation graphs)
 consumes the vocabulary defined here: one-word bitmask subsets, cyclic
 intervals, the surrounds relation, weak and chord separation, and the shifted
-Gale order.  All values are immutable and all functions are pure.
+Gale order.  All values are immutable and all functions are pure.  The pair
+predicates have a row form, ``_separated_rows``, which decides one set against
+a whole list by the runs of labels A (only it holds the element) and B (only
+the other does), the predicates' surround rules read along one walk.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_GROUND = 64
 
@@ -210,6 +213,45 @@ def _chord_separated_masks(smask: int, tmask: int) -> bool:
     # Some arc holds S\T and misses T\S: a wrapping arc leaves T\S's span free
     # of S\T, and a plain one has S\T's span free of T\S.
     return _surrounds_masks(smask, tmask) or _surrounds_masks(tmask, smask)
+
+
+def _separated_rows(masks: Sequence[int], n: int, weak: bool) -> list[int]:
+    """Row v is the bitset of the masks weakly (else chord) separated from ``masks[v]``, itself left out.
+
+    For S = masks[v], walk the elements from n down to 1, labelling each other
+    T with A at x in S\\T and B at x in T\\S; three bitset steps per element mark
+    all the Ts whose labels so far hold A, AB, ABA, B, BA or BAB.  Labels in at
+    most three runs (A*B*A* or B*A*B*, one difference surrounding the other)
+    hold at most one of ABA and BAB, four or more runs both.
+    """
+    m, digits = len(masks), f"0{n}b"
+    full, texts = (1 << m) - 1, [format(s, digits) for s in masks]
+    # has[t]: the masks whose digit t is 1, highest element first as texts are
+    has = [int("".join(col)[::-1], 2) for col in zip(*texts)]
+    below = [0] * (n + 2)  # below[c]: the masks of fewer than c elements
+    for v, s in enumerate(masks):
+        below[s.bit_count() + 1] |= 1 << v
+    for c in range(1, n + 2):
+        below[c] |= below[c - 1]
+    rows = []
+    for v, text in enumerate(texts):
+        a = ab = aba = b = ba = bab = 0
+        for bit, col in zip(text, has):
+            if bit == "1":
+                col ^= full
+                aba |= ab & col
+                ba |= b & col
+                a |= col
+            else:
+                bab |= ba & col
+                ab |= a & col
+                b |= col
+        bad = aba & bab
+        if weak:
+            c = text.count("1")
+            bad |= aba & below[c] | bab & ~below[c + 1]
+        rows.append(full ^ bad ^ 1 << v)
+    return rows
 
 
 def surrounds(i: Subset, j: Subset) -> bool:

@@ -2,14 +2,15 @@
 
 Everything here works on plain Python sets and brute force, deliberately
 sharing no code with the package: definition-level scans for the separation
-predicates and full subset enumeration for maximal cliques.  The three
+predicates and full subset enumeration for maximal cliques.  The
 exceptions are ``plain_bron_kerbosch``, the unfolded kernel that the library's
 enumeration replaced, kept so that the two can be compared on graphs too
-large for brute force, ``naive_chord_chain``, the backtracking search
-that the library's chord chain walk replaced, ``all_member_neighbors``,
-the node expansion that the library's skip of square-less members replaced,
-and ``all_member_distance``, the distance search that moved every member of
-its seed layers.
+large for brute force, ``pairwise_adjacency``, the loop of one predicate
+call per pair that the library's row walk replaced, ``naive_chord_chain``,
+the backtracking search that the library's chord chain walk replaced,
+``all_member_neighbors``, the node expansion that the library's skip of
+square-less members replaced, and ``all_member_distance``, the distance
+search that moved every member of its seed layers.
 """
 
 import itertools
@@ -42,6 +43,28 @@ def naive_chord_separated(s: set, t: set, n: int) -> bool:
             if (a < b < c) != (a < d < c):
                 return False
     return True
+
+
+def naive_relation_rows(n: int, relation: str) -> list[int]:
+    """Row s: the masks t != s of the power set of [n] related to mask s, as a bitset over masks."""
+    sets = [{x + 1 for x in range(n) if m >> x & 1} for m in range(1 << n)]
+    rows = [0] * (1 << n)
+    for a, b in itertools.combinations(range(1 << n), 2):
+        s, t = sets[a], sets[b]
+        if naive_weakly_separated(s, t) if relation == "weak" else naive_chord_separated(s, t, n):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+def pairwise_adjacency(masks, related) -> tuple:
+    """The compatibility rows by one call of ``related`` per pair of masks."""
+    adj = [0] * len(masks)
+    for u, v in itertools.combinations(range(len(masks)), 2):
+        if related(masks[u], masks[v]):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(adj)
 
 
 def naive_cyclic_run(a: int, b: int, n: int) -> set:

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -23,7 +24,7 @@ from weaksep import (
     purity_report,
     unbalanced_witness,
 )
-from weaksep import cliques
+from weaksep import cliques, ground
 from weaksep.cliques import (
     CompatGraph,
     PurityReport,
@@ -34,10 +35,18 @@ from weaksep.cliques import (
     _co_components,
     _degree_ordered,
 )
-from weaksep.ground import _power_set, _weakly_separated_masks, _whole_grid
+from weaksep.ground import _chord_separated_masks, _power_set, _weakly_separated_masks, _whole_grid
 from weaksep.mutations import _grid, _maximal_collections_containing
 
-from _oracles import naive_co_components, naive_maximal_cliques, plain_bron_kerbosch
+from _oracles import (
+    naive_chord_separated,
+    naive_co_components,
+    naive_maximal_cliques,
+    naive_relation_rows,
+    naive_weakly_separated,
+    pairwise_adjacency,
+    plain_bron_kerbosch,
+)
 
 LONG = os.environ.get("WEAKSEP_LONG") == "1"
 
@@ -72,6 +81,20 @@ def permuted(adj, perm):
 
 def as_graph(adj):
     return CompatGraph(Collection.from_masks(range(1, len(adj) + 1), 6), tuple(adj))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_rows(n, relation):
+    return naive_relation_rows(n, relation)
+
+
+def assert_rows_match_reference(domain):
+    """Both relations' rows equal those the brute-force predicates give on the power set of [n]."""
+    masks = domain.masks
+    for relation in cliques.RELATIONS:
+        table = reference_rows(domain.n, relation)
+        expected = tuple(sum(1 << u for u, t in enumerate(masks) if table[s] >> t & 1) for s in masks)
+        assert build_compat_graph(domain, relation).adj == expected, (domain, relation)
 
 
 class TestCollection:
@@ -124,6 +147,72 @@ class TestBuildCompatGraph:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             build_compat_graph(coll([[1]], 3), "strong")
+
+
+class TestSeparatedRows:
+    """``build_compat_graph``'s row walk against the brute-force predicates of ``_oracles``."""
+
+    def test_every_pair_domain_up_to_eight(self):
+        domains = {
+            build_domain_AIJ(Subset(a, n), Subset(b, n))
+            for n in range(1, 9)
+            for k in range(1, n)
+            for a, b in itertools.combinations(_whole_grid(n, k), 2)
+        }
+        assert len(domains) == 6003
+        for dom in domains:
+            assert_rows_match_reference(dom)
+
+    def test_lr_domains_and_power_sets(self):
+        # power sets hold every size, so weak separation's size rule decides many pairs
+        for n in range(1, 7):
+            assert_rows_match_reference(lr_domain(n))
+        for n in range(1, 8):
+            assert_rows_match_reference(Collection.from_masks(_power_set(n), n))
+
+    def test_seeded_mixed_size_mask_sets(self):
+        rng = random.Random(33)
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            masks = rng.sample(range(1 << n), rng.randint(0, min(24, 1 << n)))
+            assert_rows_match_reference(Collection.from_masks(masks, n))
+
+    def test_empty_and_one_vertex_domains(self):
+        for n in (1, 2, 5, 9):
+            assert_rows_match_reference(Collection.from_masks([], n))
+            for mask in range(1 << n):
+                assert_rows_match_reference(Collection.from_masks([mask], n))
+
+    def test_calls_no_pair_predicate(self, monkeypatch):
+        dom = lr_domain(5)
+        expected = {relation: build_compat_graph(dom, relation) for relation in cliques.RELATIONS}
+
+        def refuse(*args):
+            raise AssertionError("a pair predicate was called")
+
+        for module in (cliques, ground):
+            for name in ("_weakly_separated_masks", "_chord_separated_masks", "_surrounds_masks"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for relation in cliques.RELATIONS:
+            assert build_compat_graph(dom, relation) == expected[relation]
+
+    def test_fourteen_pair_against_pairwise_loop(self):
+        i = sub([1, 2, 3, 4, 5, 8, 9], 14)  # the (5,2,2,5) pair
+        dom = build_domain_AIJ(i, i.complement())
+        assert len(dom) == 282
+        for relation, related in (("weak", _weakly_separated_masks), ("chord", _chord_separated_masks)):
+            assert build_compat_graph(dom, relation).adj == pairwise_adjacency(dom.masks, related)
+
+    @pytest.mark.skipif(not LONG, reason="the n=14 pair against the brute-force predicates runs under WEAKSEP_LONG=1")
+    def test_long_fourteen_pair_against_naive_predicates(self):
+        i = sub([1, 2, 3, 4, 5, 8, 9], 14)
+        dom = build_domain_AIJ(i, i.complement())
+        sets = [set(s.elements()) for s in dom]
+        for relation, related in (
+            ("weak", naive_weakly_separated),
+            ("chord", lambda s, t: naive_chord_separated(s, t, 14)),
+        ):
+            assert build_compat_graph(dom, relation).adj == pairwise_adjacency(sets, related)
 
 
 class TestEnumerateMaximalCliques:

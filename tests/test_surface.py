@@ -76,7 +76,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2843
+SOURCE_LINES = 2895
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
