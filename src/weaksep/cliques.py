@@ -486,7 +486,12 @@ def _branch_and_bound(adj: Sequence[int], p: int, orbit: Callable[[int], int] | 
 
 
 def _degree_order(adj: Sequence[int], descending: bool) -> list[int]:
-    """The vertices by degree, highest first if ``descending`` else lowest first, ties by index."""
+    """The vertices by degree, highest first if ``descending`` else lowest first, ties by index.
+
+    Descending, the colouring meets high-degree vertices first and bounds tighter
+    (Tomita et al. 2010); ascending, the census meets fewer branches (Eppstein et
+    al. 2010).
+    """
     return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count() if descending else adj[v].bit_count(), v))
 
 
@@ -499,28 +504,17 @@ def _relabelled(adj: Sequence[int], order: Sequence[int]) -> list[int]:
     return [int("".join(pick(format(adj[v], digits)[::-1]))[::-1], 2) for v in order]
 
 
-def _degree_ordered(adj: Sequence[int], descending: bool) -> list[int]:
-    """The graph relabelled by ``_degree_order``.
-
-    Descending, the colouring meets high-degree vertices first and bounds tighter
-    (Tomita et al. 2010); ascending, the census meets fewer branches (Eppstein et
-    al. 2010).
-    """
-    return _relabelled(adj, _degree_order(adj, descending))
-
-
-def max_clique_size(
-    g: CompatGraph, symmetries: Sequence[Callable[[int], int]] | Callable[[], Sequence[Callable[[int], int]]] = ()
-) -> int:
+def max_clique_size(g: CompatGraph, symmetries: Callable[[], Sequence[Callable[[int], int]]] = tuple) -> int:
     """Exact maximum-clique size: the sum of the maxima of the graph's join parts.
 
     The parts are the complement's components.  A part of one vertex (a
     universal vertex) or two (a non-edge) adds 1; every other part runs the
-    branch and bound alone, its root pruned by the orbits of the ``symmetries``
-    that fix it: maps of vertex masks that with the identity form a group of
-    automorphisms, or a function that lists them, called only if some part
-    is searched.  Without them the search is plain, and the enumerator stays
-    unsplit, so the answers cross-check each other.
+    branch and bound alone, its root pruned by the orbits under the pair's
+    maps (those that move the part never meet it).  ``symmetries`` lists
+    those maps of vertex masks, which with the identity form a group of
+    automorphisms; it is called only if some part is searched.  Without
+    maps the search is plain, and the enumerator stays unsplit, so the
+    answers cross-check each other.
     """
     # edges between parts are complete, so the global degree order restricted
     # to a part is the part's own degree order
@@ -528,20 +522,15 @@ def max_clique_size(
     adj = _relabelled(g.adj, order)
     parts = _co_components(adj)
     searched = [part for part in parts if part.bit_count() > 2]
-    maps = (symmetries() if callable(symmetries) else symmetries) if searched else ()
+    maps = symmetries() if searched else ()
     masks = [g.vertices.masks[v] for v in order] if maps else []
     index = {mask: 1 << t for t, mask in enumerate(masks)}
 
-    def largest(part: int) -> int:
-        # an automorphism permutes the parts, so it fixes this one or moves it off itself
-        kept = [f for f in maps if index[f(masks[(part & -part).bit_length() - 1])] & part]
+    def orbit(v: int) -> int:
+        # an automorphism permutes the parts, so v's images outside its own part never meet the search
+        return reduce(or_, (index[f(masks[v])] for f in maps), 1 << v)
 
-        def orbit(v: int) -> int:
-            return reduce(or_, (index[f(masks[v])] for f in kept), 1 << v)
-
-        return _branch_and_bound(adj, part, orbit if kept else None)
-
-    return len(parts) - len(searched) + sum(map(largest, searched))
+    return len(parts) - len(searched) + sum(_branch_and_bound(adj, part, orbit if maps else None) for part in searched)
 
 
 @dataclass(frozen=True)
@@ -585,7 +574,7 @@ def _clique_sizes(adj: Sequence[int]) -> dict[int, int]:
     and Moser 1965), so census digits of ``m * 17 // 32 + 2`` bits never carry.
     """
     digit = len(adj) * 17 // 32 + 2
-    census, low = _clique_census(_degree_ordered(adj, False), digit), (1 << digit) - 1
+    census, low = _clique_census(_relabelled(adj, _degree_order(adj, False)), digit), (1 << digit) - 1
     return {r: c for r in range(len(adj) + 1) if (c := census >> digit * r & low)}
 
 

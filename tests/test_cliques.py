@@ -33,7 +33,8 @@ from weaksep.cliques import (
     _clique_census,
     _clique_sizes,
     _co_components,
-    _degree_ordered,
+    _degree_order,
+    _relabelled,
 )
 from weaksep.ground import _chord_separated_masks, _power_set, _weakly_separated_masks, _whole_grid
 from weaksep.mutations import _grid, _maximal_collections_containing
@@ -81,6 +82,10 @@ def permuted(adj, perm):
 
 def as_graph(adj):
     return CompatGraph(Collection.from_masks(range(1, len(adj) + 1), 6), tuple(adj))
+
+
+def degree_ordered(adj, descending):
+    return _relabelled(adj, _degree_order(adj, descending))
 
 
 @functools.lru_cache(maxsize=None)
@@ -589,7 +594,7 @@ def test_kernels_leave_no_reference_cycles():
     # so a call leaves nothing for the cycle collector to find
     dom = unbalanced_ten()
     g = build_compat_graph(dom)
-    adj = _degree_ordered(g.adj, True)
+    adj = degree_ordered(g.adj, True)
     calls = [
         lambda: _bron_kerbosch(g.adj, [1] * len(g), [].append),
         lambda: stopped_enumeration(g.adj, 10),
@@ -613,14 +618,14 @@ def test_kernels_leave_no_reference_cycles():
 class TestDegreeOrdered:
     @staticmethod
     def check(adj):
-        """``_degree_ordered`` is ``permuted`` under the degree order, either way, ties by index."""
+        """The graph relabelled by ``_degree_order`` is ``permuted`` under it, either way, ties by index."""
         m = len(adj)
         for descending, sign in ((True, -1), (False, 1)):
             by_degree = sorted(range(m), key=lambda v: (sign * adj[v].bit_count(), v))
             label = [0] * m
             for i, v in enumerate(by_degree):
                 label[v] = i
-            out = _degree_ordered(adj, descending)
+            out = degree_ordered(adj, descending)
             assert out == permuted(adj, label), descending
             assert [row.bit_count() for row in out] == sorted((row.bit_count() for row in adj), reverse=descending)
 
@@ -716,7 +721,7 @@ def checked_split(adj):
 
 def unsplit_max(adj):
     """The branch and bound on all vertices at once, as before the split."""
-    return _branch_and_bound(_degree_ordered(adj, True), (1 << len(adj)) - 1)
+    return _branch_and_bound(degree_ordered(adj, True), (1 << len(adj)) - 1)
 
 
 class TestJoinSplit:

@@ -76,7 +76,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2895
+SOURCE_LINES = 2884
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],

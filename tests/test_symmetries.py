@@ -11,11 +11,13 @@ import gc
 import itertools
 import os
 import random
-from functools import cache
+from functools import cache, partial
 
 import pytest
 
 from weaksep import (
+    Collection,
+    CompatGraph,
     Subset,
     build_compat_graph,
     build_domain_AIJ,
@@ -24,7 +26,7 @@ from weaksep import (
     is_weakly_separated,
     max_clique_size,
 )
-from weaksep.cliques import _branch_and_bound
+from weaksep.cliques import _branch_and_bound, _co_components
 from weaksep.ground import _pair_symmetries
 
 from _oracles import naive_pair_stabilizer
@@ -159,7 +161,7 @@ class TestPrunedAgreesWithPlain:
         g = build_compat_graph(build_domain_AIJ(i, i.complement()))
         maps = _pair_symmetries(i.mask, i.complement().mask, 14)
         assert len(maps) == 3
-        assert max_clique_size(g, maps) == max_clique_size(g) == 32
+        assert max_clique_size(g, lambda: maps) == max_clique_size(g) == 32
         assert cluster_distance(i, i.complement()).value == 18
 
     def test_circulant_graphs_under_rotation_groups(self):
@@ -194,13 +196,20 @@ class TestPrunedAgreesWithPlain:
         assert len(seen) == 1
 
     def test_parts_swapped_by_a_map(self):
-        # the two 14-set join parts of this pair are exchanged by its maps, so
-        # no map fixes either part
+        # of the three maps, the product of the other two fixes each of the
+        # two 14-set join parts and the other two exchange them, so one
+        # orbit rule must serve maps of both kinds
         i, j = sub([1, 2, 5, 6, 7], 10), sub([3, 4, 8, 9, 10], 10)
         g = build_compat_graph(build_domain_AIJ(i, j))
         maps = _pair_symmetries(i.mask, j.mask, 10)
         assert len(maps) == 3
-        assert max_clique_size(g, maps) == max_clique_size(g)
+        masks = g.vertices.masks
+        index = {mask: t for t, mask in enumerate(masks)}
+        parts = [part for part in _co_components(g.adj) if part.bit_count() > 2]
+        assert [part.bit_count() for part in parts] == [14, 14]
+        images = [[sum(1 << index[f(masks[v])] for v in range(len(g)) if part >> v & 1) for part in parts] for f in maps]
+        assert sorted(images) == sorted([parts, parts[::-1], parts[::-1]])
+        assert max_clique_size(g, lambda: maps) == max_clique_size(g)
 
     def test_pruned_route_leaves_no_reference_cycles(self):
         i = sub([1, 2, 3, 4, 6], 10)
@@ -209,7 +218,7 @@ class TestPrunedAgreesWithPlain:
         gc.collect()
         gc.disable()
         try:
-            assert max_clique_size(g, maps) == 22
+            assert max_clique_size(g, lambda: maps) == 22
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -222,4 +231,40 @@ class TestPrunedAgreesWithPlain:
         assert len(orbits) == 34 and orbits[0][0] == sub([1, 2, 3, 4, 5, 7], 12)
         for i, j in orbits[1:]:
             g = build_compat_graph(build_domain_AIJ(i, j))
-            assert max_clique_size(g, _pair_symmetries(i.mask, j.mask, 12)) == max_clique_size(g), i
+            assert max_clique_size(g, partial(_pair_symmetries, i.mask, j.mask, 12)) == max_clique_size(g), i
+
+
+def counted(maps):
+    """A lister of ``maps`` and the list of its calls."""
+    calls = []
+
+    def listing():
+        calls.append(len(maps))
+        return maps
+
+    return listing, calls
+
+
+class TestMapsListedLazily:
+    @staticmethod
+    def as_graph(adj):
+        return CompatGraph(Collection.from_masks(range(1, len(adj) + 1), 6), tuple(adj))
+
+    def test_not_listed_without_a_searched_part(self):
+        # every join part of a complete graph has one vertex, and removing a
+        # matching pairs them up; neither part size reaches the branch and bound
+        for m in range(8):
+            whole = (1 << m) - 1
+            complete = [whole ^ 1 << v for v in range(m)]
+            matched = [row & ~(1 << (v ^ 1)) if v ^ 1 < m else row for v, row in enumerate(complete)]
+            for adj, best in ((complete, m), (matched, (m + 1) // 2)):
+                listing, calls = counted([])
+                assert max_clique_size(self.as_graph(adj), listing) == best, (m, adj)
+                assert calls == [], (m, adj)
+
+    def test_listed_once_for_two_searched_parts(self):
+        i, j = sub([1, 2, 5, 6, 7], 10), sub([3, 4, 8, 9, 10], 10)
+        g = build_compat_graph(build_domain_AIJ(i, j))
+        listing, calls = counted(_pair_symmetries(i.mask, j.mask, 10))
+        assert max_clique_size(g, listing) == max_clique_size(g)
+        assert calls == [3]
