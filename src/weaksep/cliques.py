@@ -20,7 +20,8 @@ maximum splits the graph into the components of its complement, whose maxima
 add up, and runs the branch and bound on each part of three or more vertices,
 relabelled by non-increasing degree; given automorphisms, its root drops each
 searched vertex's orbit.  The census runs unsplit, relabelled by non-decreasing
-degree, enumeration in the domain's order: both check the maximum.
+degree, enumeration in the domain's order: both check the maximum.  If
+complement keeps the domain, the census root counts a branch and its image once.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def _bron_kerbosch(adj: tuple[int, ...], weight: Sequence[int], visit: Callable[
         expand = replay = None
 
 
-def _clique_census(adj: Sequence[int], digit: int) -> int:
+def _clique_census(adj: Sequence[int], digit: int, twin: Sequence[int] | None = None) -> int:
     """The maximal cliques counted by size, as the int whose base-2^digit digit r counts size r.
 
     ``_bron_kerbosch``'s recursion, with its folding, pivot and settling of
@@ -322,6 +323,12 @@ def _clique_census(adj: Sequence[int], digit: int) -> int:
     so a repeat costs a lookup and an add.  Every digit of every partial sum
     counts distinct maximal cliques, so a digit wider than the largest count
     never carries.
+
+    ``twin``, if given, is a fixed-point-free involution σ of the vertices that
+    keeps adj, so the root's P and X are unions of pairs {v, σv}.  The root
+    walks its candidates and their twins pair by pair: if v and σv are not
+    adjacent, σv's branch is the image of v's, so v's census counts twice; if
+    they are, σv is searched right after v, while σ still fixes P and X.
     """
     m = len(adj)
     memo: dict[int, int] = {}
@@ -392,7 +399,27 @@ def _clique_census(adj: Sequence[int], digit: int) -> int:
             x |= 1 << v
         return total << digit * (own + 1)
 
-    out = census((1 << m) - 1, 0) if m else 0
+    def root() -> int:
+        # census's root, its folding and pivot included; a candidate brings its twin
+        own = sum(1 << v for v in range(m) if adj[v] | 1 << v == (1 << m) - 1)
+        p = (1 << m) - 1 & ~own
+        if not p:
+            return 1 << digit * own.bit_count()
+        pivot = max((u for u in range(m) if p >> u & 1), key=lambda u: adj[u].bit_count())
+        cand, x, total = p & ~adj[pivot], 0, 0
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            w = twin[v]
+            cand &= ~(1 << v | 1 << w)
+            adjacent = adj[v] >> w & 1
+            for u in (v, w)[:1 + adjacent]:
+                inner, xu = p & adj[u], x & adj[u]
+                total += (census(inner, xu) if inner else int(not xu)) << 1 - adjacent
+                p, x = p & ~(1 << u), x | 1 << u
+            p, x = p & ~(1 << w), x | 1 << w
+        return total << digit * (own.bit_count() + 1)
+
+    out = (census((1 << m) - 1, 0) if twin is None else root()) if m else 0
     census = None  # it names itself, a cycle that would hold adj and the memo
     return out
 
@@ -567,20 +594,33 @@ class PurityReport:
         }
 
 
-def _clique_sizes(adj: Sequence[int]) -> dict[int, int]:
+def _clique_sizes(adj: Sequence[int], twin: Sequence[int] | None = None) -> dict[int, int]:
     """The maximal cliques counted by size, as size -> count, on the graph relabelled by ascending degree.
 
     An m-vertex graph has at most 3^(m/3) < 2^(17m/32) maximal cliques (Moon
     and Moser 1965), so census digits of ``m * 17 // 32 + 2`` bits never carry.
+    ``twin``, ``_clique_census``'s involution, is relabelled with the graph.
     """
     digit = len(adj) * 17 // 32 + 2
-    census, low = _clique_census(_relabelled(adj, _degree_order(adj, False)), digit), (1 << digit) - 1
+    order = _degree_order(adj, False)
+    if twin is not None:
+        label = {v: t for t, v in enumerate(order)}
+        twin = [label[twin[v]] for v in order]
+    census, low = _clique_census(_relabelled(adj, order), digit, twin), (1 << digit) - 1
     return {r: c for r in range(len(adj) + 1) if (c := census >> digit * r & low)}
 
 
 def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
-    """Count the domain's maximal cliques by size, without listing them, and decide purity."""
-    return PurityReport(len(domain), _clique_sizes(build_compat_graph(domain, relation).adj))
+    """Count the domain's maximal cliques by size, without listing them, and decide purity.
+
+    Complement, S -> [n] \\ S, keeps weak and chord separation for sets of any
+    sizes, so in a domain that holds every complement, as lr domains, chord
+    power sets and complementary pair domains do, it is the census's ``twin``.
+    """
+    full, index = (1 << domain.n) - 1, {mask: v for v, mask in enumerate(domain.masks)}
+    twin = [index.get(full ^ mask) for mask in domain.masks]
+    adj = build_compat_graph(domain, relation).adj
+    return PurityReport(len(domain), _clique_sizes(adj, None if None in twin else twin))
 
 
 def _greedy_maximal(masks: Iterable[int], candidates: Iterable[int], relation: str = "weak") -> list[int]:

@@ -18,10 +18,13 @@ from weaksep import (
     build_domain_AIJ,
     circle_partition,
     complete_to_maximal,
+    domain_in_for_necklace,
     enumerate_maximal_cliques,
     lr_domain,
     max_clique_size,
+    necklace_from_perm,
     purity_report,
+    tau_kn,
     unbalanced_witness,
 )
 from weaksep import cliques, ground
@@ -520,7 +523,49 @@ class TestBranchMemo:
             assert max_clique_size(build_compat_graph(dom)) == rank
 
 
+def twin_graph(rng, m, density):
+    """A random graph on an even m vertices kept by a random fixed-point-free involution, and the involution.
+
+    The twins are a shuffled matching, so rarely next to each other in index
+    order, and each pair of twins is adjacent with probability one half.
+    """
+    order = rng.sample(range(m), m)
+    twin = [0] * m
+    for u, v in zip(order[::2], order[1::2]):
+        twin[u], twin[v] = v, u
+    adj = [0] * m
+    for u, v in itertools.combinations(range(m), 2):
+        image = tuple(sorted((twin[u], twin[v])))
+        if (u, v) <= image and rng.random() < (0.5 if v == twin[u] else density):
+            for a, b in ((u, v), image):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    assert permuted(adj, twin) == adj
+    return adj, twin
+
+
+def complement_twins(dom):
+    """For each position in the domain, the position of that set's complement."""
+    index = {mask: v for v, mask in enumerate(dom.masks)}
+    return [index[(1 << dom.n) - 1 ^ mask] for mask in dom.masks]
+
+
 class TestCliqueCensus:
+    def test_twin_root_matches_plain_census(self):
+        # the root must search an adjacent twin right after its partner; one
+        # that walked its candidates in index order got 243 of these wrong,
+        # where every real domain, weak power sets included, came out right
+        rng = random.Random(35)
+        for trial in range(400):
+            m = 2 * rng.randint(1, 20)
+            adj, twin = twin_graph(rng, m, rng.uniform(0.2, 0.8))
+            digit = m * 17 // 32 + 2
+            census = _clique_census(adj, digit)
+            assert _clique_census(adj, digit, twin) == census, trial
+            if m <= 12:
+                sizes = Counter(len(c) for c in naive_maximal_cliques(adj))
+                assert census == sum(count << digit * size for size, count in sizes.items()), trial
+
     def test_random_graphs_match_plain_kernel(self):
         rng = random.Random(17)
         for density in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -600,6 +645,7 @@ def test_kernels_leave_no_reference_cycles():
         lambda: stopped_enumeration(g.adj, 10),
         lambda: _maximal_collections_containing(sub([1, 2, 5, 6], 8), _grid(8, 4), 10),
         lambda: _clique_census(g.adj, len(g)),
+        lambda: _clique_census(g.adj, len(g), complement_twins(dom)),
         lambda: _branch_and_bound(adj, (1 << 40) - 1),
         lambda: purity_report(dom),
         lambda: enumerate_maximal_cliques(g),
@@ -812,6 +858,44 @@ class TestPurityReport:
         assert len(orbit) == 10
         for a in orbit:
             assert purity_report(build_domain_AIJ(a, a.complement())).clique_sizes == {21: 6740, 22: 46018}, a
+
+    def test_complement_closed_domains_take_the_twin_root(self, monkeypatch):
+        # every complementary orbit to n=10, lr domains, and weak and chord
+        # power sets: the census gets complement as twin and counts what
+        # enumeration lists; a domain without every complement gets none
+        twins = []
+
+        def census(adj, digit, twin=None):
+            twins.append(twin is not None)
+            return plain(adj, digit, twin)
+
+        plain = cliques._clique_census
+        monkeypatch.setattr(cliques, "_clique_census", census)
+        domains = [(build_domain_AIJ(o[0], o[0].complement()), "weak") for n in (4, 6, 8, 10) for o in dihedral_orbits(n)]
+        domains += [(lr_domain(n), "weak") for n in range(1, 7)]
+        domains += [(Collection.from_masks(_power_set(n), n), "weak") for n in range(1, 7)]
+        domains += [(Collection.from_masks(_power_set(n), n), "chord") for n in range(1, 6)]
+        assert len(domains) == 1 + 2 + 6 + 12 + 6 + 6 + 5
+        for dom, relation in domains:
+            sizes = Counter(len(c) for c in enumerate_maximal_cliques(build_compat_graph(dom, relation)))
+            assert purity_report(dom, relation).clique_sizes == sizes, (dom, relation)
+        assert twins == [True] * len(domains)
+        twins.clear()
+        necklace = necklace_from_perm(tau_kn(2, 5), 2)
+        for dom in (build_domain_AIJ(sub([1, 2, 4], 7), sub([3, 5, 6], 7)), domain_in_for_necklace(necklace)):
+            sizes = Counter(len(c) for c in enumerate_maximal_cliques(build_compat_graph(dom)))
+            assert purity_report(dom).clique_sizes == sizes, dom
+        assert twins == [False, False]
+
+    @pytest.mark.skipif(not LONG, reason="the 422-set census of the last n=12 orbit runs under WEAKSEP_LONG=1")
+    def test_long_last_orbit_of_twelve_is_impure(self):
+        # its clique number, 32, is the witness bound (the branch and bound with
+        # the pair's maps agrees)
+        i = sub([1, 2, 3, 4, 5, 7], 12)
+        dom = build_domain_AIJ(i, i.complement())
+        rep = purity_report(dom)
+        assert len(dom) == 422 and rep.clique_sizes == {30: 688560, 31: 41450152, 32: 125478928}
+        assert rep.max_size == unbalanced_witness(i).bound == 32
 
     def test_grassmannian_rank(self):
         full = Collection(Subset.of(c, 6) for c in itertools.combinations(range(1, 7), 3))

@@ -76,7 +76,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2884
+SOURCE_LINES = 2924
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
