@@ -28,8 +28,6 @@ from .domains import (
     is_balanced,
     lr_chain,
     lr_domain,
-    lr_labels,
-    lr_subset,
     rank_formula,
     reduce_pair,
     unbalanced_witness,

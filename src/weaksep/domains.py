@@ -221,15 +221,6 @@ def cluster_distance(i: Subset, j: Subset, method: str = "exact") -> ClusterDist
 # Subsets of [0, n] are carried on the ground set [n + 1] via x -> x + 1; all
 # public output uses the 0-based labels.
 
-def lr_subset(labels, n: int) -> Subset:
-    """Subset of [0, n] given by 0-based labels, embedded in the ground set [n+1]."""
-    return Subset.of((x + 1 for x in labels), n + 1)
-
-
-def lr_labels(s: Subset) -> tuple[int, ...]:
-    return tuple(x - 1 for x in s.elements())
-
-
 def lr_domain(n: int) -> Collection:
     """All subsets of [0, n] containing exactly one of 0 and n; size 2^n."""
     if n < 1:

@@ -153,6 +153,7 @@ def _pair_symmetries(i: int, j: int, n: int) -> list[Callable[[int], int]]:
     separation between sets of one size, so a kept map is an automorphism of
     A_{I,J}'s graph; with the identity the kept maps are the pair's stabilizer,
     a group.  I's image is walked one shift per step, J's taken only on a hit.
+    ``cluster_distance`` prunes by them; ``mutation_distance`` lists a pair they swap once.
     """
     found = []
     for flip in (0, (1 << n) - 1) if 2 * i.bit_count() == n else (0,):

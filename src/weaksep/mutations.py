@@ -8,8 +8,8 @@ Each grid keeps one table entry per set: its squares, flat, and the (flip,
 move) pairs of each pattern of held side sets, so expanding a node is one
 lookup per member with a square and a child is ``node ^ flip``; the cyclic
 intervals have no square.  Seeding stops at the budget and counts the rest by
-census, a complementary pair's once; a seed layer moves only its side's set.
-Breadth-first layers run in canonical order: streams, distances, paths are deterministic.
+census, a pair's once if one of its maps swaps it; a seed layer moves only its
+side's set.  Breadth-first layers run in canonical order, so every output is deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cliques import (
     Collection,
@@ -33,6 +33,7 @@ from .domains import _grid_rank, build_domain_AIJ
 from .ground import (
     Subset,
     _check_pair,
+    _pair_symmetries,
     _weakly_separated_masks,
     _whole_grid,
     is_weakly_separated,
@@ -345,16 +346,21 @@ class _Full(Exception):
     """Raised by a seeding visit past its cap."""
 
 
-def _maximal_collections_containing(s: Subset, grid: _Grid, cap: int) -> list[int] | int:
+def _maximal_collections_containing(
+    s: Subset, grid: _Grid, cap: int, swap: Callable[[int], int] | None = None
+) -> list[int] | int:
     """Every maximal weakly separated collection of the grid that contains s, as nodes.
 
     These are exactly the maximal cliques of the graph on all same-size
     subsets compatible with s: a maximal clique missing s could absorb it, so
     every one of them contains it.  They come in Bron-Kerbosch visit order.
     If there are more than ``cap``, the visit past it stops the enumeration
-    and only their number, from the clique census, is returned.
+    and only their number, from the clique census, is returned.  A map ``swap``
+    that keeps weak separation packs each node W with its image: the low C(n,k)
+    bits are W, the high ones swap(W), a maximal collection holding swap(s).
     """
     g = build_compat_graph(build_domain_AIJ(s, s), "weak")
+    weight = [grid[x] | (grid[swap(x)] << grid.top + 1 if swap else 0) for x in g.vertices.masks]
     found: list[int] = []
 
     def visit(node: int) -> None:
@@ -364,7 +370,7 @@ def _maximal_collections_containing(s: Subset, grid: _Grid, cap: int) -> list[in
 
     try:
         # weighted by grid bits, each clique is visited as its finished node
-        _bron_kerbosch(g.adj, list(map(grid.__getitem__, g.vertices.masks)), visit)
+        _bron_kerbosch(g.adj, weight, visit)
     except _Full:
         return sum(_clique_sizes(g.adj).values())
     return found
@@ -377,13 +383,13 @@ def mutation_distance(
 
     Bidirectional layered BFS over the implicit graph: sources are all maximal
     collections containing i, targets all containing j.  Side j may seed what
-    side i leaves of the budget; seeds past it are only counted.  Complement
-    maps the seeds of i one-to-one onto those of [n] - i, so a complementary
-    side j takes side i's count once that reaches half the budget.  Layers are
-    expanded whole, smaller frontier first.  A node met while one side grows
-    to depth d has depth sum at most d plus the other side's depth, so the
-    first layer where the sides meet holds the distance: the least depth sum
-    met there, ties going to the largest int, which is the smallest tuple.
+    side i leaves of the budget; seeds past it are only counted.  A pair that
+    one of its maps swaps is listed once, to half the budget: each seed of i
+    comes with its image, a seed of j; past it both sides take its count.
+    Layers are expanded whole, smaller frontier first.  A node met while one
+    side grows to depth d has depth sum at most d plus the other side's depth,
+    so the first layer where the sides meet holds the distance: the least depth
+    sum met there, ties going to the largest int, which is the smallest tuple.
     Seeds are all listed before the BFS, so a seed layer moves only its side's
     set: any other move keeps the set and leads to a seed; the kept children,
     and so every parent, meet, path and count, are those of an all-member scan.
@@ -399,13 +405,16 @@ def mutation_distance(
         return DistanceResult(0, (), both, both, 0)
 
     grid = _grid(n, k)
-    seeds, total = [], 0
-    for x in (i, j):
-        twin = seeds and i.mask ^ j.mask == (1 << n) - 1 and 2 * total >= budget
-        found = total if twin else _maximal_collections_containing(x, grid, budget - total)
-        seeds.append(found)
-        total += found if isinstance(found, int) else len(found)
-    if total >= budget:
+    swap = next((f for f in _pair_symmetries(i.mask, j.mask, n) if f(i.mask) == j.mask), None)
+    if swap:
+        # one count for both sides, or the packed seeds split into i's nodes (low bits) and j's, then dropped
+        seeds, cut = _maximal_collections_containing(i, grid, (budget - 1) // 2, swap), grid.top + 1
+        seeds = [seeds] * 2 if isinstance(seeds, int) else [[w % (1 << cut) for w in seeds], [w >> cut for w in seeds]]
+    else:
+        found = _maximal_collections_containing(i, grid, budget)
+        rest = budget - len(found) if isinstance(found, list) else 0  # side j may list what side i leaves
+        seeds = [found, _maximal_collections_containing(j, grid, rest)]
+    if (total := sum(x if isinstance(x, int) else len(x) for x in seeds)) >= budget:
         return DistanceResult(None, (), None, None, total)
     # per side, 0 from i and 1 from j: node -> (parent, move, depth); roots have parent None.
     # No collection holds both i and j, so the seeds of the two sides never meet.

@@ -4,6 +4,7 @@ import random
 from math import comb
 
 import pytest
+from _lemmas import lr_labels, lr_subset
 from _oracles import (
     naive_chord_chain,
     naive_chord_separated,
@@ -28,8 +29,6 @@ from weaksep import (
     is_weakly_separated,
     lr_chain,
     lr_domain,
-    lr_labels,
-    lr_subset,
     max_clique_size,
     purity_report,
     rank_formula,

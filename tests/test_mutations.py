@@ -40,7 +40,7 @@ from weaksep import (
     purity_report,
 )
 from weaksep import mutations
-from weaksep.ground import _whole_grid
+from weaksep.ground import _pair_symmetries, _whole_grid
 from weaksep.mutations import DistanceResult, _grid, _maximal_collections_containing, _neighbors
 
 
@@ -669,8 +669,22 @@ class TestSeeding:
                     assert _maximal_collections_containing(s, table, cap) == len(seeds), (n, combo, cap)
 
 
+def seeded_orbit_members():
+    """Each dihedral orbit pair to n = 8, with its grid and both sides' seeds from the plain kernel on the whole grid."""
+    for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (8, 4)):
+        table, whole = _grid(n, k), build_compat_graph(grid(n, k))
+        every: list[int] = []
+        plain_bron_kerbosch(whole.adj, list(map(table.__getitem__, whole.vertices.masks)), every.append)
+        for s, t in dihedral_orbit_members(n, k):
+            yield table, s, t, [[w for w in every if w & table[x.mask]] for x in (s, t)]
+
+
+def swapping_maps(s, t):
+    return [f for f in _pair_symmetries(s.mask, t.mask, s.n) if f(s.mask) == t.mask]
+
+
 class TestTwinSeeds:
-    """Complement maps the seeds of i one-to-one onto those of [n] - i, so a twin side is only counted."""
+    """A map of the pair that swaps i and j sends the seeds of i one-to-one onto those of j, so one listing serves both."""
 
     def test_complements_have_as_many_seeds(self):
         classes = 0
@@ -690,53 +704,66 @@ class TestTwinSeeds:
         table = _grid(10, 5)
         assert [_maximal_collections_containing(s, table, 0) for s in (i, i.complement())] == [244037] * 2
 
-    def test_budgets_around_the_seed_counts_match_an_independent_seeding(self):
-        # every complementary orbit to n = 8 and every other orbit whose sides
-        # have unequal seed counts, seeded from the plain kernel on the whole
-        # grid; budgets straddle side i's count c and the twin total 2c
-        twins = others = 0
-        for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (8, 4)):
-            table, whole = _grid(n, k), build_compat_graph(grid(n, k))
-            every: list[int] = []
-            plain_bron_kerbosch(whole.adj, list(map(table.__getitem__, whole.vertices.masks)), every.append)
-            for s, t in dihedral_orbit_members(n, k):
-                seeds = [[w for w in every if w & table[x.mask]] for x in (s, t)]
-                twin = s.mask ^ t.mask == (1 << n) - 1
-                if not twin and len(seeds[0]) == len(seeds[1]):
-                    continue
-                twins, others = twins + twin, others + (not twin)
-                c = len(seeds[0])
-                for budget in (c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1):
-                    r = mutation_distance(s, t, budget=budget, big=True)
-                    path = tuple((m.s.mask, m.a, m.b, m.c, m.d) for m in r.path)
-                    ends = tuple(None if e is None else table.node(e.masks) for e in (r.source, r.target))
-                    got = (r.distance, path, *ends, r.nodes_explored)
-                    assert got == all_member_distance(table, seeds, budget), (s, t, budget)
-        assert (twins, others) == (9, 78)
+    def test_one_listing_holds_the_seeds_of_both_sides(self):
+        # for each map that swaps the pair, the low halves of the packed seeds
+        # are the seeds of s and the high halves those of t
+        swapped = 0
+        for table, s, t, seeds in seeded_orbit_members():
+            maps = swapping_maps(s, t)
+            swapped += bool(maps)
+            for f in maps:
+                packed = _maximal_collections_containing(s, table, 10**6, f)
+                halves = [{w & (1 << table.top + 1) - 1 for w in packed}, {w >> table.top + 1 for w in packed}]
+                assert len(packed) == len(seeds[0]) == len(seeds[1]) and halves == list(map(set, seeds)), (s, t)
+                assert _maximal_collections_containing(s, table, len(packed) - 1, f) == len(packed), (s, t)
+        assert swapped == 55
 
-    def test_a_twin_past_the_budget_is_seeded_once(self, monkeypatch):
+    def test_budgets_around_the_seed_counts_match_an_independent_seeding(self):
+        # every dihedral orbit to n = 8; budgets straddle side i's count c and,
+        # for a pair that one listing serves, the total 2c
+        pairs = swapped = twins = 0
+        for table, s, t, seeds in seeded_orbit_members():
+            pairs += 1
+            swapped += bool(swapping_maps(s, t))
+            twins += s.mask ^ t.mask == (1 << s.n) - 1
+            c = len(seeds[0])
+            for budget in (c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1):
+                r = mutation_distance(s, t, budget=budget, big=True)
+                path = tuple((m.s.mask, m.a, m.b, m.c, m.d) for m in r.path)
+                ends = tuple(None if e is None else table.node(e.masks) for e in (r.source, r.target))
+                got = (r.distance, path, *ends, r.nodes_explored)
+                assert got == all_member_distance(table, seeds, budget), (s, t, budget)
+        assert (pairs, swapped, twins) == (137, 55, 9)
+
+    def test_a_swapped_pair_is_seeded_once(self, monkeypatch):
         calls = []
 
-        def counted(s, grid, cap):
-            calls.append(s)
-            return _maximal_collections_containing(s, grid, cap)
+        def counted(s, grid, cap, swap=None):
+            calls.append((s, cap, swap is not None))
+            return _maximal_collections_containing(s, grid, cap, swap)
 
         monkeypatch.setattr(mutations, "_maximal_collections_containing", counted)
         i = sub([1, 2, 3, 6, 7], 10)
         r = mutation_distance(i, i.complement(), budget=20000, big=True)
-        assert (r.to_json(), calls) == ({"distance": "budget-exhausted", "nodes_explored": 488074, "path": []}, [i])
-        # 390 seeds per side: under the budget a twin is still listed
+        assert (r.to_json(), calls) == (
+            {"distance": "budget-exhausted", "nodes_explored": 488074, "path": []},
+            [(i, 9999, True)],
+        )
+        # 390 seeds per side: one listing builds both sides under the budget and counts them past it
         s, t = sub([1, 2, 5, 6], 8), sub([3, 4, 7, 8], 8)
-        for budget, seeded in [(780, [s]), (781, [s, t])]:
-            calls.clear()
-            mutation_distance(s, t, budget=budget, big=True)
-            assert calls == seeded, budget
-        # a pair that is not complementary seeds both sides, however small the budget
-        s, t = sub([1, 2, 3, 6, 7], 10), sub([3, 4, 5, 8, 9], 10)
-        for budget in (0, 20000):
+        for budget, explored in [(780, 780), (781, 1104)]:
             calls.clear()
             r = mutation_distance(s, t, budget=budget, big=True)
-            assert calls == [s, t] and r.budget_exhausted, budget
+            assert (calls, r.nodes_explored) == ([(s, (budget - 1) // 2, True)], explored), budget
+        # a pair that no map swaps (a rotation sends i to j, but not j to i)
+        # seeds both sides, however small the budget
+        s, t = sub([1, 2, 3, 5], 9), sub([2, 3, 4, 6], 9)
+        assert swapping_maps(s, t) == []
+        for budget in (0, 10**6):
+            calls.clear()
+            r = mutation_distance(s, t, budget=budget, big=True)
+            assert [(x, swap) for x, _, swap in calls] == [(s, False), (t, False)], budget
+            assert r.budget_exhausted == (budget == 0), budget
 
 
 @pytest.mark.skipif(os.environ.get("WEAKSEP_LONG") != "1", reason="runs under WEAKSEP_LONG=1")

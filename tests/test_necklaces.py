@@ -17,7 +17,6 @@ from weaksep import (
     is_generalized_cyclic_pattern,
     is_weakly_separated,
     length_of,
-    lr_subset,
     necklace_from_perm,
     perm_from_necklace,
     positroid_contains,
@@ -25,6 +24,7 @@ from weaksep import (
     tau_kn,
 )
 from weaksep import necklaces
+from _lemmas import lr_subset
 from _oracles import naive_is_necklace
 from math import comb
 
