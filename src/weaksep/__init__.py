@@ -18,10 +18,8 @@ from .cliques import (
 )
 from .domains import (
     ChainNotFound,
-    ProfileNotFound,
     boundary_intervals,
     build_domain_AIJ,
-    characterize_element,
     chord_chain,
     circle_partition,
     cluster_distance,
@@ -54,16 +52,13 @@ from .mutations import (
 from .necklaces import (
     DecoratedPermutation,
     GrassmannNecklace,
-    SimpleCyclicPattern,
     block_reversal_permutation,
     canonical_permutation,
     domain_in_for_necklace,
-    is_generalized_cyclic_pattern,
     length_of,
     necklace_from_perm,
     perm_from_necklace,
     positroid_contains,
-    simple_pattern_split,
     tau_kn,
 )
 from .octahedron import (

@@ -293,12 +293,12 @@ def _cmd_octahedron(args) -> tuple[int, bytes]:
 def _cmd_explore(args) -> tuple[int, bytes]:
     if args.k > args.n:
         raise ValueError(f"--k {args.k} exceeds --n {args.n}")
-    if args.split:
+    if args.split is not None:
         if args.format == "jsonl":
             raise ValueError("--split cannot be combined with --format jsonl")
         split = tuple(_ints("--split", args.split))
         octahedron._split_windows(split, args.n)
-    if args.seed:
+    if args.seed is not None:
         seed = Collection(Subset.parse(part, args.n) for part in args.seed.split(";"))
         if any(m.bit_count() != args.k for m in seed.masks):
             raise ValueError(f"every seed set must have --k {args.k} elements")
@@ -311,7 +311,7 @@ def _cmd_explore(args) -> tuple[int, bytes]:
         nodes = graph.nodes
         return code, _emit_collections(nodes, set().union(*nodes), args.n)
     report = graph.to_json()
-    if args.split:
+    if args.split is not None:
         checked, consistent = octahedron.check_projection_laws(graph, split)
         report["projection_laws"] = {"moves_checked": checked, "consistent": consistent}
     return code, emit_report(report)

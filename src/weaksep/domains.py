@@ -4,8 +4,8 @@ Covers: the domain of all m-subsets weakly separated from a fixed pair,
 boundary intervals, the alternating circle partition of a complementary pair
 with its balancedness test, closed-form ranks and cluster distances, the
 left/right domain over [0, n], the suffix-pair witness collection that lower
-bounds unbalanced domains, the four-region profile of a domain element, and
-nested chains inside maximal chord separated collections.
+bounds unbalanced domains, and nested chains inside maximal chord separated
+collections.  Four-region element profiles are lemma checks, in ``tests/_lemmas.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .ground import (
     _arc,
     _check_ground_size,
     _check_pair,
-    _check_same_ground,
     _pair_symmetries,
     _power_set,
     _weakly_separated_masks,
@@ -43,10 +42,6 @@ class ChainNotFound(RuntimeError):
     Distinguished from precondition errors: if the preconditions hold, this
     outcome contradicts the theory the search is certifying.
     """
-
-
-class ProfileNotFound(RuntimeError):
-    """No valid four-region profile exists for the given element."""
 
 
 @dataclass(frozen=True)
@@ -68,10 +63,6 @@ class CirclePartition:
     def is_balanced(self) -> bool:
         ps = self.lengths
         return all(ps[i] + ps[j] < self.k for i in range(len(ps)) for j in range(i + 1, len(ps)))
-
-    def intervals_unrotated(self) -> tuple[Subset, ...]:
-        """The same intervals mapped back to the original circle coordinates."""
-        return tuple(iv.rotate(-self.offset) for iv in self.intervals)
 
 
 def circle_partition(a: Subset) -> CirclePartition:
@@ -343,103 +334,6 @@ def unbalanced_witness(a: Subset) -> UnbalancedBound:
         raise RuntimeError(f"witness construction produced {len(witness)} sets, bound says {bound}")
     rotated_back = Collection(Subset(m, n).rotate(-part.offset) for m in witness)
     return UnbalancedBound(av, bv, chi, bound, rotated_back)
-
-
-# --- four-region element profile ---------------------------------------------
-
-@dataclass(frozen=True)
-class ElementProfile:
-    """Certificate that a domain element decomposes into four circle regions.
-
-    Walking clockwise: (alpha, beta) lies between I and J on one side, then
-    [beta, gamma] avoids everything outside the intersection, (gamma, delta)
-    lies between I and J again, and [delta, alpha] covers the whole union.
-    Endpoint run indices are 1-based positions into the pair's circle
-    partition; None when the corresponding region misses the symmetric
-    difference entirely.
-    """
-
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
-    left_endpoint: int | None
-    right_endpoint: int | None
-    internal: tuple[int, ...]
-
-
-def characterize_element(ctx: PairContext, r: Subset) -> ElementProfile:
-    """Search for the lexicographically least valid four-tuple (alpha, beta, gamma, delta).
-
-    The endpoint regions are the open arcs (alpha, beta) and (gamma, delta);
-    the half-open variants are not total over balanced domains.  An open arc
-    that lies between I and J meets the symmetric difference in elements of
-    one sign, an arc of the reduced circle, so it lies inside one run.
-    Exhaustive over all cyclically arranged tuples, so O(n^4) validity checks
-    per element.
-    """
-    if not ctx.balanced:
-        raise ValueError("element profiles are defined for balanced pairs only")
-    _check_same_ground(r, ctx.i)
-    if len(r) != ctx.m or not (is_weakly_separated(r, ctx.i) and is_weakly_separated(r, ctx.j)):
-        raise ValueError("element is not a member of the pair domain")
-    n = r.n
-    imask, jmask, rmask = ctx.i.mask, ctx.j.mask, r.mask
-    diff = imask ^ jmask
-    inter = imask & jmask
-    union = imask | jmask
-    assert ctx.partition is not None
-    # preimages in [n] of the circle-partition runs: pure-mask containment
-    # tests replace explicit projections (proj is an order bijection on the
-    # symmetric difference)
-    pos_to_elem = ctx.sym_diff
-    preimages = []
-    for iv in ctx.partition.intervals_unrotated():
-        pm = 0
-        for p in iv.elements():
-            pm |= 1 << (pos_to_elem[p - 1] - 1)
-        preimages.append(pm)
-
-    def between(region: int) -> bool:
-        ri, rr, rj = imask & region, rmask & region, jmask & region
-        return (ri & ~rr == 0 and rr & ~rj == 0) or (rj & ~rr == 0 and rr & ~ri == 0)
-
-    def run_index(region: int) -> int | None:
-        cell = region & diff
-        if cell == 0:
-            return None
-        return next(pos + 1 for pos, pre in enumerate(preimages) if cell & ~pre == 0)
-
-    for alpha, beta, gamma, delta in itertools.product(range(1, n + 1), repeat=4):
-        ob = (beta - alpha) % n
-        og = (gamma - alpha) % n
-        od = (delta - alpha - 1) % n + 1
-        if ob == 0 or og < ob or od <= og:
-            continue
-        # the open arcs (alpha, beta) and (gamma, delta), empty between neighbours
-        reg1 = _arc(alpha + 1, beta - 1, n) if ob > 1 else 0
-        reg2 = _arc(beta, gamma, n)
-        reg3 = _arc(gamma + 1, delta - 1, n) if (delta - gamma) % n > 1 else 0
-        reg4 = _arc(delta, alpha, n)
-        if not between(reg1):
-            continue
-        if rmask & reg2 & ~inter:
-            continue
-        if not between(reg3):
-            continue
-        if union & reg4 & ~rmask:
-            continue
-        left = run_index(reg3)
-        right = run_index(reg1)
-        internal = tuple(
-            pos + 1
-            for pos, pre in enumerate(preimages)
-            if pre & ~rmask == 0 and pos + 1 not in (left, right)
-        )
-        return ElementProfile(alpha, beta, gamma, delta, left, right, internal)
-    raise ProfileNotFound(
-        f"no valid four-region profile for {r}; the element or the context is out of contract"
-    )
 
 
 # --- chains inside maximal chord separated collections ------------------------

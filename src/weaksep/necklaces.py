@@ -1,23 +1,23 @@
-"""Decorated permutations, necklaces, positroid membership, and pattern splits.
+"""Decorated permutations, necklaces, and positroid membership.
 
 A necklace is the cyclic sequence of k-subsets obeying the one-element
 transition rule; it is equivalent data to a permutation with colored fixed
 points.  Alignments count the quadruples that cost length; the inside domain
-of a necklace pairs weak separation with Gale-order membership.
+of a necklace pairs weak separation with Gale-order membership.  Cyclic
+patterns and their splits are lemma checks, in ``tests/_lemmas.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .cliques import Collection, _first_unrelated_pair
+from .cliques import Collection
 from .domains import circle_partition
 from .ground import (
     GroundSetMismatch,
     Subset,
-    _power_set,
     _weakly_separated_masks,
     _whole_grid,
     cyclically_ordered,
@@ -235,87 +235,3 @@ def domain_in_for_necklace(nk: GrassmannNecklace) -> Collection:
         and positroid_contains(nk, Subset(mask, n))
     ]
     return Collection.from_masks(out, n)
-
-
-def _pattern_masks(sets: Sequence[Subset], step: int) -> list[int]:
-    """The masks of a cyclic pattern: two or more distinct, pairwise weakly separated
-    sets over one ground set, each ``step`` elements from the next.  Raises ValueError otherwise."""
-    if len(sets) < 2:
-        raise ValueError("pattern needs at least two sets")
-    if any(s.n != sets[0].n for s in sets):
-        raise GroundSetMismatch("pattern mixes ground sets")
-    masks = [s.mask for s in sets]
-    if len(set(masks)) != len(masks):
-        raise ValueError("pattern sets must be pairwise distinct")
-    for a, (x, y) in enumerate(zip(masks, masks[1:] + masks[:1])):
-        if (x ^ y).bit_count() != step:
-            count = "one element" if step == 1 else f"{step} elements"
-            raise ValueError(f"step {a}: symmetric difference must have {count}")
-    if _first_unrelated_pair(masks) is not None:
-        raise ValueError("pattern is not weakly separated")
-    return masks
-
-
-@dataclass(frozen=True)
-class SimpleCyclicPattern:
-    """A cyclic, pairwise weakly separated sequence of distinct sets with unit steps."""
-
-    sets: tuple[Subset, ...]
-
-    def __post_init__(self) -> None:
-        _pattern_masks(self.sets, 1)
-
-    @classmethod
-    def make(cls, sets: Iterable[Subset]) -> "SimpleCyclicPattern":
-        sets = list(sets)
-        if sets and sets[0] == sets[-1]:
-            sets = sets[:-1]
-        return cls(tuple(sets))
-
-    @property
-    def n(self) -> int:
-        return self.sets[0].n
-
-    def slope_indices(self) -> tuple[int, ...]:
-        r = len(self.sets)
-        return tuple(
-            i
-            for i in range(r)
-            if len(self.sets[(i - 1) % r]) != len(self.sets[(i + 1) % r])
-        )
-
-
-def is_generalized_cyclic_pattern(sets: Sequence[Subset]) -> bool:
-    """Validity check only: distinct, equal-size, weakly separated, two-element steps."""
-    if sets and sets[0] == sets[-1]:
-        sets = sets[:-1]
-    try:
-        masks = _pattern_masks(sets, 2)
-    except ValueError:
-        return False
-    return len({m.bit_count() for m in masks}) == 1
-
-
-def simple_pattern_split(p: SimpleCyclicPattern) -> tuple[Collection, Collection]:
-    """Split everything compatible with the pattern into inside and outside domains.
-
-    Compatible sets of size h are classified by the parity of how many size-h
-    slopes sit below them in the base Gale order: odd lands inside, even
-    outside.  The two domains overlap exactly in the pattern and union to the
-    full compatible family.
-    """
-    n = p.n
-    pattern_masks = {s.mask for s in p.sets}
-    slopes_by_size: dict[int, list[Subset]] = {}
-    for i in p.slope_indices():
-        slopes_by_size.setdefault(len(p.sets[i]), []).append(p.sets[i])
-    inside = set(pattern_masks)
-    outside = set(pattern_masks)
-    members = [s.mask for s in p.sets]
-    for mask in _power_set(n):
-        if not all(_weakly_separated_masks(mask, m) for m in members):
-            continue
-        x = Subset(mask, n)
-        below = sum(1 for s in slopes_by_size.get(len(x), []) if gale_leq(s, x, 1))
-        (inside if below % 2 else outside).add(mask)
-    return Collection.from_masks(inside, n), Collection.from_masks(outside, n)

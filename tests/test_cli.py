@@ -259,8 +259,8 @@ class TestInternalErrors:
         monkeypatch.setattr(domains, "_lr_chain_of", raiser(domains.ChainNotFound("no chain")))
         assert_internal_error(["lr", "--n", "4", "--chains"], capsys, "no chain")
 
-    def test_profile_not_found(self, monkeypatch, capsys):
-        monkeypatch.setattr(octahedron, "p4_counts", raiser(domains.ProfileNotFound("no profile")))
+    def test_runtime_error_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(octahedron, "p4_counts", raiser(RuntimeError("no profile")))
         assert_internal_error(["octahedron", "--p", "2,1,1,2"], capsys, "no profile")
 
     def test_disjoint_frontiers(self, monkeypatch, capsys):
@@ -508,6 +508,10 @@ class TestExplore:
         code, report = invoke_json(["explore", "--n", "4", "--k", "2", "--seed", seed])
         assert report["nodes"] == 2
 
+    def test_empty_seed_is_the_empty_set(self):
+        code, report = invoke_json(["explore", "--n", "4", "--k", "0", "--seed", ""])
+        assert code == EXIT_OK and report["nodes"] == 1
+
     @pytest.mark.parametrize(
         "argv, error",
         [
@@ -521,6 +525,8 @@ class TestExplore:
                 ["--k", "2", "--seed", "1,2;2,3;3,4;1,4;1,3;1,2,3"],
                 "every seed set must have --k 2 elements",
             ),
+            (["--k", "2", "--seed", ""], "every seed set must have --k 2 elements"),
+            (["--k", "2", "--split", ""], "--split expects integers separated by ',', got ''"),
         ],
     )
     def test_k_must_fit_n_and_seed(self, argv, error, capsys):

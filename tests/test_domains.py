@@ -4,7 +4,7 @@ import random
 from math import comb
 
 import pytest
-from _lemmas import lr_labels, lr_subset
+from _lemmas import characterize_element, intervals_unrotated, lr_labels, lr_subset
 from _oracles import (
     naive_chord_chain,
     naive_chord_separated,
@@ -19,7 +19,6 @@ from weaksep import (
     boundary_intervals,
     build_compat_graph,
     build_domain_AIJ,
-    characterize_element,
     chord_chain,
     circle_partition,
     cluster_distance,
@@ -100,7 +99,7 @@ class TestCirclePartition:
             odd_union |= iv.mask
         assert odd_union == rotated.mask
         back = 0
-        for iv in part.intervals_unrotated()[::2]:
+        for iv in intervals_unrotated(part)[::2]:
             back |= iv.mask
         assert back == a.mask
 
@@ -515,7 +514,7 @@ class TestCharacterizeElement:
         ctx = reduce_pair(sub(i, n), sub(j, n))
         assert ctx.balanced
         diff = set(ctx.sym_diff)
-        runs = [{ctx.sym_diff[x - 1] for x in iv.elements()} for iv in ctx.partition.intervals_unrotated()]
+        runs = [{ctx.sym_diff[x - 1] for x in iv.elements()} for iv in intervals_unrotated(ctx.partition)]
 
         def open_arc(a, b):
             return {(a + t - 1) % n + 1 for t in range(1, (b - a) % n)}

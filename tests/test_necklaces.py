@@ -5,7 +5,6 @@ import pytest
 from weaksep import (
     DecoratedPermutation,
     GrassmannNecklace,
-    SimpleCyclicPattern,
     Subset,
     block_reversal_permutation,
     build_compat_graph,
@@ -14,17 +13,15 @@ from weaksep import (
     cyclically_ordered,
     domain_in_for_necklace,
     enumerate_maximal_cliques,
-    is_generalized_cyclic_pattern,
     is_weakly_separated,
     length_of,
     necklace_from_perm,
     perm_from_necklace,
     positroid_contains,
-    simple_pattern_split,
     tau_kn,
 )
 from weaksep import necklaces
-from _lemmas import lr_subset
+from _lemmas import SimpleCyclicPattern, is_generalized_cyclic_pattern, lr_subset, simple_pattern_split
 from _oracles import naive_is_necklace
 from math import comb
 

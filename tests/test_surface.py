@@ -24,8 +24,6 @@ EXPORTS = [
     "GrassmannNecklace",
     "GroundSetMismatch",
     "NotMaximal",
-    "ProfileNotFound",
-    "SimpleCyclicPattern",
     "SquareMove",
     "Subset",
     "apply_square_move",
@@ -34,7 +32,6 @@ EXPORTS = [
     "build_compat_graph",
     "build_domain_AIJ",
     "canonical_permutation",
-    "characterize_element",
     "check_no_interior",
     "chord_chain",
     "circle_partition",
@@ -50,7 +47,6 @@ EXPORTS = [
     "is_balanced",
     "is_chord_separated",
     "is_cyclic_interval",
-    "is_generalized_cyclic_pattern",
     "is_weakly_separated",
     "length_of",
     "lr_chain",
@@ -68,13 +64,12 @@ EXPORTS = [
     "purity_report",
     "rank_formula",
     "reduce_pair",
-    "simple_pattern_split",
     "surrounds",
     "tau_kn",
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2923
+SOURCE_LINES = 2728
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
@@ -97,7 +92,7 @@ def test_exports_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(weaksep, name), types.ModuleType)
     )
     assert names == EXPORTS
-    assert len(EXPORTS) == 56
+    assert len(EXPORTS) == 51
 
 
 def test_cli_options_are_pinned():

@@ -1,8 +1,10 @@
 """Input checks that the rest of the suite never trips: each raises its own
 exception type with its own message, and the pattern check answers False or
-True on the shapes that only it decides."""
+True on the shapes that only it decides.  The pattern checks are lemma helpers
+from ``_lemmas``; the rest are the library's."""
 
 import pytest
+from _lemmas import SimpleCyclicPattern, is_generalized_cyclic_pattern
 
 from weaksep import (
     Collection,
@@ -10,14 +12,12 @@ from weaksep import (
     GrassmannNecklace,
     GroundSetMismatch,
     NotMaximal,
-    SimpleCyclicPattern,
     Subset,
     chord_chain,
     cluster_distance,
     complete_to_maximal,
     explore_mutation_graph,
     find_square_moves,
-    is_generalized_cyclic_pattern,
     lr_chain,
     lr_domain,
     necklace_from_perm,
