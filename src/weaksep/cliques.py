@@ -18,10 +18,11 @@ and a branch met again costs one add.  Moon and Moser's bound of 3^(m/3)
 maximal cliques on m vertices sets the digit width, so no digit carries.  The
 maximum splits the graph into the components of its complement, whose maxima
 add up, and runs the branch and bound on each part of three or more vertices,
-relabelled by non-increasing degree; given automorphisms, its root drops each
-searched vertex's orbit.  The census runs unsplit, relabelled by non-decreasing
-degree, enumeration in the domain's order: both check the maximum.  If
-complement keeps the domain, the census root counts a branch and its image once.
+only their vertices relabelled by non-increasing degree; given automorphisms,
+its root drops each searched vertex's orbit.  The census runs unsplit on the
+vertices that are not universal, relabelled by non-decreasing degree,
+enumeration in the domain's order: both check the maximum.  If complement
+keeps the domain, the census root counts a branch and its image once.
 """
 
 from __future__ import annotations
@@ -512,22 +513,21 @@ def _branch_and_bound(adj: Sequence[int], p: int, orbit: Callable[[int], int] | 
     return best
 
 
-def _degree_order(adj: Sequence[int], descending: bool) -> list[int]:
-    """The vertices by degree, highest first if ``descending`` else lowest first, ties by index.
+def _degree_order(adj: Sequence[int], vertices: Iterable[int], descending: bool) -> list[int]:
+    """The given vertices by degree, highest first if ``descending`` else lowest first, ties by index.
 
     Descending, the colouring meets high-degree vertices first and bounds tighter
     (Tomita et al. 2010); ascending, the census meets fewer branches (Eppstein et
     al. 2010).
     """
-    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count() if descending else adj[v].bit_count(), v))
+    return sorted(vertices, key=lambda v: (-adj[v].bit_count() if descending else adj[v].bit_count(), v))
 
 
 def _relabelled(adj: Sequence[int], order: Sequence[int]) -> list[int]:
-    """The graph with vertex ``order[t]`` renamed t: each row's binary digits, lowest first, picked in that order."""
-    m = len(adj)
-    if m <= 1:
-        return list(adj)
-    pick, digits = itemgetter(*order), f"0{m}b"
+    """The subgraph on ``order``, ``order[t]`` renamed t: each row's binary digits, lowest first, picked in order."""
+    if len(order) <= 1:
+        return [0] * len(order)
+    pick, digits = itemgetter(*order), f"0{len(adj)}b"
     return [int("".join(pick(format(adj[v], digits)[::-1]))[::-1], 2) for v in order]
 
 
@@ -535,26 +535,31 @@ def max_clique_size(g: CompatGraph, symmetries: Callable[[], Sequence[Callable[[
     """Exact maximum-clique size: the sum of the maxima of the graph's join parts.
 
     The parts are the complement's components.  A part of one vertex (a
-    universal vertex) or two (a non-edge) adds 1; every other part runs the
-    branch and bound alone, its root pruned by the orbits under the pair's
-    maps (those that move the part never meet it).  ``symmetries`` lists
-    those maps of vertex masks, which with the identity form a group of
-    automorphisms; it is called only if some part is searched.  Without
-    maps the search is plain, and the enumerator stays unsplit, so the
-    answers cross-check each other.
+    universal vertex) or two (a non-edge) adds 1; only the vertices of the
+    other parts are relabelled, and each such part runs the branch and bound
+    alone, its root pruned by the orbits under the pair's maps (those that
+    move the part never meet it).  ``symmetries`` lists those maps of vertex
+    masks, which with the identity form a group of automorphisms; it is
+    called only if some part is searched.  Without maps the search is plain,
+    and the enumerator stays unsplit, so the answers cross-check each other.
     """
-    # edges between parts are complete, so the global degree order restricted
-    # to a part is the part's own degree order
-    order = _degree_order(g.adj, True)
-    adj = _relabelled(g.adj, order)
-    parts = _co_components(adj)
+    parts = _co_components(g.adj)
     searched = [part for part in parts if part.bit_count() > 2]
-    maps = symmetries() if searched else ()
+    if not searched:
+        return len(parts)
+    # edges between parts are complete, so the degree order restricted to a
+    # part is the part's own: each part gets the tree of the whole relabel
+    kept = reduce(or_, searched)
+    order = _degree_order(g.adj, [v for v in range(kept.bit_length()) if kept >> v & 1], True)
+    adj = _relabelled(g.adj, order)
+    searched = [sum(1 << t for t, v in enumerate(order) if part >> v & 1) for part in searched]
+    maps = symmetries()
     masks = [g.vertices.masks[v] for v in order] if maps else []
     index = {mask: 1 << t for t, mask in enumerate(masks)}
 
     def orbit(v: int) -> int:
-        # an automorphism permutes the parts, so v's images outside its own part never meet the search
+        # an automorphism permutes the parts, so v's images lie in searched
+        # parts, and those outside its own part never meet the search
         return reduce(or_, (index[f(masks[v])] for f in maps), 1 << v)
 
     return len(parts) - len(searched) + sum(_branch_and_bound(adj, part, orbit if maps else None) for part in searched)
@@ -597,17 +602,22 @@ class PurityReport:
 def _clique_sizes(adj: Sequence[int], twin: Sequence[int] | None = None) -> dict[int, int]:
     """The maximal cliques counted by size, as size -> count, on the graph relabelled by ascending degree.
 
-    An m-vertex graph has at most 3^(m/3) < 2^(17m/32) maximal cliques (Moon
-    and Moser 1965), so census digits of ``m * 17 // 32 + 2`` bits never carry.
-    ``twin``, ``_clique_census``'s involution, is relabelled with the graph.
+    A universal vertex lies in every maximal clique, so the census counts the
+    other m vertices (a complete graph's all) and each size gains one per
+    universal vertex.  They have at most 3^(m/3) < 2^(17m/32) maximal cliques
+    (Moon and Moser 1965), so census digits of ``m * 17 // 32 + 2`` bits never
+    carry.  ``twin``, ``_clique_census``'s involution, keeps the universal
+    vertices together, so it is restricted and relabelled with the graph.
     """
-    digit = len(adj) * 17 // 32 + 2
-    order = _degree_order(adj, False)
+    m = len(adj)
+    keep = [v for v in range(m) if adj[v].bit_count() < m - 1] or range(m)
+    order = _degree_order(adj, keep, False)
+    digit, universal = len(order) * 17 // 32 + 2, m - len(order)
     if twin is not None:
         label = {v: t for t, v in enumerate(order)}
         twin = [label[twin[v]] for v in order]
     census, low = _clique_census(_relabelled(adj, order), digit, twin), (1 << digit) - 1
-    return {r: c for r in range(len(adj) + 1) if (c := census >> digit * r & low)}
+    return {r + universal: c for r in range(len(order) + 1) if (c := census >> digit * r & low)}
 
 
 def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:

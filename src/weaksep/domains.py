@@ -29,7 +29,6 @@ from .ground import (
     _check_pair,
     _pair_symmetries,
     _power_set,
-    _weakly_separated_masks,
     _whole_grid,
     cyclic_interval,
     is_weakly_separated,
@@ -140,15 +139,23 @@ def boundary_intervals(k: int, n: int) -> Collection:
 
 
 def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
-    """All m-subsets of [n] weakly separated from both I and J, in canonical order."""
+    """All m-subsets of [n] weakly separated from both I and J, in canonical order.
+
+    The differences of sets of one size have one size, so S is weakly separated
+    from I iff S\\I misses the span of I\\S or I\\S that of S\\I (both empty if S = I).
+    """
     _check_pair(i, j)
-    n, m = i.n, len(i)
-    out = [
-        mask
-        for mask in _whole_grid(n, m)
-        if _weakly_separated_masks(mask, i.mask) and _weakly_separated_masks(mask, j.mask)
-    ]
-    return Collection.from_masks(out, n)
+    n, im, jm = i.n, i.mask, j.mask
+    out = []
+    for s in _whole_grid(n, len(i)):
+        a, b = s & ~im, im & ~s
+        if a & (1 << b.bit_length()) - (b & -b) and b & (1 << a.bit_length()) - (a & -a):
+            continue
+        a, b = s & ~jm, jm & ~s
+        if a & (1 << b.bit_length()) - (b & -b) and b & (1 << a.bit_length()) - (a & -a):
+            continue
+        out.append(s)
+    return Collection._canonical(tuple(out), n)  # the colex grid is already ascending
 
 
 def _grid_rank(n: int, k: int) -> int:

@@ -365,8 +365,14 @@ class TestLrChordOcta:
         def scanned(*args):
             raise AssertionError("a candidate was tested before the size check")
 
+        def scanned_grid(n, k):
+            whole_grid(n, k)  # the pair domain tests its candidates inline, so the grid's cap must refuse
+            scanned()
+
+        whole_grid = domains._whole_grid
         monkeypatch.setattr(Collection, "from_masks", classmethod(listed))
-        monkeypatch.setattr(domains, "_weakly_separated_masks", scanned)
+        monkeypatch.setattr(Collection, "_canonical", classmethod(listed))
+        monkeypatch.setattr(domains, "_whole_grid", scanned_grid)
         monkeypatch.setattr(necklaces, "_weakly_separated_masks", scanned)
         code, payload = invoke(argv)
         assert code == EXIT_BAD_INPUT and payload == b""

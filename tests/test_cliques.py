@@ -88,7 +88,7 @@ def as_graph(adj):
 
 
 def degree_ordered(adj, descending):
-    return _relabelled(adj, _degree_order(adj, descending))
+    return _relabelled(adj, _degree_order(adj, range(len(adj)), descending))
 
 
 @functools.lru_cache(maxsize=None)
@@ -606,6 +606,61 @@ class TestCliqueCensus:
             for trial in range(5):
                 assert _clique_sizes(permuted(adj, rng.sample(range(m), m))) == sizes, (m, trial)
 
+    def test_universal_vertices_stay_out_of_the_relabel(self, monkeypatch):
+        # random graphs with 0-5 universal vertices joined on, K1-K6, the
+        # graph with no vertex and an edgeless one; the relabel sees only the
+        # vertices that are not universal, or a complete graph whole
+        relabelled = []
+
+        def relabel(adj, order):
+            relabelled.append(len(order))
+            return plain(adj, order)
+
+        plain = cliques._relabelled
+        monkeypatch.setattr(cliques, "_relabelled", relabel)
+        rng = random.Random(39)
+        graphs = [[((1 << m) - 1) ^ 1 << v for v in range(m)] for m in range(7)] + [[0] * 4]
+        for density in (0.2, 0.5, 0.8):
+            for m in (2, 5, 9, 12, 20):
+                for universal in range(6):
+                    adj = join([random_graph(rng, m, density)], universal)
+                    graphs.append(permuted(adj, rng.sample(range(len(adj)), len(adj))))
+        for adj in graphs:
+            m = len(adj)
+            kept = sum(row.bit_count() < m - 1 for row in adj) or m
+            plain_visits = []
+            plain_bron_kerbosch(adj, [1 << v for v in range(m)], plain_visits.append)
+            relabelled.clear()
+            assert _clique_sizes(adj) == census_sizes(adj) == size_counts(plain_visits), adj
+            assert relabelled == [kept], adj
+
+    def test_twins_restrict_to_the_kept_vertices(self):
+        # twin graphs with 0, 2 or 4 universal vertices twinned in pairs, and
+        # complement-closed domains, whose universal sets are twinned too
+        rng = random.Random(40)
+        cases = []
+        for trial in range(150):
+            adj, twin = twin_graph(rng, 2 * rng.randint(1, 12), rng.uniform(0.2, 0.8))
+            m, universal = len(adj), 2 * rng.randint(0, 2)
+            adj, twin = join([adj], universal), twin + [v ^ 1 for v in range(m, m + universal)]
+            perm = rng.sample(range(len(adj)), len(adj))
+            moved = [0] * len(adj)
+            for v in range(len(adj)):
+                moved[perm[v]] = perm[twin[v]]
+            cases.append((permuted(adj, perm), moved))
+        halves = (sub([1, 3], 4), sub([1, 2, 4], 6), sub([1, 2, 5, 6], 8))
+        domains = [build_domain_AIJ(a, a.complement()) for a in halves]
+        domains += [lr_domain(n) for n in range(1, 6)] + [Collection.from_masks(_power_set(n), n) for n in range(1, 5)]
+        cases += [(list(build_compat_graph(dom).adj), complement_twins(dom)) for dom in domains]
+        with_universal = 0
+        for adj, twin in cases:
+            m = len(adj)
+            with_universal += any(row.bit_count() == m - 1 for row in adj)
+            plain_visits = []
+            plain_bron_kerbosch(adj, [1 << v for v in range(m)], plain_visits.append)
+            assert _clique_sizes(adj, twin) == census_sizes(adj) == size_counts(plain_visits), (adj, twin)
+        assert with_universal > 100
+
     def test_moon_moser_extremes_do_not_carry(self, monkeypatch):
         # complete multipartite graphs with parts of three, and one part of
         # two or four, have the most maximal cliques of any graph on m
@@ -679,6 +734,23 @@ class TestDegreeOrdered:
         # itemgetter of one index returns a string, of none it raises
         for adj in ([], [0], [0, 0], [2, 1]):
             self.check(adj)
+
+    def test_none_or_one_vertex_of_a_larger_graph(self):
+        # the guard reads the order, not the graph
+        for adj in ([0, 0], [2, 1], [6, 5, 3], random_graph(random.Random(39), 9, 0.5)):
+            assert _relabelled(adj, []) == []
+            for v in range(len(adj)):
+                assert _relabelled(adj, [v]) == [0], (adj, v)
+
+    def test_some_vertices_give_their_subgraph(self):
+        # the subgraph on the picked vertices, in the order given
+        rng = random.Random(41)
+        for m in (3, 9, 70):
+            adj = random_graph(rng, m, 0.5)
+            for size in (2, m // 2, m - 1):
+                order = rng.sample(range(m), size)
+                expected = [sum(1 << t for t, w in enumerate(order) if adj[v] >> w & 1) for v in order]
+                assert _relabelled(adj, order) == expected, (m, order)
 
     def test_random_graphs_wider_than_a_word(self):
         rng = random.Random(27)

@@ -36,7 +36,7 @@ from weaksep import (
 )
 from weaksep.cliques import _greedy_maximal, _require_maximal
 from weaksep.domains import _decorated, _lr_chain_of
-from weaksep.ground import _power_set
+from weaksep.ground import _power_set, _weakly_separated_masks, _whole_grid
 
 
 def sub(elems, n):
@@ -172,6 +172,39 @@ class TestBuildDomain:
     def test_alternating_gives_boundary_only(self):
         dom = build_domain_AIJ(sub([1, 3, 5], 6), sub([2, 4, 6], 6))
         assert dom == boundary_intervals(3, 6)
+
+    @staticmethod
+    def check_against_two_predicates(i, j):
+        """The domain is the grid filtered by the general predicate against I and against J, strictly ascending."""
+        dom = build_domain_AIJ(i, j)
+        grid = _whole_grid(i.n, len(i))
+        masks = [s for s in grid if _weakly_separated_masks(s, i.mask) and _weakly_separated_masks(s, j.mask)]
+        assert dom.masks == tuple(masks) and dom == Collection.from_masks(masks, i.n), (i, j)
+        assert all(a < b for a, b in zip(dom.masks, dom.masks[1:])), (i, j)
+        return len(dom)
+
+    def test_every_pair_up_to_eight_matches_two_predicates(self):
+        # the domain is symmetric in I and J, so each unordered pair once, I = J included
+        pairs = 0
+        for n in range(1, 9):
+            for m in range(n + 1):
+                grid = list(_whole_grid(n, m))
+                for a, b in itertools.combinations_with_replacement(grid, 2):
+                    self.check_against_two_predicates(Subset(a, n), Subset(b, n))
+                    pairs += 1
+        assert pairs == sum((comb(comb(n, m), 2) + comb(n, m)) for n in range(1, 9) for m in range(n + 1))
+
+    def test_seeded_pairs_of_ten_and_twelve_match_two_predicates(self):
+        rng = random.Random(39)
+        shared = 0
+        for n in (10, 12):
+            for trial in range(60):
+                m = rng.randint(1, n - 1)
+                i = Subset.of(rng.sample(range(1, n + 1), m), n)
+                j = i if trial % 10 == 0 else Subset.of(rng.sample(range(1, n + 1), m), n)
+                shared += bool(i.mask & j.mask) and i != j
+                assert self.check_against_two_predicates(i, j) >= n  # the boundary intervals at least
+        assert shared > 60
 
     def test_max_clique_value(self):
         dom = build_domain_AIJ(sub([1, 2, 4], 6), sub([3, 5, 6], 6))

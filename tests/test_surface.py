@@ -69,7 +69,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2728
+SOURCE_LINES = 2745
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],

@@ -11,7 +11,8 @@ import gc
 import itertools
 import os
 import random
-from functools import cache, partial
+from functools import cache, partial, reduce
+from operator import or_
 
 import pytest
 
@@ -23,10 +24,12 @@ from weaksep import (
     build_domain_AIJ,
     circle_partition,
     cluster_distance,
+    enumerate_maximal_cliques,
     is_weakly_separated,
     max_clique_size,
 )
-from weaksep.cliques import _branch_and_bound, _co_components
+from weaksep import cliques
+from weaksep.cliques import _branch_and_bound, _co_components, _degree_order, _relabelled
 from weaksep.ground import _pair_symmetries
 
 from _oracles import naive_pair_stabilizer
@@ -232,6 +235,71 @@ class TestPrunedAgreesWithPlain:
         for i, j in orbits[1:]:
             g = build_compat_graph(build_domain_AIJ(i, j))
             assert max_clique_size(g, partial(_pair_symmetries, i.mask, j.mask, 12)) == max_clique_size(g), i
+
+
+def compacted(adj, part, orbit):
+    """A searched part as the branch and bound sees it: its subgraph and each root orbit in it, renumbered in order."""
+    vertices = [v for v in range(len(adj)) if part >> v & 1]
+    rows = tuple(sum(1 << t for t, w in enumerate(vertices) if adj[v] >> w & 1) for v in vertices)
+    if orbit is None:
+        return rows, ()
+    return rows, tuple(sum(1 << t for t, w in enumerate(vertices) if orbit(v) >> w & 1) for v in vertices)
+
+
+def full_relabel_parts(g, maps):
+    """The searched parts as the route that relabelled the whole graph before the split handed them on."""
+    order = _degree_order(g.adj, range(len(g.adj)), True)
+    adj = _relabelled(g.adj, order)
+    masks = [g.vertices.masks[v] for v in order]
+    index = {mask: 1 << t for t, mask in enumerate(masks)}
+
+    def orbit(v):
+        return reduce(or_, (index[f(masks[v])] for f in maps), 1 << v)
+
+    return [compacted(adj, part, orbit if maps else None) for part in _co_components(adj) if part.bit_count() > 2]
+
+
+class TestSearchedPartsOnly:
+    def test_branch_and_bound_gets_the_full_relabel_parts(self, monkeypatch):
+        # the relabel of the searched vertices alone hands each part on with
+        # the subgraph and root orbits it had in the whole graph relabelled,
+        # so each part gets the same tree; parts come in order of their
+        # lowest vertex before the relabel, not after
+        received = []
+
+        def recording(adj, p, orbit=None):
+            received.append(compacted(adj, p, orbit))
+            return plain(adj, p, orbit)
+
+        plain = cliques._branch_and_bound
+        monkeypatch.setattr(cliques, "_branch_and_bound", recording)
+        halves = sub([1, 2, 3, 4, 8, 9, 10], 14)  # two 62-set parts
+        pairs = small_pairs()[::4] + swept_pairs()[456:] + [(halves, halves.complement())]
+        cases = [(i, j, _pair_symmetries(i.mask, j.mask, i.n)) for i, j in pairs]
+        cases += [(i, j, []) for i, j, _ in cases[::3]]
+        searched = 0
+        for i, j, maps in cases:
+            g = build_compat_graph(build_domain_AIJ(i, j))
+            received.clear()
+            max_clique_size(g, lambda: maps)
+            assert sorted(received) == sorted(full_relabel_parts(g, maps)), (i, j, len(maps))
+            searched += len(received)
+        assert searched > 200
+
+    def test_no_relabel_without_a_searched_part(self, monkeypatch):
+        # parts of one or two vertices add 1 each; nothing is relabelled and no map listed
+        def refuse(*args):
+            raise AssertionError("relabelled or listed without a searched part")
+
+        monkeypatch.setattr(cliques, "_relabelled", refuse)
+        monkeypatch.setattr(cliques, "_degree_order", refuse)
+        small = 0
+        for i, j in swept_pairs():
+            g = build_compat_graph(build_domain_AIJ(i, j))
+            if all(part.bit_count() <= 2 for part in _co_components(g.adj)):
+                assert max_clique_size(g, refuse) == max(len(c) for c in enumerate_maximal_cliques(g)), (i, j)
+                small += 1
+        assert small > 50
 
 
 def counted(maps):
