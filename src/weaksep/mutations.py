@@ -8,8 +8,9 @@ Each grid keeps one table entry per set: its squares, flat, and the (flip,
 move) pairs of each pattern of held side sets, so expanding a node is one
 lookup per member with a square and a child is ``node ^ flip``; the cyclic
 intervals have no square.  Seeding stops at the budget and counts the rest by
-census, a pair's once if one of its maps swaps it; a seed layer moves only its
-side's set.  Breadth-first layers run in canonical order, so every output is deterministic.
+census, a pair's once if one of its maps swaps it.  A seed is known by its
+side's set bit, and a seed layer moves only that set, each child from one seed,
+so it needs no order; deeper layers run in canonical order, so every output is deterministic.
 """
 
 from __future__ import annotations
@@ -187,18 +188,17 @@ def _neighbors(grid: _Grid, node: int, members: int = -1) -> list[tuple[int, tup
         pos = rest.bit_length() - 1
         bit = 1 << pos
         rest ^= bit
-        near, squares, known = table[pos] if pos in table else grid.entry(pos)
-        held = node & near
-        flips = known.get(held)
-        if flips is None:
-            # a plain loop: a comprehension here would make grid, bit and held closure cells
-            flips = []
-            for sides, move in squares:
-                if held & sides == sides:
-                    flips.append((bit ^ grid[move[5]], move))
-            flips = known[held] = tuple(flips)
-        out += flips
+        near, _, known = table[pos] if pos in table else grid.entry(pos)
+        flips = known.get(held := node & near)
+        out += _held_moves(grid, pos, held) if flips is None else flips
     return out
+
+
+def _held_moves(grid: _Grid, pos: int, held: int) -> tuple[tuple[int, tuple], ...]:
+    """The moves of the set at bit ``pos`` in a node holding the side bits ``held``, kept in its entry."""
+    bit, (_, squares, known) = 1 << pos, grid.table[pos]
+    flips = known[held] = tuple((bit ^ grid[m[5]], m) for sides, m in squares if held & sides == sides)
+    return flips
 
 
 def _check_applicable(c: Collection, m: SquareMove) -> tuple[_Grid, int]:
@@ -390,9 +390,11 @@ def mutation_distance(
     side grows to depth d has depth sum at most d plus the other side's depth,
     so the first layer where the sides meet holds the distance: the least depth
     sum met there, ties going to the largest int, which is the smallest tuple.
-    Seeds are all listed before the BFS, so a seed layer moves only its side's
-    set: any other move keeps the set and leads to a seed; the kept children,
-    and so every parent, meet, path and count, are those of an all-member scan.
+    Seeds are all listed before the BFS, so a seed is known by its side's set
+    bit and is kept in no dict, and a seed layer moves only that set: any other
+    move leads to a seed.  The added diagonal is not weakly separated from the
+    set, so each child has one seed parent and seeds are expanded unsorted and
+    untested; every parent, meet, path and count is that of an all-member scan.
     """
     _check_pair(i, j)
     n, k = i.n, len(i)
@@ -416,11 +418,10 @@ def mutation_distance(
         seeds = [found, _maximal_collections_containing(j, grid, rest)]
     if (total := sum(x if isinstance(x, int) else len(x) for x in seeds)) >= budget:
         return DistanceResult(None, (), None, None, total)
-    # per side, 0 from i and 1 from j: node -> (parent, move, depth); roots have parent None.
-    # No collection holds both i and j, so the seeds of the two sides never meet.
-    sides = [dict.fromkeys(found, (None, None, 0)) for found in seeds]
-    frontiers, depths, best = list(sides), [0, 0], None
-    while best is None:
+    # per side, 0 from i and 1 from j: node -> (parent, move, depth) at depth 1 or more.  Every
+    # collection holding the side's set is listed, so a seed is known by that set's bit.
+    bits, sides, frontiers, depths, met = [grid[i.mask], grid[j.mask]], [{}, {}], seeds, [0, 0], []
+    while not met:
         # the smaller non-empty frontier grows; a tie grows the j side
         live = [s for s in (1, 0) if frontiers[s]]
         if not live:
@@ -429,22 +430,32 @@ def mutation_distance(
                 "components of the two endpoints are disjoint"
             )
         grow = min(live, key=lambda s: len(frontiers[s]))
-        if sum(map(len, sides)) >= budget:
-            return DistanceResult(None, (), None, None, sum(map(len, sides)))
-        side, other, depth = sides[grow], sides[1 - grow], depths[grow] + 1
-        members = grid[(i, j)[grow].mask] if depths[grow] == 0 else -1
+        if (explored := total + sum(map(len, sides))) >= budget:
+            return DistanceResult(None, (), None, None, explored)
+        side, other, depth, own, far = sides[grow], sides[1 - grow], depths[grow] + 1, bits[grow], bits[1 - grow]
         layer: dict[int, tuple] = {}
-        # descending ints are ascending tuples, the canonical expansion order
-        for node in sorted(frontiers[grow], reverse=True):
-            for flip, move in _neighbors(grid, node, members):
-                if (child := node ^ flip) not in side and child not in layer:
-                    layer[child] = (node, move, depth)
-                    if child in other:
-                        total = depth + other[child][2]
-                        if best is None or total < best or (total == best and child > meet):
-                            best, meet = total, child
+        if depth == 1:
+            # each child has one seed parent, so seeds need no order and children no test
+            near, _, known = grid.entry(pos := own.bit_length() - 1)
+            for node in frontiers[grow]:
+                flips = known.get(held := node & near)
+                for flip, move in _held_moves(grid, pos, held) if flips is None else flips:
+                    layer[child := node ^ flip] = (node, move, 1)
+                    if child & far or child in other:
+                        met.append(child)
+        else:
+            # descending ints are ascending tuples, the canonical expansion order
+            for node in sorted(frontiers[grow], reverse=True):
+                for flip, move in _neighbors(grid, node):
+                    if (child := node ^ flip) not in side and child not in layer and not child & own:
+                        layer[child] = (node, move, depth)
+                        if child & far or child in other:
+                            met.append(child)
         side.update(layer)
         frontiers[grow], depths[grow] = layer, depth
+    # the least depth sum met, ties going to the largest int, which is the smallest tuple
+    best, meet = min((depth + (other[c][2] if c in other else 0), -c) for c in met)
+    meet = -meet
 
     (to_meet, src), (from_meet, dst) = (_walk_back(meet, side) for side in sides)
     path = tuple(SquareMove(Subset(m[0], n), *m[1:5]) for m in reversed(to_meet)) + tuple(
@@ -455,13 +466,14 @@ def mutation_distance(
         path,
         Collection.from_masks(grid.masks(src), n),
         Collection.from_masks(grid.masks(dst), n),
-        sum(map(len, sides)),
+        total + sum(map(len, sides)),
     )
 
 
 def _walk_back(node: int, side: dict) -> tuple[list[tuple], int]:
+    """The moves from a node back to its seed, the first node not in ``side``; one per depth."""
     moves = []
-    while side[node][0] is not None:
+    for _ in range(side[node][2] if node in side else 0):
         node, move, _ = side[node]
         moves.append(move)
     return moves, node

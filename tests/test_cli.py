@@ -265,8 +265,14 @@ class TestInternalErrors:
 
     def test_disjoint_frontiers(self, monkeypatch, capsys):
         # with no square moves the two seed sets, which share no collection,
-        # can never meet, so mutation_distance raises its own RuntimeError
-        monkeypatch.setattr(mutations, "_neighbors", lambda grid, node, members=-1: [])
+        # can never meet, so mutation_distance raises its own RuntimeError;
+        # the moves go at their one definition, in a fresh grid whose entries hold no square
+        class Squareless(mutations._Grid):
+            def entry(self, pos):
+                out = self.table[pos] = (0, (), {})
+                return out
+
+        monkeypatch.setattr(mutations, "_grid", Squareless)
         argv = ["mutdist", "--n", "6", "--i", "1,2,4", "--j", "3,5,6"]
         message = (
             "both frontiers exhausted without meeting; the mutation graph "

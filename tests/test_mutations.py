@@ -595,7 +595,7 @@ def dihedral_orbit_members(n, k):
 
 
 class TestSeedLayer:
-    """A seed layer moves only its side's set; the search is that of an all-member scan."""
+    """A seed layer moves only its side's set, each child from one seed; the search is that of an all-member scan."""
 
     @pytest.mark.parametrize("n, k", [(6, 3), (7, 3)])
     def test_seed_children_are_those_that_drop_the_set(self, n, k):
@@ -607,6 +607,11 @@ class TestSeedLayer:
                 listed = [(seed ^ flip, move) for flip, move in _neighbors(grid, seed, bit)]
                 every = [(seed ^ flip, move) for flip, move in _neighbors(grid, seed)]
                 assert listed == [(child, move) for child, move in every if not child & bit], (x, seed)
+                # the child holds the added diagonal, which is not weakly separated from x,
+                # so its one neighbour holding x is this seed: the seed layer meets no duplicate
+                for child, _ in listed:
+                    back = [child ^ flip for flip, _ in all_member_neighbors(grid, child) if (child ^ flip) & bit]
+                    assert back == [seed], (x, seed, child)
                 dropped += len(listed)
         assert dropped > 0
 

@@ -69,7 +69,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2745
+SOURCE_LINES = 2757
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
