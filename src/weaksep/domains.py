@@ -29,7 +29,7 @@ from .ground import (
     _check_pair,
     _pair_symmetries,
     _power_set,
-    _whole_grid,
+    _separated_from_all,
     cyclic_interval,
     is_weakly_separated,
 )
@@ -139,23 +139,9 @@ def boundary_intervals(k: int, n: int) -> Collection:
 
 
 def build_domain_AIJ(i: Subset, j: Subset) -> Collection:
-    """All m-subsets of [n] weakly separated from both I and J, in canonical order.
-
-    The differences of sets of one size have one size, so S is weakly separated
-    from I iff S\\I misses the span of I\\S or I\\S that of S\\I (both empty if S = I).
-    """
+    """All m-subsets of [n] weakly separated from both I and J, in canonical order: one walk per set over the grid."""
     _check_pair(i, j)
-    n, im, jm = i.n, i.mask, j.mask
-    out = []
-    for s in _whole_grid(n, len(i)):
-        a, b = s & ~im, im & ~s
-        if a & (1 << b.bit_length()) - (b & -b) and b & (1 << a.bit_length()) - (a & -a):
-            continue
-        a, b = s & ~jm, jm & ~s
-        if a & (1 << b.bit_length()) - (b & -b) and b & (1 << a.bit_length()) - (a & -a):
-            continue
-        out.append(s)
-    return Collection._canonical(tuple(out), n)  # the colex grid is already ascending
+    return Collection._canonical(_separated_from_all((i.mask, j.mask), i.n, len(i)), i.n)
 
 
 def _grid_rank(n: int, k: int) -> int:

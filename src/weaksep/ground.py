@@ -6,13 +6,14 @@ intervals, the surrounds relation, weak and chord separation, and the shifted
 Gale order.  All values are immutable and all functions are pure.  The pair
 predicates have a row form, ``_separated_rows``, which decides one set against
 a whole list by the runs of labels A (only it holds the element) and B (only
-the other does), the predicates' surround rules read along one walk.
+the other does), the predicates' surround rules read along one walk; the same
+walk over a cached grid's element columns lists a pair or necklace domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -123,6 +124,50 @@ def _whole_grid(n: int, k: int) -> Iterator[int]:
     return colex((1 << k) - 1)
 
 
+# distinct (n, k) grids whose view (here) and set bits and move tables (``mutations``) stay cached
+_GRIDS = 8
+
+
+@lru_cache(maxsize=_GRIDS)
+def _grid_view(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The k-subsets of [n] as ascending masks, and column e: the positions of the masks holding e+1, as a bitset.
+
+    ``_whole_grid`` lists the masks, so its cap refuses a grid first.  In colex
+    order the r-subsets of [m] are those of [m-1], then the C(m-1, r-1) that
+    hold m, and a set's position is that of its part in [m] plus an offset that
+    its part above m fixes.  At level m, q[r] holds the offsets of every part
+    above m that completes an r-subset of [m], so column m is, over r, the block
+    of ones of the sets holding m times q[r]; no two products overlap.
+    """
+    masks = tuple(_whole_grid(n, k))
+    q, cols = [0] * (k + 2), [0] * n
+    q[k] = 1
+    for m in range(n, 0, -1):
+        for r in range(max(1, k - n + m), min(k, m) + 1):
+            cols[m - 1] |= (q[r] << comb(m - 1, r - 1)) - q[r] << comb(m - 1, r)
+        for r in range(max(0, k - n + m - 1), min(k, m - 1) + 1):  # m is outside the part, or its lowest element
+            q[r] |= q[r + 1] << comb(m - 1, r + 1)
+    return masks, tuple(cols)
+
+
+def _separated_from_all(sets: Iterable[int], n: int, k: int) -> tuple[int, ...]:
+    """The k-subsets of [n] weakly separated from every k-subset in ``sets``, as ascending masks.
+
+    One ``_label_walks`` walk per set over the cached columns: sets of one size
+    are separated unless their labels hold both ABA and BAB.
+    """
+    masks, columns = _grid_view(n, k)
+    full = keep = (1 << len(masks)) - 1
+    for aba, bab in _label_walks([format(s, f"0{n}b")[::-1] for s in set(sets)], columns, full):
+        keep &= ~(aba & bab)
+    text = format(keep, "b")[::-1]  # digit p is the mask at position p
+    out, p = [], text.find("1")
+    while p >= 0:
+        out.append(masks[p])
+        p = text.find("1", p + 1)
+    return tuple(out)
+
+
 def _check_same_ground(a: Subset, b: Subset) -> None:
     if a.n != b.n:
         raise GroundSetMismatch(f"ground sets differ: [{a.n}] vs [{b.n}]")
@@ -216,26 +261,16 @@ def _chord_separated_masks(smask: int, tmask: int) -> bool:
     return _surrounds_masks(smask, tmask) or _surrounds_masks(tmask, smask)
 
 
-def _separated_rows(masks: Sequence[int], n: int, weak: bool) -> list[int]:
-    """Row v is the bitset of the masks weakly (else chord) separated from ``masks[v]``, itself left out.
+def _label_walks(texts: Iterable[str], has: Sequence[int], full: int) -> Iterator[tuple[int, int]]:
+    """For each set S, as digits, the bitsets of the Ts whose labels hold ABA, and BAB.
 
-    For S = masks[v], walk the elements from n down to 1, labelling each other
-    T with A at x in S\\T and B at x in T\\S; three bitset steps per element mark
-    all the Ts whose labels so far hold A, AB, ABA, B, BA or BAB.  Labels in at
-    most three runs (A*B*A* or B*A*B*, one difference surrounding the other)
-    hold at most one of ABA and BAB, four or more runs both.
+    ``has[t]`` is the Ts holding the element of digit t.  T is labelled A at x
+    in S\\T and B at x in T\\S; three bitset steps per element mark all the Ts
+    whose labels so far hold A, AB, ABA, B, BA or BAB.  Labels in at most three
+    runs (A*B*A* or B*A*B*, one difference surrounding the other) hold at most
+    one of ABA and BAB, four or more runs both.
     """
-    m, digits = len(masks), f"0{n}b"
-    full, texts = (1 << m) - 1, [format(s, digits) for s in masks]
-    # has[t]: the masks whose digit t is 1, highest element first as texts are
-    has = [int("".join(col)[::-1], 2) for col in zip(*texts)]
-    below = [0] * (n + 2)  # below[c]: the masks of fewer than c elements
-    for v, s in enumerate(masks):
-        below[s.bit_count() + 1] |= 1 << v
-    for c in range(1, n + 2):
-        below[c] |= below[c - 1]
-    rows = []
-    for v, text in enumerate(texts):
+    for text in texts:
         a = ab = aba = b = ba = bab = 0
         for bit, col in zip(text, has):
             if bit == "1":
@@ -247,9 +282,28 @@ def _separated_rows(masks: Sequence[int], n: int, weak: bool) -> list[int]:
                 bab |= ba & col
                 ab |= a & col
                 b |= col
+        yield aba, bab
+
+
+def _separated_rows(masks: Sequence[int], n: int, weak: bool) -> list[int]:
+    """Row v is the bitset of the masks weakly (else chord) separated from ``masks[v]``, itself left out.
+
+    For S = masks[v], ``_label_walks`` walks the elements from n down to 1.
+    """
+    m, digits = len(masks), f"0{n}b"
+    full, texts = (1 << m) - 1, [format(s, digits) for s in masks]
+    # has[t]: the masks whose digit t is 1, highest element first as texts are
+    has = [int("".join(col)[::-1], 2) for col in zip(*texts)]
+    below = [0] * (n + 2)  # below[c]: the masks of fewer than c elements
+    for v, s in enumerate(masks):
+        below[s.bit_count() + 1] |= 1 << v
+    for c in range(1, n + 2):
+        below[c] |= below[c - 1]
+    rows = []
+    for v, (aba, bab) in enumerate(_label_walks(texts, has, full)):
         bad = aba & bab
         if weak:
-            c = text.count("1")
+            c = masks[v].bit_count()
             bad |= aba & below[c] | bab & ~below[c + 1]
         rows.append(full ^ bad ^ 1 << v)
     return rows
@@ -283,14 +337,18 @@ def gale_leq(a: Subset, b: Subset, base: int) -> bool:
     most the m-th smallest element of B, for every m up to |A|.
     """
     _check_same_ground(a, b)
-    n = a.n
-    if not 1 <= base <= n:
-        raise ValueError(f"base {base} outside [1, {n}]")
-    if len(a) > len(b):
-        return False
-    ka = sorted((x - base) % n for x in a.elements())
-    kb = sorted((x - base) % n for x in b.elements())
-    return all(x <= y for x, y in zip(ka, kb))
+    if not 1 <= base <= a.n:
+        raise ValueError(f"base {base} outside [1, {a.n}]")
+    return _gale_leq_masks(a.mask, b.mask, base, a.n)
+
+
+def _gale_leq_masks(a: int, b: int, base: int, n: int) -> bool:
+    """``gale_leq`` on masks, unchecked: with ``base`` rotated to bit 0, B's m-th lowest bit is not below A's."""
+    r = (1 - base) % n
+    a, b = _rotated(a, r, n), _rotated(b, r, n)
+    while a and a & -a <= b & -b:
+        a, b = a & a - 1, b & b - 1
+    return not a
 
 
 def cyclically_ordered(a: int, b: int, c: int, d: int, n: int) -> bool:

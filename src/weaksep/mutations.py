@@ -32,11 +32,11 @@ from .cliques import (
 )
 from .domains import _grid_rank, build_domain_AIJ
 from .ground import (
+    _GRIDS,
     Subset,
     _check_pair,
     _pair_symmetries,
     _weakly_separated_masks,
-    _whole_grid,
     is_weakly_separated,
 )
 
@@ -44,9 +44,6 @@ DEFAULT_BUDGET = 10**6
 
 # instances with more ambient-grid cells than this need the explicit big flag
 BIG_GATE = 12
-
-# distinct (n, k) grids whose set bits and move tables stay cached
-_GRIDS = 8
 
 
 class BigInstance(ValueError):
@@ -480,4 +477,5 @@ def _walk_back(node: int, side: dict) -> tuple[list[tuple], int]:
 
 
 def _grid_completion(i: Subset, j: Subset) -> Collection:
-    return Collection.from_masks(_greedy_maximal({i.mask, j.mask}, _whole_grid(i.n, len(i))), i.n)
+    # a set the greedy adds is separated from I and J, so their domain holds every candidate
+    return Collection.from_masks(_greedy_maximal({i.mask, j.mask}, build_domain_AIJ(i, j).masks), i.n)

@@ -18,10 +18,9 @@ from .domains import circle_partition
 from .ground import (
     GroundSetMismatch,
     Subset,
-    _weakly_separated_masks,
-    _whole_grid,
+    _gale_leq_masks,
+    _separated_from_all,
     cyclically_ordered,
-    gale_leq,
 )
 
 
@@ -221,17 +220,12 @@ def positroid_contains(nk: GrassmannNecklace, j: Subset) -> bool:
         raise GroundSetMismatch(f"subset of [{j.n}] against a necklace over [{nk.n}]")
     if len(j) != nk.k:
         raise ValueError(f"expected a {nk.k}-subset, got cardinality {len(j)}")
-    return all(gale_leq(nk.sets[i - 1], j, i) for i in range(1, nk.n + 1))
+    return all(_gale_leq_masks(s.mask, j.mask, i, nk.n) for i, s in enumerate(nk.sets, 1))
 
 
 def domain_in_for_necklace(nk: GrassmannNecklace) -> Collection:
     """All k-subsets weakly separated from every necklace set and inside the positroid."""
-    n, k = nk.n, nk.k
-    neck = [s.mask for s in nk.sets]
-    out = [
-        mask
-        for mask in _whole_grid(n, k)
-        if all(_weakly_separated_masks(mask, m) for m in neck)
-        and positroid_contains(nk, Subset(mask, n))
-    ]
-    return Collection.from_masks(out, n)
+    n, neck = nk.n, [s.mask for s in nk.sets]
+    separated = _separated_from_all(neck, n, nk.k)
+    inside = tuple(m for m in separated if all(_gale_leq_masks(s, m, i, n) for i, s in enumerate(neck, 1)))
+    return Collection._canonical(inside, n)  # the grid's survivors are already ascending

@@ -93,6 +93,17 @@ def naive_is_necklace(sets: list[set], n: int) -> bool:
     return True
 
 
+def naive_gale_leq(a: set, b: set, base: int, n: int) -> bool:
+    """A <=_base B read off the definition, on plain subsets of [n].
+
+    Both sets are sorted in the order base < base+1 < ... < base-1; A may have
+    no more elements than B, and A's m-th may not come after B's m-th.
+    """
+    order = list(range(base, n + 1)) + list(range(1, base))
+    sa, sb = sorted(a, key=order.index), sorted(b, key=order.index)
+    return len(sa) <= len(sb) and all(order.index(x) <= order.index(y) for x, y in zip(sa, sb))
+
+
 def naive_maximal_cliques(adj: list[int]) -> set[frozenset]:
     """All maximal cliques of a graph on at most ~14 vertices, by full enumeration."""
     m = len(adj)

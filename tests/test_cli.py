@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from weaksep import Subset, cli, cliques, domains, mutations, necklaces, octahedron
+from weaksep import Subset, cli, cliques, domains, ground, mutations, octahedron
 from weaksep.cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
 from weaksep.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, emit_report, run
 
@@ -372,14 +372,13 @@ class TestLrChordOcta:
             raise AssertionError("a candidate was tested before the size check")
 
         def scanned_grid(n, k):
-            whole_grid(n, k)  # the pair domain tests its candidates inline, so the grid's cap must refuse
+            whole_grid(n, k)  # every filtered domain walks the grid view, which lists through the capped lister
             scanned()
 
-        whole_grid = domains._whole_grid
+        whole_grid = ground._whole_grid
         monkeypatch.setattr(Collection, "from_masks", classmethod(listed))
         monkeypatch.setattr(Collection, "_canonical", classmethod(listed))
-        monkeypatch.setattr(domains, "_whole_grid", scanned_grid)
-        monkeypatch.setattr(necklaces, "_weakly_separated_masks", scanned)
+        monkeypatch.setattr(ground, "_whole_grid", scanned_grid)
         code, payload = invoke(argv)
         assert code == EXIT_BAD_INPUT and payload == b""
         size = "2^40" if argv[0] in ("chord", "lr") or "--powerset" in argv else "C(40,20)"

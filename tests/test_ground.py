@@ -15,9 +15,10 @@ from weaksep import (
     is_weakly_separated,
     surrounds,
 )
-from weaksep.ground import _whole_grid
+from weaksep import ground, mutations
+from weaksep.ground import _gale_leq_masks, _grid_view, _whole_grid
 
-from _oracles import naive_chord_separated, naive_cyclic_run, naive_weakly_separated
+from _oracles import naive_chord_separated, naive_cyclic_run, naive_gale_leq, naive_weakly_separated
 
 
 def sub(elems, n):
@@ -283,6 +284,15 @@ class TestGaleOrder:
                                     assert gale_leq(a, c, base)
 
 
+    def test_mask_kernel_matches_sorted_oracle(self):
+        # every pair of subsets, of equal and of unequal sizes, under every base
+        for n in range(1, 8):
+            sets = [{x + 1 for x in range(n) if m >> x & 1} for m in range(1 << n)]
+            for (a, sa), (b, sb) in itertools.product(enumerate(sets), repeat=2):
+                for base in range(1, n + 1):
+                    assert _gale_leq_masks(a, b, base, n) == naive_gale_leq(sa, sb, base, n), (n, sa, sb, base)
+
+
 class TestTransform:
     def test_complement(self):
         assert sub([1, 2, 4], 6).complement() == sub([3, 5, 6], 6)
@@ -306,3 +316,19 @@ class TestKSubsetMasks:
         assert list(_whole_grid(5, 0)) == [0]
         assert list(_whole_grid(5, 5)) == [0b11111]
         assert list(_whole_grid(4, 5)) == []
+
+
+class TestGridView:
+    def test_columns_transpose_the_grid(self):
+        for n in range(1, 13):
+            for k in range(n + 1):
+                masks, columns = _grid_view(n, k)
+                assert masks == tuple(_whole_grid(n, k)), (n, k)
+                transposed = tuple(sum(1 << p for p, m in enumerate(masks) if m >> e & 1) for e in range(n))
+                assert columns == transposed, (n, k)
+
+    def test_both_grid_caches_share_one_bound(self):
+        for n in range(3, ground._GRIDS + 5):
+            _grid_view(n, 2)
+        assert _grid_view.cache_info().currsize == _grid_view.cache_info().maxsize == ground._GRIDS
+        assert mutations._grid.cache_info().maxsize == ground._GRIDS

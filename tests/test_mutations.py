@@ -40,6 +40,7 @@ from weaksep import (
     purity_report,
 )
 from weaksep import mutations
+from weaksep.cliques import _greedy_maximal
 from weaksep.ground import _pair_symmetries, _whole_grid
 from weaksep.mutations import DistanceResult, _grid, _maximal_collections_containing, _neighbors
 
@@ -493,6 +494,15 @@ class TestGrid:
         for n in range(3, info.maxsize + 5):
             explored(n, 2, budget=3)
         assert _grid.cache_info().currsize == info.maxsize == mutations._GRIDS
+
+    def test_completion_from_the_pair_domain_is_the_whole_grid_greedy(self):
+        # every set the greedy adds is separated from I and J, so listing only their domain changes nothing
+        for n in range(2, 8):
+            for k in range(1, n):
+                for i, j in itertools.combinations_with_replacement(_whole_grid(n, k), 2):
+                    if is_weakly_separated(Subset(i, n), Subset(j, n)):
+                        whole = Collection.from_masks(_greedy_maximal({i, j}, _whole_grid(n, k)), n)
+                        assert mutations._grid_completion(Subset(i, n), Subset(j, n)) == whole, (n, i, j)
 
     def test_wide_grid_builds_rows_per_set(self):
         _grid.cache_clear()

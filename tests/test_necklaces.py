@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -20,9 +21,10 @@ from weaksep import (
     positroid_contains,
     tau_kn,
 )
-from weaksep import necklaces
+from weaksep import ground
+from weaksep.ground import _weakly_separated_masks, _whole_grid
 from _lemmas import SimpleCyclicPattern, is_generalized_cyclic_pattern, lr_subset, simple_pattern_split
-from _oracles import naive_is_necklace
+from _oracles import naive_gale_leq, naive_is_necklace
 from math import comb
 
 
@@ -285,14 +287,41 @@ class TestDomainIn:
         assert all(len(c) == length_of(p, 5).length + 1 == 18 for c in cliques)
 
     def test_grid_too_large_rejected_before_listing(self, monkeypatch):
-        # C(40,20) candidates; a scan that got past the cap would fail here at once
-        def scanned(*args):
-            raise AssertionError("a candidate was tested before the size check")
+        # C(40,20) candidates; a grid listed past the cap would fail here at once
+        def scanned_grid(n, k):
+            whole_grid(n, k)  # the grid view lists through the capped lister, whose cap must refuse
+            raise AssertionError("a candidate was listed before the size check")
 
-        monkeypatch.setattr(necklaces, "_weakly_separated_masks", scanned)
+        whole_grid = ground._whole_grid
+        monkeypatch.setattr(ground, "_whole_grid", scanned_grid)
         nk = necklace_from_perm(tau_kn(20, 40), 20)
         with pytest.raises(ValueError, match=r"a domain of C\(40,20\) sets is too large to search"):
             domain_in_for_necklace(nk)
+
+
+    def test_seeded_domains_match_grid_filter(self):
+        # the grid filtered by the pair predicate against each necklace set and by the sorted Gale oracle
+        rng = random.Random(41)
+        for n in (6, 7, 8):
+            checked = 0
+            while checked < 6:
+                images = rng.sample(range(1, n + 1), n)
+                if any(images[i - 1] == i for i in range(1, n + 1)):
+                    continue
+                p = DecoratedPermutation.make(images)
+                k = sum(1 for j in range(1, n + 1) if j < p.inverse_images()[j - 1])
+                nk = necklace_from_perm(p, k)
+                if not nk.connected:
+                    continue
+                neck = [set(s.elements()) for s in nk.sets]
+                expected = tuple(
+                    m
+                    for m in _whole_grid(n, k)
+                    if all(_weakly_separated_masks(m, s.mask) for s in nk.sets)
+                    and all(naive_gale_leq(s, set(Subset(m, n).elements()), i, n) for i, s in enumerate(neck, 1))
+                )
+                assert domain_in_for_necklace(nk).masks == expected, images
+                checked += 1
 
 
 def connected_necklaces(n):
