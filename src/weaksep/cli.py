@@ -18,7 +18,7 @@ from typing import Any, Iterable
 
 from . import cliques, domains, mutations, necklaces, octahedron
 from .cliques import Collection, build_compat_graph, enumerate_maximal_cliques, purity_report
-from .ground import Subset, _power_set, _whole_grid, is_chord_separated, is_weakly_separated
+from .ground import Subset, _grid, _power_set, is_chord_separated, is_weakly_separated
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -170,7 +170,7 @@ def _purity_domain(args) -> Collection:
     if args.powerset:
         return Collection.from_masks(_power_set(args.n), args.n)
     if args.k is not None:
-        return Collection.from_masks(_whole_grid(args.n, args.k), args.n)
+        return Collection._canonical(_grid(args.n, args.k).sets, args.n)
     if args.i is None or args.j is None:
         raise ValueError("--i and --j must be given together")
     return domains.build_domain_AIJ(

@@ -1,19 +1,23 @@
-"""Subsets of the cyclic ground set [n] and the separation predicates.
+"""Subsets of the cyclic ground set [n], the separation predicates and the k-subset grids.
 
 Everything downstream (domains, clique searches, necklaces, mutation graphs)
 consumes the vocabulary defined here: one-word bitmask subsets, cyclic
 intervals, the surrounds relation, weak and chord separation, and the shifted
-Gale order.  All values are immutable and all functions are pure.  The pair
-predicates have a row form, ``_separated_rows``, which decides one set against
-a whole list by the runs of labels A (only it holds the element) and B (only
-the other does), the predicates' surround rules read along one walk; the same
-walk over a cached grid's element columns lists a pair or necklace domain.
+Gale order.  The pair predicates have a row form, ``_separated_rows``, which
+decides one set against a whole list by the runs of labels A (only it holds
+the element) and B (only the other does), the predicates' surround rules read
+along one walk; the same walk over a grid's element columns lists a pair or
+necklace domain.  Each C(n,k) grid is one cached ``_Grid``: its sets, listed
+once, their element columns, and the bits and square-move table that fill per
+set on first use.  All other values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -111,8 +115,9 @@ class Subset:
 
 
 def _whole_grid(n: int, k: int) -> Iterator[int]:
-    """Masks of the k-subsets of [n] in ascending (colex) order, refused above the cap before any is listed."""
+    """Masks of the k-subsets of [n] in ascending (colex) order; past the cap or ``MAX_GROUND``, refused unlisted."""
     _check_domain_size(comb(n, k), f"C({n},{k})")
+    _check_ground_size(n)
 
     def colex(x: int) -> Iterator[int]:
         for _ in range(comb(n, k)):
@@ -124,41 +129,112 @@ def _whole_grid(n: int, k: int) -> Iterator[int]:
     return colex((1 << k) - 1)
 
 
-# distinct (n, k) grids whose view (here) and set bits and move tables (``mutations``) stay cached
+# distinct (n, k) grids that stay cached, each with its set bits and move table
 _GRIDS = 8
 
 
-@lru_cache(maxsize=_GRIDS)
-def _grid_view(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The k-subsets of [n] as ascending masks, and column e: the positions of the masks holding e+1, as a bitset.
+class _Grid(dict):
+    """One C(n,k) grid: its sets, their element columns and bits, and the square-move table.
 
-    ``_whole_grid`` lists the masks, so its cap refuses a grid first.  In colex
-    order the r-subsets of [m] are those of [m-1], then the C(m-1, r-1) that
-    hold m, and a set's position is that of its part in [m] plus an offset that
-    its part above m fixes.  At level m, q[r] holds the offsets of every part
-    above m that completes an r-subset of [m], so column m is, over r, the block
-    of ones of the sets holding m times q[r]; no two products overlap.
+    ``sets`` holds the k-subsets of [n] as ``_whole_grid`` lists them, in
+    ascending (colex) mask order, so its cap refuses a grid before any set is
+    listed.  Column e is the bitset of the positions p of the sets holding e+1.
+    In colex order the r-subsets of [m] are those of [m-1], then the C(m-1,
+    r-1) that hold m, and a set's position is that of its part in [m] plus an
+    offset that its part above m fixes.  At level m, q[r] holds the offsets of
+    every part above m that completes an r-subset of [m], so column m is, over
+    r, the block of ones of the sets holding m times q[r]; no two products overlap.
+
+    ``grid[x]`` is the bit 1 << (N-1-p) of x = sets[p], N = C(n,k): a
+    collection is the sum of its members' bits, and among collections of one
+    size int order is the reverse of sorted-tuple order.  ``table`` keeps one
+    entry per set (``entry``): its squares and the moves of each pattern of
+    side sets a node has held, so ``mutations._neighbors`` scans a set's
+    squares once per pattern, not once per node.  Bits and entries are filled
+    per set on first use; the table grows only with the patterns met and lives
+    as long as the grid, which the ``_GRIDS``-entry LRU of ``_grid`` bounds.
+    ``idle`` holds the bits whose built entry has no square, so that expansion
+    skips them; once every entry is built these are exactly the cyclic intervals.
     """
-    masks = tuple(_whole_grid(n, k))
-    q, cols = [0] * (k + 2), [0] * n
-    q[k] = 1
-    for m in range(n, 0, -1):
-        for r in range(max(1, k - n + m), min(k, m) + 1):
-            cols[m - 1] |= (q[r] << comb(m - 1, r - 1)) - q[r] << comb(m - 1, r)
-        for r in range(max(0, k - n + m - 1), min(k, m - 1) + 1):  # m is outside the part, or its lowest element
-            q[r] |= q[r + 1] << comb(m - 1, r + 1)
-    return masks, tuple(cols)
+
+    def __init__(self, n: int, k: int) -> None:
+        super().__init__()
+        self.n, self.k = n, k
+        self.sets = tuple(_whole_grid(n, k))
+        self.top = len(self.sets) - 1
+        q, cols = [0] * (k + 2), [0] * n
+        q[k] = 1
+        for m in range(n, 0, -1):
+            for r in range(max(1, k - n + m), min(k, m) + 1):
+                cols[m - 1] |= (q[r] << comb(m - 1, r - 1)) - q[r] << comb(m - 1, r)
+            for r in range(max(0, k - n + m - 1), min(k, m - 1) + 1):  # m is outside the part, or its lowest element
+                q[r] |= q[r + 1] << comb(m - 1, r + 1)
+        self.columns = tuple(cols)
+        # bit position -> (near, squares, {held: flips}); see ``entry`` and ``mutations._neighbors``
+        self.table: dict[int, tuple[int, tuple, dict[int, tuple]]] = {}
+        self.idle = 0
+
+    def __missing__(self, x: int) -> int:
+        p = bisect_left(self.sets, x)
+        if p > self.top or self.sets[p] != x:
+            raise ValueError(f"mask {x:#x} is not a {self.k}-subset of [{self.n}]")
+        bit = self[x] = 1 << self.top - p
+        return bit
+
+    def node(self, masks: Iterable[int]) -> int:
+        return sum(map(self.__getitem__, masks))
+
+    def masks(self, node: int) -> tuple[int, ...]:
+        """The members of a node in ascending mask order."""
+        out = []
+        while node:
+            pos = node.bit_length() - 1
+            out.append(self.sets[self.top - pos])
+            node ^= 1 << pos
+        return tuple(out)
+
+    def entry(self, pos: int) -> tuple[int, tuple[tuple[int, tuple], ...], dict[int, tuple]]:
+        """The table entry (near, squares, {held: flips}) of the set x at bit ``pos``.
+
+        The one definition of a square: x = S+{a,c} with a < c, b strictly
+        inside the arc (a, c) and d strictly inside the arc (c, a), S disjoint
+        from {a, b, c, d}.  ``squares`` holds each as (sides, move): the move
+        (s, a, b, c, d, added) adds S+{b,d}, and ``sides`` is the bits of the
+        four side sets S+{a,b}, S+{b,c}, S+{c,d} and S+{d,a} that it needs.
+        Squares run by (a, c), then d, then b.  ``near`` is the union of all
+        sides; a node's moves of x depend only on which of them it holds.
+        """
+        if pos in self.table:
+            return self.table[pos]
+        x, n, squares, near = self.sets[self.top - pos], self.n, [], 0
+        for a, c in combinations([i + 1 for i in range(n) if x >> i & 1], 2):
+            ba, bc = 1 << (a - 1), 1 << (c - 1)
+            s = x & ~ba & ~bc
+            for d in (*range(c + 1, n + 1), *range(1, a)):
+                for b in range(a + 1, c):
+                    bb, bd = 1 << (b - 1), 1 << (d - 1)
+                    if not s & (bb | bd):
+                        sides = self[s | ba | bb] | self[s | bb | bc] | self[s | bc | bd] | self[s | bd | ba]
+                        near |= sides
+                        squares.append((sides, (s, a, b, c, d, s | bb | bd)))
+        if not squares:
+            self.idle |= 1 << pos
+        out = self.table[pos] = (near, tuple(squares), {})
+        return out
+
+
+_grid = lru_cache(maxsize=_GRIDS)(_Grid)
 
 
 def _separated_from_all(sets: Iterable[int], n: int, k: int) -> tuple[int, ...]:
     """The k-subsets of [n] weakly separated from every k-subset in ``sets``, as ascending masks.
 
-    One ``_label_walks`` walk per set over the cached columns: sets of one size
-    are separated unless their labels hold both ABA and BAB.
+    One ``_label_walks`` walk per set over the cached grid's columns: sets of
+    one size are separated unless their labels hold both ABA and BAB.
     """
-    masks, columns = _grid_view(n, k)
+    masks = (grid := _grid(n, k)).sets
     full = keep = (1 << len(masks)) - 1
-    for aba, bab in _label_walks([format(s, f"0{n}b")[::-1] for s in set(sets)], columns, full):
+    for aba, bab in _label_walks([format(s, f"0{n}b")[::-1] for s in set(sets)], grid.columns, full):
         keep &= ~(aba & bab)
     text = format(keep, "b")[::-1]  # digit p is the mask at position p
     out, p = [], text.find("1")

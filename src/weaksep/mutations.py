@@ -2,24 +2,21 @@
 
 The mutation graph is implicit: nodes are canonical collections, edges are
 single square moves.  Inside the engine a collection of the C(n,k) grid is
-one int with a bit per grid set (``_Grid``), from seeding to the explored
-graph; nodes are decoded to sorted mask tuples only at the public boundary.
-Each grid keeps one table entry per set: its squares, flat, and the (flip,
-move) pairs of each pattern of held side sets, so expanding a node is one
-lookup per member with a square and a child is ``node ^ flip``; the cyclic
-intervals have no square.  Seeding stops at the budget and counts the rest by
-census, a pair's once if one of its maps swaps it.  A seed is known by its
-side's set bit, and a seed layer moves only that set, each child from one seed,
-so it needs no order; deeper layers run in canonical order, so every output is deterministic.
+one int with a bit per grid set (``ground._Grid``), from seeding to the
+explored graph; nodes are decoded to sorted mask tuples only at the public
+boundary.  Each grid keeps one table entry per set: its squares, flat, and
+the (flip, move) pairs of each pattern of held side sets, so expanding a node
+is one lookup per member with a square and a child is ``node ^ flip``; the
+cyclic intervals have no square.  Seeding stops at the budget and counts the
+rest by census, a pair's once if one of its maps swaps it.  A seed is known by
+its side's set bit, and a seed layer moves only that set, each child from one
+seed, so it needs no order; deeper layers run in canonical order, so every output is deterministic.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
-from math import comb
-from typing import Callable, Iterable
+from typing import Callable
 
 from .cliques import (
     Collection,
@@ -32,9 +29,10 @@ from .cliques import (
 )
 from .domains import _grid_rank, build_domain_AIJ
 from .ground import (
-    _GRIDS,
     Subset,
     _check_pair,
+    _Grid,
+    _grid,
     _pair_symmetries,
     _weakly_separated_masks,
     is_weakly_separated,
@@ -76,94 +74,6 @@ class SquareMove:
 
     def to_json(self) -> dict:
         return {"remove": self.removed.to_json(), "add": self.added.to_json()}
-
-
-class _Grid(dict):
-    """One C(n,k) grid as bits: ``grid[x]`` is the bit of the k-subset mask x.
-
-    The set of rank r in ascending mask order is bit N-1-r, N = C(n,k).  A
-    collection is the sum of its members' bits, and among collections of one
-    size int order is the reverse of sorted-tuple order.  Bits and table
-    entries are filled per set on first use, never over the whole grid.
-
-    ``table`` keeps one entry per set (``entry``): its squares and the
-    moves of each pattern of side sets a node has held, so ``_neighbors``
-    scans a set's squares once per pattern, not once per node.
-    It grows only with the patterns met and lives as long as the grid, which
-    the ``_GRIDS``-entry LRU of ``_grid`` bounds.  ``idle`` holds the bits
-    whose built entry has no square, so that ``_neighbors`` skips them; once
-    every entry is built these are exactly the cyclic intervals.
-    """
-
-    def __init__(self, n: int, k: int) -> None:
-        super().__init__()
-        self.n, self.k = n, k
-        self.top = comb(n, k) - 1
-        self.at: dict[int, int] = {}  # bit position -> set
-        # bit position -> (near, squares, {held: flips}); see ``entry`` and ``_neighbors``
-        self.table: dict[int, tuple[int, tuple, dict[int, tuple]]] = {}
-        self.idle = 0
-
-    def __missing__(self, x: int) -> int:
-        if x.bit_count() != self.k or x >> self.n:
-            raise ValueError(f"mask {x:#x} is not a {self.k}-subset of [{self.n}]")
-        # ascending mask order of k-subsets is colex order: rank = sum C(p_i, i)
-        rank, i, rest = 0, 0, x
-        while rest:
-            low = rest & -rest
-            i += 1
-            rank += comb(low.bit_length() - 1, i)
-            rest ^= low
-        pos = self.top - rank
-        self.at[pos] = x
-        bit = self[x] = 1 << pos
-        return bit
-
-    def node(self, masks: Iterable[int]) -> int:
-        return sum(map(self.__getitem__, masks))
-
-    def masks(self, node: int) -> tuple[int, ...]:
-        """The members of a node in ascending mask order."""
-        out = []
-        while node:
-            pos = node.bit_length() - 1
-            out.append(self.at[pos])
-            node ^= 1 << pos
-        return tuple(out)
-
-    def entry(self, pos: int) -> tuple[int, tuple[tuple[int, tuple], ...], dict[int, tuple]]:
-        """The table entry (near, squares, {held: flips}) of the set x at bit ``pos``.
-
-        The one definition of a square: x = S+{a,c} with a < c, b strictly
-        inside the arc (a, c) and d strictly inside the arc (c, a), S disjoint
-        from {a, b, c, d}.  ``squares`` holds each as (sides, move): the move
-        (s, a, b, c, d, added) adds S+{b,d}, and ``sides`` is the bits of the
-        four side sets S+{a,b}, S+{b,c}, S+{c,d} and S+{d,a} that it needs.
-        Squares run by (a, c), then d, then b.  ``near`` is the union of all
-        sides; a node's moves of x depend only on which of them it holds.
-        """
-        if pos in self.table:
-            return self.table[pos]
-        x, n, squares, near = self.at[pos], self.n, [], 0
-        for a, c in itertools.combinations([i + 1 for i in range(n) if x >> i & 1], 2):
-            ba, bc = 1 << (a - 1), 1 << (c - 1)
-            s = x & ~ba & ~bc
-            for d in (*range(c + 1, n + 1), *range(1, a)):
-                for b in range(a + 1, c):
-                    bb, bd = 1 << (b - 1), 1 << (d - 1)
-                    if not s & (bb | bd):
-                        sides = self[s | ba | bb] | self[s | bb | bc] | self[s | bc | bd] | self[s | bd | ba]
-                        near |= sides
-                        squares.append((sides, (s, a, b, c, d, s | bb | bd)))
-        if not squares:
-            self.idle |= 1 << pos
-        out = self.table[pos] = (near, tuple(squares), {})
-        return out
-
-
-@functools.lru_cache(maxsize=_GRIDS)
-def _grid(n: int, k: int) -> _Grid:
-    return _Grid(n, k)
 
 
 def _neighbors(grid: _Grid, node: int, members: int = -1) -> list[tuple[int, tuple]]:

@@ -185,7 +185,7 @@ def plain_bron_kerbosch(adj, weight, visit) -> None:
 
 
 def all_member_neighbors(grid, node) -> list[tuple]:
-    """The (flip, move) pairs of a node of a ``mutations._Grid``, from every member.
+    """The (flip, move) pairs of a node of a ``ground._Grid``, from every member.
 
     The expansion loop that ``mutations._neighbors`` ran before it skipped the
     members without a square: each member, from the high bit down, reads its

@@ -372,7 +372,7 @@ class TestLrChordOcta:
             raise AssertionError("a candidate was tested before the size check")
 
         def scanned_grid(n, k):
-            whole_grid(n, k)  # every filtered domain walks the grid view, which lists through the capped lister
+            whole_grid(n, k)  # every filtered domain walks the cached grid, which lists through the capped lister
             scanned()
 
         whole_grid = ground._whole_grid
@@ -383,6 +383,24 @@ class TestLrChordOcta:
         assert code == EXIT_BAD_INPUT and payload == b""
         size = "2^40" if argv[0] in ("chord", "lr") or "--powerset" in argv else "C(40,20)"
         assert capsys.readouterr().err == f"error: a domain of {size} sets is too large to search; the limit is 2^20\n"
+
+    def test_wide_move_grid_rejected_before_listing(self, monkeypatch, capsys):
+        # a move search numbers its sets by the listed grid, so a maximal seed on
+        # C(23,11) sets meets the cap before any set is listed or any move is sought
+        n, k = 23, 11
+        rectangle = {(*range(1, a + 1), *range(a + b + 1, b + k + 1)) for a in range(k + 1) for b in range(n - k + 1)}
+        assert len(rectangle) == k * (n - k) + 1 == 133
+
+        def scanned_grid(n, k):
+            whole_grid(n, k)
+            raise AssertionError("a grid was listed before the size check")
+
+        whole_grid = ground._whole_grid
+        monkeypatch.setattr(ground, "_whole_grid", scanned_grid)
+        seed = ";".join(",".join(map(str, s)) for s in sorted(rectangle))
+        code, payload = invoke(["explore", "--n", str(n), "--k", str(k), "--budget", "1", "--seed", seed])
+        assert code == EXIT_BAD_INPUT and payload == b""
+        assert capsys.readouterr().err == "error: a domain of C(23,11) sets is too large to search; the limit is 2^20\n"
 
     def test_formula_distance_lists_nothing(self):
         # the closed form needs no domain, so the listing cap does not apply

@@ -16,7 +16,7 @@ from weaksep import (
     surrounds,
 )
 from weaksep import ground, mutations
-from weaksep.ground import _gale_leq_masks, _grid_view, _whole_grid
+from weaksep.ground import _gale_leq_masks, _grid, _separated_from_all, _whole_grid
 
 from _oracles import naive_chord_separated, naive_cyclic_run, naive_gale_leq, naive_weakly_separated
 
@@ -322,13 +322,21 @@ class TestGridView:
     def test_columns_transpose_the_grid(self):
         for n in range(1, 13):
             for k in range(n + 1):
-                masks, columns = _grid_view(n, k)
+                grid = _grid(n, k)
+                masks, columns = grid.sets, grid.columns
                 assert masks == tuple(_whole_grid(n, k)), (n, k)
                 transposed = tuple(sum(1 << p for p, m in enumerate(masks) if m >> e & 1) for e in range(n))
                 assert columns == transposed, (n, k)
 
     def test_both_grid_caches_share_one_bound(self):
+        # a domain walk and a move search on one (n, k) read the same cached grid,
+        # so both share the one cache, which keeps at most ``_GRIDS`` of them
+        _grid.cache_clear()
         for n in range(3, ground._GRIDS + 5):
-            _grid_view(n, 2)
-        assert _grid_view.cache_info().currsize == _grid_view.cache_info().maxsize == ground._GRIDS
-        assert mutations._grid.cache_info().maxsize == ground._GRIDS
+            _separated_from_all([0b11], n, 2)
+            first = Subset.of([1, 2], n)
+            graph = mutations.explore_mutation_graph(mutations._grid_completion(first, first), budget=3)
+            assert graph.grid is _grid(n, 2), n
+        info = _grid.cache_info()
+        assert info.misses == ground._GRIDS + 2
+        assert info.currsize == info.maxsize == ground._GRIDS

@@ -39,7 +39,7 @@ from weaksep import (
     mutation_distance,
     purity_report,
 )
-from weaksep import mutations
+from weaksep import ground, mutations
 from weaksep.cliques import _greedy_maximal
 from weaksep.ground import _pair_symmetries, _whole_grid
 from weaksep.mutations import DistanceResult, _grid, _maximal_collections_containing, _neighbors
@@ -493,7 +493,7 @@ class TestGrid:
         info = _grid.cache_info()
         for n in range(3, info.maxsize + 5):
             explored(n, 2, budget=3)
-        assert _grid.cache_info().currsize == info.maxsize == mutations._GRIDS
+        assert _grid.cache_info().currsize == info.maxsize == ground._GRIDS
 
     def test_completion_from_the_pair_domain_is_the_whole_grid_greedy(self):
         # every set the greedy adds is separated from I and J, so listing only their domain changes nothing
@@ -513,7 +513,7 @@ class TestGrid:
         # table entries only for members of the explored nodes, a sliver of
         # the 12,870 sets
         assert len(grid.table) == len(set().union(*g.nodes)) < 100
-        assert {grid.at[pos] for pos in grid.table} == set().union(*g.nodes)
+        assert {grid.sets[grid.top - pos] for pos in grid.table} == set().union(*g.nodes)
 
 
 def scanned_neighbors(grid, node):

@@ -289,7 +289,7 @@ class TestDomainIn:
     def test_grid_too_large_rejected_before_listing(self, monkeypatch):
         # C(40,20) candidates; a grid listed past the cap would fail here at once
         def scanned_grid(n, k):
-            whole_grid(n, k)  # the grid view lists through the capped lister, whose cap must refuse
+            whole_grid(n, k)  # the cached grid lists through the capped lister, whose cap must refuse
             raise AssertionError("a candidate was listed before the size check")
 
         whole_grid = ground._whole_grid

@@ -19,7 +19,7 @@ from weaksep import (
     phi,
     phi_subset,
 )
-from weaksep import mutations, octahedron
+from weaksep import ground, octahedron
 from weaksep.mutations import MutationGraph, _grid
 from weaksep.octahedron import ALPHA, SHIFT, _position, check_projection_laws
 
@@ -312,7 +312,7 @@ class TestExplorationConsistency:
         split = (2, 2, 1, 1)
         nodes, laws = graph.nodes, check_projection_laws(graph, split)
         assert len(nodes) == 34 and laws[0] > 0 and laws[1]
-        for n in range(7, 7 + mutations._GRIDS):
+        for n in range(7, 7 + ground._GRIDS):
             other = complete_to_maximal(Collection.from_masks([], n), grid(n, 2))
             explore_mutation_graph(other, budget=3)
         assert _grid(6, 3) is not graph.grid
