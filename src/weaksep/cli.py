@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weakly separated collections: purity, distances, necklaces, moves",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices  # verb -> its parser
 
     p = sub.add_parser("check", help="separation predicates for one pair")
     p.add_argument("--n", type=int, required=True)
@@ -335,7 +336,11 @@ def run(argv: list[str]) -> int:
     """Parse, dispatch, and print one report; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the full parser hands the verb's parser the same tokens: ask it alone, unless some are left over
+        verb = parser.verbs.get(argv[0]) if argv else None
+        args, rest = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0])) if verb else (None, None)
+        if verb is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:

@@ -1,11 +1,11 @@
 """Canonical collections, compatibility graphs, and exact clique machinery.
 
-A domain plus a pairwise relation becomes a graph, each vertex's row built
-by one walk over the elements; maximal weakly separated collections are its
-maximal cliques.  Enumeration (Bron-Kerbosch with pivoting, forced candidates
-folded, branches of at most two candidates read off without recursing) and
-maximum-clique size (branch and bound with greedy colour classes as bitsets)
-are coded independently to cross-validate.
+A domain plus a pairwise relation becomes a graph, each vertex's row built by one walk over
+the elements, half the rows mirrored if the domain holds every complement; maximal weakly
+separated collections are its maximal cliques.  Enumeration (Bron-Kerbosch with pivoting,
+forced candidates folded, branches of at most two candidates read off without recursing)
+and maximum-clique size (branch and bound with greedy colour classes as bitsets) are coded
+independently to cross-validate.
 Bron-Kerbosch memoises each branch by its candidate and excluded sets, keyed
 ``~(P << m | X)``: a branch met again replays its recorded visits, in order,
 instead of recursing.  Records name their children by key, so the memo holds
@@ -20,9 +20,9 @@ maximum splits the graph into the components of its complement, whose maxima
 add up, and runs the branch and bound on each part of three or more vertices,
 only their vertices relabelled by non-increasing degree; given automorphisms,
 its root drops each searched vertex's orbit.  The census runs unsplit on the
-vertices that are not universal, relabelled by non-decreasing degree,
-enumeration in the domain's order: both check the maximum.  If complement
-keeps the domain, the census root counts a branch and its image once.
+vertices that are not universal, relabelled by non-decreasing degree, enumeration in the
+domain's order: both check the maximum.  If complement keeps the domain, it maps vertex v
+to m-1-v, and the census root counts a branch and its image once.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .ground import (
     Subset,
     _check_ground_size,
     _chord_separated_masks,
+    _complement_closed,
     _separated_rows,
     _weakly_separated_masks,
 )
@@ -524,11 +525,11 @@ def _degree_order(adj: Sequence[int], vertices: Iterable[int], descending: bool)
 
 
 def _relabelled(adj: Sequence[int], order: Sequence[int]) -> list[int]:
-    """The subgraph on ``order``, ``order[t]`` renamed t: each row's binary digits, lowest first, picked in order."""
+    """The subgraph on ``order``, ``order[t]`` renamed t: from each row's binary text, bits order[-1], ..., order[0] as one numeral."""
     if len(order) <= 1:
         return [0] * len(order)
-    pick, digits = itemgetter(*order), f"0{len(adj)}b"
-    return [int("".join(pick(format(adj[v], digits)[::-1]))[::-1], 2) for v in order]
+    pick, digits = itemgetter(*[len(adj) - 1 - v for v in reversed(order)]), f"0{len(adj)}b"
+    return [int("".join(pick(format(adj[v], digits))), 2) for v in order]
 
 
 def max_clique_size(g: CompatGraph, symmetries: Callable[[], Sequence[Callable[[int], int]]] = tuple) -> int:
@@ -627,10 +628,9 @@ def purity_report(domain: Collection, relation: str = "weak") -> PurityReport:
     sizes, so in a domain that holds every complement, as lr domains, chord
     power sets and complementary pair domains do, it is the census's ``twin``.
     """
-    full, index = (1 << domain.n) - 1, {mask: v for v, mask in enumerate(domain.masks)}
-    twin = [index.get(full ^ mask) for mask in domain.masks]
-    adj = build_compat_graph(domain, relation).adj
-    return PurityReport(len(domain), _clique_sizes(adj, None if None in twin else twin))
+    m, adj = len(domain), build_compat_graph(domain, relation).adj
+    twin = range(m - 1, -1, -1) if _complement_closed(domain.masks, domain.n) else None
+    return PurityReport(m, _clique_sizes(adj, twin))
 
 
 def _greedy_maximal(masks: Iterable[int], candidates: Iterable[int], relation: str = "weak") -> list[int]:

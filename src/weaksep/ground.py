@@ -1,15 +1,15 @@
 """Subsets of the cyclic ground set [n], the separation predicates and the k-subset grids.
 
-Everything downstream (domains, clique searches, necklaces, mutation graphs)
-consumes the vocabulary defined here: one-word bitmask subsets, cyclic
-intervals, the surrounds relation, weak and chord separation, and the shifted
-Gale order.  The pair predicates have a row form, ``_separated_rows``, which
-decides one set against a whole list by the runs of labels A (only it holds
-the element) and B (only the other does), the predicates' surround rules read
-along one walk; the same walk over a grid's element columns lists a pair or
-necklace domain.  Each C(n,k) grid is one cached ``_Grid``: its sets, listed
-once, their element columns, and the bits and square-move table that fill per
-set on first use.  All other values are immutable and all functions are pure.
+Everything downstream (domains, clique searches, necklaces, mutation graphs) consumes the
+vocabulary defined here: one-word bitmask subsets, cyclic intervals, the surrounds relation,
+weak and chord separation, and the shifted Gale order.  The pair predicates have a row form,
+``_separated_rows``, which decides one set against a whole list by the runs of labels A (only
+it holds the element) and B (only the other does), the predicates' surround rules read along
+one walk; a list that holds every complement is walked for half its sets, the rest mirrored.
+The same walk over a grid's element columns lists a pair or necklace domain.  Each C(n,k) grid
+is one cached ``_Grid``: its sets, listed once, their element columns, and the bits and
+square-move table that fill per set on first use.  All other values are immutable and all
+functions are pure.
 """
 
 from __future__ import annotations
@@ -361,10 +361,17 @@ def _label_walks(texts: Iterable[str], has: Sequence[int], full: int) -> Iterato
         yield aba, bab
 
 
+def _complement_closed(masks: Sequence[int], n: int) -> bool:
+    """True iff the ascending masks hold every member's complement: complement reverses int order."""
+    return all(s ^ t == (1 << n) - 1 for s, t in zip(masks, reversed(masks)))
+
+
 def _separated_rows(masks: Sequence[int], n: int, weak: bool) -> list[int]:
     """Row v is the bitset of the masks weakly (else chord) separated from ``masks[v]``, itself left out.
 
-    For S = masks[v], ``_label_walks`` walks the elements from n down to 1.
+    For S = masks[v], ``_label_walks`` walks the elements from n down to 1; if the masks are
+    ``_complement_closed``, complement, which keeps both relations, maps v to m-1-v, so only
+    the first ⌈m/2⌉ are walked and row m-1-v is row v's m-bit reversal.
     """
     m, digits = len(masks), f"0{n}b"
     full, texts = (1 << m) - 1, [format(s, digits) for s in masks]
@@ -375,14 +382,14 @@ def _separated_rows(masks: Sequence[int], n: int, weak: bool) -> list[int]:
         below[s.bit_count() + 1] |= 1 << v
     for c in range(1, n + 2):
         below[c] |= below[c - 1]
-    rows = []
-    for v, (aba, bab) in enumerate(_label_walks(texts, has, full)):
+    rows, half = [], m + 1 >> 1 if _complement_closed(masks, n) else m
+    for v, (aba, bab) in enumerate(_label_walks(texts[:half], has, full)):
         bad = aba & bab
         if weak:
             c = masks[v].bit_count()
             bad |= aba & below[c] | bab & ~below[c + 1]
         rows.append(full ^ bad ^ 1 << v)
-    return rows
+    return rows + [int(format(row, f"0{m}b")[::-1], 2) for row in reversed(rows[:m - half])]
 
 
 def surrounds(i: Subset, j: Subset) -> bool:

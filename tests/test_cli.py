@@ -627,6 +627,60 @@ class TestSharedParser:
         assert args.k is None and not args.powerset
 
 
+PAIR = ["--n", "6", "--i", "1,2,4", "--j", "3,5,6"]
+MANIFEST = json.loads((Path(__file__).parent / "golden" / "manifest.json").read_text())
+DISPATCH_ARGVS = [
+    *MANIFEST.values(),
+    *([verb, "-h"] for verb in sorted(cli.build_parser().verbs)),
+    ["distance", *PAIR, "--bogus"],
+    ["distance", *PAIR, "extra"],
+    ["distance", "--n", "6", "--i", "1,2,4"],
+    ["distance", *PAIR, "--method", "greedy"],
+    ["distance", "--n", "x", "--i", "1,2,4", "--j", "3,5,6"],
+    ["distance", "--n=10", "--i", "1,2,4,5,8", "--j", "3,6,7,9,10"],
+    ["distance", *PAIR, "--meth", "exact"],
+    ["distance", *PAIR, "--i", "1,3,5"],
+    ["purity", "--n", "6", "--k", "3", "--", "--k"],
+    ["purity", "--n", "6", "--k", "x"],
+    ["mutdist", *PAIR, "--budget", "0"],
+    ["check", "--n", "6", "--a", "1,2,9", "--b", "3"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["distanse", *PAIR],
+    ["--n", "6", "distance"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS)
+def test_dispatch_matches_full_parser(argv, monkeypatch, capsys):
+    # a verb's tokens are parsed by that verb's parser alone; with no verbs to
+    # ask, run parses every argv with build_parser().parse_args, as before
+    fast = invoke(argv), capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.build_parser(), "verbs", {})
+        full = invoke(argv), capsys.readouterr().err
+    assert fast == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", *PAIR, "--method", "exact"],
+        ["purity", "--n", "10", "--i", "1,2,4,6,8", "--j", "3,5,7,9,10"],
+        ["mutdist", *PAIR, "--budget", "500"],
+    ],
+)
+def test_well_formed_verbs_skip_the_full_parser(argv, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a well-formed verb")
+
+    expected = invoke(argv)
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(cli.build_parser(), name, refuse)
+    assert invoke(argv) == expected and expected[0] == EXIT_OK
+
+
 class TestEmitReport:
     def test_json_sorted_keys(self):
         assert emit_report({"b": 1, "a": 2}) == b'{"a":2,"b":1}\n'

@@ -223,6 +223,78 @@ class TestSeparatedRows:
             assert build_compat_graph(dom, relation).adj == pairwise_adjacency(sets, related)
 
 
+def without_one(dom, v):
+    """The domain with its set at position v left out."""
+    return Collection._canonical(dom.masks[:v] + dom.masks[v + 1:], dom.n)
+
+
+class TestMirroredRows:
+    """A complement-closed domain walks the first half of its rows; ``TestSeparatedRows`` checks the rows."""
+
+    @staticmethod
+    def walked(dom, monkeypatch):
+        # the number of sets ``_label_walks`` walks per graph, for each relation
+        counts, walks = [], ground._label_walks
+
+        def counting(texts, has, full):
+            counts.append(len(texts := list(texts)))
+            return walks(texts, has, full)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ground, "_label_walks", counting)
+            for relation in cliques.RELATIONS:
+                build_compat_graph(dom, relation)
+        return counts
+
+    def test_closed_domains_walk_half(self, monkeypatch):
+        i = sub([1, 2, 5, 6], 8)
+        for dom in (build_domain_AIJ(i, i.complement()), lr_domain(5), Collection.from_masks(_power_set(6), 6)):
+            assert ground._complement_closed(dom.masks, dom.n)
+            assert self.walked(dom, monkeypatch) == [(len(dom) + 1) // 2] * 2, dom
+
+    def test_a_missing_complement_walks_all(self, monkeypatch):
+        i = sub([1, 2, 5, 6], 8)
+        dom = build_domain_AIJ(i, i.complement())
+        cases = [without_one(dom, v) for v in (0, len(dom) // 2, len(dom) - 1)]
+        # the last set swapped for [8]: only the outermost pair is not complementary
+        cases.append(Collection.from_masks(dom.masks[:-1] + (255,), 8))
+        for part in cases:
+            assert not ground._complement_closed(part.masks, part.n)
+            assert self.walked(part, monkeypatch) == [len(part)] * 2, part
+            assert_rows_match_reference(part)
+
+
+class TestComplementTwin:
+    def test_closed_domains_twin_by_reversal(self, monkeypatch):
+        # purity_report's twin, v -> m-1-v, is the complement on every closed domain
+        twins = []
+        monkeypatch.setattr(cliques, "_clique_sizes", lambda adj, twin=None: twins.append(twin) or {})
+        # complementary pair domains with n <= 10, lr domains with n <= 6, power sets with n <= 7
+        domains = [dom for n in range(2, 11, 2) for dom in complementary_pair_domains(n)]
+        domains += [lr_domain(n) for n in range(1, 7)] + [Collection.from_masks(_power_set(n), n) for n in range(1, 8)]
+        assert len(domains) == 1 + 7 + 31 + 121 + 6 + 7
+        for dom in domains:
+            purity_report(dom)
+            assert list(twins.pop()) == complement_twins(dom), dom
+
+    def test_a_missing_complement_gets_no_twin(self, monkeypatch):
+        i = sub([1, 2, 5, 6], 8)
+        cases = [build_domain_AIJ(i, i.complement()), lr_domain(5), Collection.from_masks(_power_set(5), 5)]
+        cases = [without_one(dom, v) for dom in cases for v in (0, len(dom) // 3)]
+        sizes, twins = _clique_sizes, []
+
+        def recording(adj, twin=None):
+            twins.append(twin)
+            return sizes(adj, twin)
+
+        monkeypatch.setattr(cliques, "_clique_sizes", recording)
+        for dom in cases:
+            report = purity_report(dom)
+            adj = build_compat_graph(dom).adj
+            assert twins.pop() is None
+            assert report.clique_sizes == sizes(adj) == census_sizes(adj), dom
+
+
 class TestEnumerateMaximalCliques:
     def test_four_cycle(self):
         # the four extra members of one pair domain form a 4-cycle: four

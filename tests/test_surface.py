@@ -70,7 +70,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2779
+SOURCE_LINES = 2791
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
