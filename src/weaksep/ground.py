@@ -33,7 +33,7 @@ def _check_ground_size(n: int) -> None:
         raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
 
 
-# 2^20 sets already make about 10^12 pair tests, far beyond any search that finishes
+# a graph on 2^20 sets holds 2^40 adjacency bits (128 GiB), far beyond any search that finishes
 _MAX_POWER_SET_BITS = 20
 
 

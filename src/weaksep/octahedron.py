@@ -5,7 +5,8 @@ on the hyperplane of constant coordinate sum.  Around each projected point sit
 two opposite infinite square pyramids that no compatible point may enter;
 square moves shift projections along (-1, 1, -1, 1) or leave the multiset
 alone.  Counting lattice points on and between the pyramids of a
-four-interval complementary pair reproduces the closed-form distance values.
+four-interval complementary pair, in one walk over the box that their facets
+bound, reproduces the closed-form distance values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .domains import _distance_form, circle_partition
 from .ground import Subset
 from .mutations import MutationGraph, SquareMove, _check_applicable, _neighbors
 
-ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
 SHIFT = (-1, 1, -1, 1)
 
 
@@ -44,22 +44,6 @@ def phi(c: Collection, split: tuple[int, int, int, int]) -> list[tuple[int, int,
     """Projections of every member, in the collection's canonical order."""
     windows = _split_windows(split, c.n)
     return [_counts(m, windows) for m in c.masks]
-
-
-def _position(apex: tuple[int, ...], orientation: int, v: tuple[int, ...]) -> str:
-    """Where a level-matched v lies against the pyramid at apex: interior, boundary or outside.
-
-    The pyramid is the apex plus nonnegative spans of the four ``ALPHA``
-    edges; orientation -1 negates the edges.
-    """
-    # facet form of membership: the four functionals vanish pairwise on
-    # adjacent edge vectors, so sign tests replace span decompositions
-    d = tuple(orientation * (v[t] - apex[t]) for t in range(4))
-    if d[0] > 0 or d[1] < 0 or d[2] > 0 or d[3] < 0:
-        return "outside"
-    if d[0] < 0 and d[1] > 0 and d[2] < 0 and d[3] > 0:
-        return "interior"
-    return "boundary"
 
 
 @dataclass(frozen=True)
@@ -106,38 +90,31 @@ def normalize_p4(p: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
 
 
 def p4_counts(a: Subset) -> P4Counts:
-    """Exhaustive lattice counts for a set whose circle partition has four runs."""
+    """Exhaustive lattice counts for a set whose circle partition has four runs.
+
+    With p the run lengths, the closed forward pyramid at (p[0], 0, p[2], 0)
+    has the facets v1 <= p[0], v2 >= 0, v3 <= p[2] and v4 >= 0; the open
+    opposite one at (0, p[1], 0, p[3]) has v1 > 0, v2 < p[1], v3 > 0 and
+    v4 < p[3].  Together they bound every coordinate, so the points between
+    the pyramids are the level-k points of one box, each walked once; a point
+    lies on the forward boundary when one of its forward facets is tight.
+    """
     part = circle_partition(a)
     if part.u != 2:
         raise ValueError(f"expected exactly four runs, got {2 * part.u}")
     p = part.lengths
     k = part.k
-    apex_p = (p[0], 0, p[2], 0)
-    apex_q = (0, p[1], 0, p[3])
-
-    z_points: set[tuple[int, ...]] = set()
-    for face in range(4):
-        e1, e2 = ALPHA[face], ALPHA[(face + 1) % 4]
-        for t1 in range(2 * k + 1):
-            for t2 in range(2 * k + 1):
-                v = tuple(apex_p[t] + t1 * e1[t] + t2 * e2[t] for t in range(4))
-                if _position(apex_q, -1, v) == "interior":
-                    z_points.add(v)
-    z_formula = _distance_form(k, p)
-
-    interior = 0
-    for v1 in range(p[0] + 1):
-        for v2 in range(p[1] + 1):
-            for v3 in range(p[2] + 1):
+    z = interior = 0
+    for v1 in range(1, p[0] + 1):
+        for v2 in range(p[1]):
+            for v3 in range(1, p[2] + 1):
                 v4 = k - v1 - v2 - v3
-                if v4 < 0:
-                    continue
-                v = (v1, v2, v3, v4)
-                if _position(apex_p, 1, v) != "outside" and _position(apex_q, -1, v) == "interior":
+                if 0 <= v4 < p[3]:
                     interior += 1
+                    z += v1 == p[0] or v2 == 0 or v3 == p[2] or v4 == 0
     q = normalize_p4(p)
     cuboid = q[1] * q[2] * q[3] - 2 * comb(q[2] + 1, 3)
-    return P4Counts(p, len(z_points), z_formula, interior, cuboid)
+    return P4Counts(p, z, _distance_form(k, p), interior, cuboid)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ sharing no code with the package: definition-level scans for the separation
 predicates and full subset enumeration for maximal cliques.  The
 exceptions are ``plain_bron_kerbosch``, the unfolded kernel that the library's
 enumeration replaced, kept so that the two can be compared on graphs too
-large for brute force, ``pairwise_adjacency``, the loop of one predicate
+large for brute force, ``naive_p4_counts`` with ``naive_pyramid_position``
+and ``ALPHA``, the walk over the forward pyramid's faces that the library's
+single box walk replaced, ``pairwise_adjacency``, the loop of one predicate
 call per pair that the library's row walk replaced, ``naive_chord_chain``,
 the backtracking search that the library's chord chain walk replaced,
 ``all_member_neighbors``, the node expansion that the library's skip of
@@ -361,6 +363,60 @@ def pyramid_decomposition(apex: tuple, orientation: int, v: tuple) -> tuple | No
     if lo > hi:
         return None
     return (-d[2] - lo, lo, d[1] - lo, d[3] + d[2] + lo)
+
+
+ALPHA = ((0, 0, -1, 1), (0, 1, -1, 0), (-1, 1, 0, 0), (-1, 0, 0, 1))
+
+
+def naive_pyramid_position(apex: tuple, orientation: int, v: tuple) -> str:
+    """Where a level-matched v lies against the pyramid at apex: interior, boundary or outside.
+
+    The pyramid is the apex plus nonnegative spans of the four ``ALPHA``
+    edges; orientation -1 negates the edges.
+    """
+    # facet form of membership: the four functionals vanish pairwise on
+    # adjacent edge vectors, so sign tests replace span decompositions
+    d = tuple(orientation * (v[t] - apex[t]) for t in range(4))
+    if d[0] > 0 or d[1] < 0 or d[2] > 0 or d[3] < 0:
+        return "outside"
+    if d[0] < 0 and d[1] > 0 and d[2] < 0 and d[3] > 0:
+        return "interior"
+    return "boundary"
+
+
+def naive_p4_counts(p: tuple) -> tuple[int, int]:
+    """(z, interior) for the four run lengths p, by walking the forward pyramid's faces.
+
+    z counts the distinct points of the four faces, each spanned by two
+    adjacent ``ALPHA`` edges from the apex (p1, 0, p3, 0), that lie strictly
+    inside the opposite pyramid at (0, p2, 0, p4); interior counts the
+    level-k points of the closed forward pyramid strictly inside the opposite
+    one, k being half the sum of p.
+    """
+    k = sum(p) // 2
+    apex_p = (p[0], 0, p[2], 0)
+    apex_q = (0, p[1], 0, p[3])
+    z_points = set()
+    for face in range(4):
+        e1, e2 = ALPHA[face], ALPHA[(face + 1) % 4]
+        for t1 in range(2 * k + 1):
+            for t2 in range(2 * k + 1):
+                v = tuple(apex_p[t] + t1 * e1[t] + t2 * e2[t] for t in range(4))
+                if naive_pyramid_position(apex_q, -1, v) == "interior":
+                    z_points.add(v)
+    interior = 0
+    for v1 in range(p[0] + 1):
+        for v2 in range(p[1] + 1):
+            for v3 in range(p[2] + 1):
+                v = (v1, v2, v3, k - v1 - v2 - v3)
+                if v[3] < 0:
+                    continue
+                if (
+                    naive_pyramid_position(apex_p, 1, v) != "outside"
+                    and naive_pyramid_position(apex_q, -1, v) == "interior"
+                ):
+                    interior += 1
+    return len(z_points), interior
 
 
 def naive_chord_chain(members: set, u: int, v: int, n: int) -> list | None:

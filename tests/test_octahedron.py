@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from math import comb
 
@@ -21,9 +22,19 @@ from weaksep import (
 )
 from weaksep import ground, octahedron
 from weaksep.mutations import MutationGraph, _grid
-from weaksep.octahedron import ALPHA, SHIFT, _position, check_projection_laws
+from weaksep.octahedron import SHIFT, check_projection_laws
 
-from _oracles import naive_interval_index, naive_no_interior, naive_shift_sign, pyramid_decomposition
+from _oracles import (
+    ALPHA,
+    naive_interval_index,
+    naive_no_interior,
+    naive_p4_counts,
+    naive_pyramid_position,
+    naive_shift_sign,
+    pyramid_decomposition,
+)
+
+LONG = os.environ.get("WEAKSEP_LONG") == "1"
 
 
 def sub(elems, n):
@@ -95,13 +106,13 @@ class TestPhi:
 
 class TestPyramidPosition:
     def test_interior_example(self):
-        assert _position((2, 0, 1, 0), 1, (0, 1, 0, 2)) == "interior"
+        assert naive_pyramid_position((2, 0, 1, 0), 1, (0, 1, 0, 2)) == "interior"
 
     def test_apex_is_boundary(self):
-        assert _position((2, 0, 1, 0), 1, (2, 0, 1, 0)) == "boundary"
+        assert naive_pyramid_position((2, 0, 1, 0), 1, (2, 0, 1, 0)) == "boundary"
 
     def test_edge_point_is_boundary(self):
-        assert _position((2, 0, 1, 0), 1, (2, 0, 0, 1)) == "boundary"
+        assert naive_pyramid_position((2, 0, 1, 0), 1, (2, 0, 0, 1)) == "boundary"
 
     def test_facets_match_span_decomposition(self):
         rng = random.Random(11)
@@ -113,7 +124,7 @@ class TestPyramidPosition:
                     apex[t] + orientation * sum(ts[e] * ALPHA[e][t] for e in range(4))
                     for t in range(4)
                 )
-                assert _position(apex, orientation, v) != "outside"
+                assert naive_pyramid_position(apex, orientation, v) != "outside"
             # converse: every sign-satisfying integral offset decomposes
             for d1 in range(-8, 1):
                 for d2 in range(0, 9):
@@ -136,7 +147,7 @@ class TestPyramidPosition:
         for _ in range(2000):
             v = [rng.randint(-4, 4) for _ in range(3)]
             v.append(3 - sum(v))
-            outside = _position((2, 0, 1, 0), 1, tuple(v)) == "outside"
+            outside = naive_pyramid_position((2, 0, 1, 0), 1, tuple(v)) == "outside"
             assert outside == (pyramid_decomposition((2, 0, 1, 0), 1, tuple(v)) is None)
 
 
@@ -159,13 +170,37 @@ class TestP4Counts:
         with pytest.raises(ValueError):
             p4_counts(sub([1, 3, 5], 6))  # six runs
 
+    def test_walk_matches_face_walk_oracle(self):
+        # every four-run half-size set, so every rotation and reflection of each shape
+        checked = 0
+        for n in range(4, (16 if LONG else 12) + 1, 2):
+            for elements in itertools.combinations(range(1, n + 1), n // 2):
+                members = set(elements)
+                starts = [x for x in elements if (x - 2) % n + 1 not in members]
+                if len(starts) != 2:
+                    continue
+                # run lengths read clockwise from the start of either run of the set
+                runs = [
+                    tuple(
+                        len(list(g))
+                        for _, g in itertools.groupby((x + t - 1) % n + 1 in members for t in range(n))
+                    )
+                    for x in starts
+                ]
+                pc = p4_counts(sub(elements, n))
+                assert pc.p in runs, (elements, pc.p)
+                assert (pc.z_count, pc.interior_pq_count) == naive_p4_counts(pc.p), elements
+                checked += 1
+        assert checked == (924 if LONG else 280)
+
     def test_normalization(self):
         assert normalize_p4((2, 1, 1, 2)) == (2, 2, 1, 1)
         assert normalize_p4((1, 2, 2, 1)) == (2, 2, 1, 1)
         assert normalize_p4((3, 3, 2, 2)) == (3, 3, 2, 2)
 
     def test_formulas_exhaustive_small(self):
-        for k in range(2, 7):
+        # every shape up to n = 40; under WEAKSEP_LONG=1 up to the largest ground set
+        for k in range(2, (ground.MAX_GROUND if LONG else 40) // 2 + 1):
             for p1 in range(1, k):
                 for p2 in range(1, k):
                     p = (p1, p2, k - p1, k - p2)

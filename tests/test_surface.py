@@ -70,7 +70,7 @@ EXPORTS = [
     "unbalanced_witness",
 ]
 
-SOURCE_LINES = 2791
+SOURCE_LINES = 2768
 
 OPTIONS = {
     "check": ["--a", "--b", "--n"],
